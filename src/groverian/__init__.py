@@ -83,7 +83,6 @@ from .statevector import (
     fourier_gate,
     haar_unitary,
     inner,
-    make_state,
     partial_contract,
     product_to_state,
     random_local_layer,

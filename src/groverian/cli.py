@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     GroverianError,
@@ -34,7 +32,14 @@ from .grover import (
 )
 from .measures import groverian, groverian_mixed
 from .product_opt import OptimizerConfig, pmax_overlap
-from .statevector import DensityMatrix, StateVector, SystemShape, random_state, uniform_state
+from .statevector import (
+    DensityMatrix,
+    StateVector,
+    SystemShape,
+    random_state,
+    seed_sequence,
+    uniform_state,
+)
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -314,8 +319,7 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
             return w_state(n)
         if family == "uniform":
             return uniform_state(shape)
-        seq = np.random.SeedSequence((args.seed & ((1 << 64) - 1), 77, index))
-        return random_state(shape, seq)
+        return random_state(shape, seed_sequence(args.seed, 77, index))
 
     rows = []
     for index, n in enumerate(range(lo, hi + 1)):

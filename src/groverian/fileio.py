@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroverianError
-from .statevector import DensityMatrix, StateVector, SystemShape, make_state
+from .statevector import DensityMatrix, StateVector, SystemShape
 
 
 class FileFormatError(GroverianError):
@@ -90,7 +90,12 @@ def _parse_pairs(raw, count: int, path, key: str) -> np.ndarray:
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FileFormatError(f"{path}: '{key}' entry {i} is not an [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            out[i] = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FileFormatError(
+                f"{path}: '{key}' entry {i} is not a pair of numbers"
+            ) from exc
     return out
 
 
@@ -105,18 +110,21 @@ def load_state(path) -> StateVector:
     doc = _load_json(path)
     shape = _parse_dims(doc, path)
     amps = _parse_pairs(doc.get("amps"), shape.total, path, "amps")
-    return make_state(shape, amps)
+    return StateVector(shape, amps)
+
+
+def _write_pairs(path, dims, key: str, values: np.ndarray) -> None:
+    body = ",\n    ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in values)
+    text = (
+        "{\n"
+        f'  "dims": {list(dims)},\n'
+        f'  "{key}": [\n    ' + body + "\n  ]\n}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def save_state(state: StateVector, path) -> None:
-    pairs = [[format_float(a.real), format_float(a.imag)] for a in state.amps]
-    body = ",\n    ".join("[" + ", ".join(p) + "]" for p in pairs)
-    text = (
-        "{\n"
-        f'  "dims": {list(state.shape.dims)},\n'
-        '  "amps": [\n    ' + body + "\n  ]\n}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    _write_pairs(path, state.shape.dims, "amps", state.amps)
 
 
 def load_density(path) -> DensityMatrix:
@@ -128,12 +136,4 @@ def load_density(path) -> DensityMatrix:
 
 
 def save_density(rho: DensityMatrix, path) -> None:
-    flat = rho.entries.reshape(-1)
-    pairs = [[format_float(z.real), format_float(z.imag)] for z in flat]
-    body = ",\n    ".join("[" + ", ".join(p) + "]" for p in pairs)
-    text = (
-        "{\n"
-        f'  "dims": {list(rho.shape.dims)},\n'
-        '  "rho": [\n    ' + body + "\n  ]\n}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    _write_pairs(path, rho.shape.dims, "rho", rho.entries.reshape(-1))

@@ -66,15 +66,28 @@ class GroverRun:
     final_state: StateVector
 
 
+def _marked_probability(amps: np.ndarray, marked) -> float:
+    return float(np.sum(np.abs(amps[marked]) ** 2))
+
+
+def _flip_marked(amps: np.ndarray, marked) -> None:
+    amps[marked] *= -1.0
+
+
+def _reflect_uniform(amps: np.ndarray) -> None:
+    mean = np.sum(amps) / amps.size  # <eta|psi> / sqrt(N)
+    amps -= 2.0 * mean
+
+
 def success_probability(oracle: OracleSpec, state: StateVector) -> float:
-    return float(np.sum(np.abs(state.amps[list(oracle.marked)]) ** 2))
+    return _marked_probability(state.amps, list(oracle.marked))
 
 
 def oracle_phase(oracle: OracleSpec, state: StateVector) -> StateVector:
     """Negate the amplitude of every marked basis state."""
     _check_same_shape(oracle, state)
     amps = state.amps.copy()
-    amps[list(oracle.marked)] *= -1.0
+    _flip_marked(amps, list(oracle.marked))
     return StateVector(state.shape, amps)
 
 
@@ -84,9 +97,9 @@ def diffusion(state: StateVector) -> StateVector:
     Exactly the layered composition V (I - 2|0><0|) V+ with Fourier gates,
     including its global sign (eta maps to -eta).
     """
-    total = state.shape.total
-    mean = np.sum(state.amps) / total  # <eta|psi> / sqrt(N)
-    return StateVector(state.shape, state.amps - 2.0 * mean)
+    amps = state.amps.copy()
+    _reflect_uniform(amps)
+    return StateVector(state.shape, amps)
 
 
 def diffusion_layer(shape: SystemShape) -> LocalUnitaryLayer:
@@ -96,7 +109,7 @@ def diffusion_layer(shape: SystemShape) -> LocalUnitaryLayer:
 
 def grover_iterate(oracle: OracleSpec, state: StateVector) -> StateVector:
     """One search step: oracle phase flip, then diffusion."""
-    return diffusion(oracle_phase(oracle, state))
+    return run_grover(state, oracle, 1).final_state
 
 
 def iteration_bound(total: int, r: int) -> int:
@@ -111,27 +124,25 @@ def optimal_iterations(shape: SystemShape, oracle: OracleSpec) -> int:
     bound; ties break toward the smallest k.
     """
     bound = iteration_bound(shape.total, oracle.count)
-    state = uniform_state(shape)
-    best_k, best_p = 0, success_probability(oracle, state)
-    for k in range(1, bound + 1):
-        state = grover_iterate(oracle, state)
-        p = success_probability(oracle, state)
-        if p > best_p:
-            best_k, best_p = k, p
-    return best_k
+    curve = run_grover(uniform_state(shape), oracle, bound).prob_curve
+    return int(np.argmax(curve))
 
 
 def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> GroverRun:
-    """Apply the iterate ``iterations`` times, recording P(k) at every step."""
+    """Apply the iterate ``iterations`` times, recording P(k) at every step.
+
+    The steps run in place on one copy of the amplitudes."""
     _check_same_shape(oracle, initial)
     if iterations < 0:
         raise DimensionMismatch("iteration count must be >= 0")
-    state = initial
-    curve = [success_probability(oracle, state)]
+    marked = np.asarray(oracle.marked)
+    amps = initial.amps.copy()
+    curve = [_marked_probability(amps, marked)]
     for _ in range(iterations):
-        state = grover_iterate(oracle, state)
-        curve.append(success_probability(oracle, state))
-    return GroverRun(iterations, tuple(curve), state)
+        _flip_marked(amps, marked)
+        _reflect_uniform(amps)
+        curve.append(_marked_probability(amps, marked))
+    return GroverRun(iterations, tuple(curve), StateVector(initial.shape, amps))
 
 
 def run_modified(

@@ -25,16 +25,16 @@ from .statevector import (
     ProductState,
     StateVector,
     _contract_all_but,
+    _random_factors,
     product_amps,
     schmidt,
+    seed_sequence,
     uniform_factor,
 )
 
 # A contraction below this norm carries no gradient information; the restart
 # is reseeded rather than divided by noise.
 CONTRACTION_EPS = 1e-14
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ class PmaxResult:
     best_per_restart: tuple[float, ...]
 
 
-def _restart_rng(seed: int, restart: int, attempt: int) -> np.random.Generator:
-    entropy = (int(seed) & _SEED_MASK, restart, attempt)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _random_factors(dims, rng) -> list[np.ndarray]:
-    factors = []
-    for d in dims:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        factors.append(z / np.linalg.norm(z))
-    return factors
-
-
 @dataclass
 class _Climb:
     objective: float
@@ -120,7 +107,7 @@ def _climb(update_site, initial_factors, dims, cfg, restart) -> _Climb:
             attempt += 1
             if attempt > 3:
                 return _Climb(0.0, factors, sweeps, False, True)
-            factors = _random_factors(dims, _restart_rng(cfg.seed, restart, attempt))
+            factors = _random_factors(dims, seed_sequence(cfg.seed, restart, attempt))
             prev = -math.inf
             continue
         if obj - prev < cfg.tol:
@@ -134,7 +121,7 @@ def _optimize(update_site, shape, cfg, basis_floor_value, basis_floor_index):
     dims = shape.dims
     starts: list[list[np.ndarray]] = [[uniform_factor(d) for d in dims]]
     for r in range(2, cfg.restarts + 1):
-        starts.append(_random_factors(dims, _restart_rng(cfg.seed, r, 0)))
+        starts.append(_random_factors(dims, seed_sequence(cfg.seed, r, 0)))
 
     best: _Climb | None = None
     per_restart: list[float] = []
@@ -168,15 +155,10 @@ def _optimize(update_site, shape, cfg, basis_floor_value, basis_floor_index):
     return best, restarts_used, tuple(per_restart)
 
 
-def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> PmaxResult:
-    """Maximize |<e_1,...,e_n|state>|^2 over product states.
-
-    Restart 1 starts from the per-site uniform product; the remaining
-    restarts start from Haar-random products drawn from seeds derived from
-    ``cfg.seed``.  Ties across restarts resolve to the lowest restart index.
-    """
-    cfg = cfg or OptimizerConfig()
-    tensor = state.tensor()
+def _pure_site_update(tensor: np.ndarray):
+    """Exact single-site update for the pure objective |<e_1..e_n|psi>|^2,
+    in the form ``_climb`` takes: it sets factors[j] to the normalized
+    environment contraction and returns the objective, or None if degenerate."""
 
     def update_site(factors, j):
         v = _contract_all_but(tensor, factors, j)
@@ -186,8 +168,20 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
         factors[j] = v / nv
         return nv * nv
 
+    return update_site
+
+
+def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> PmaxResult:
+    """Maximize |<e_1,...,e_n|state>|^2 over product states.
+
+    Restart 1 starts from the per-site uniform product; the remaining
+    restarts start from Haar-random products drawn from seeds derived from
+    ``cfg.seed``.  Ties across restarts resolve to the lowest restart index.
+    """
+    cfg = cfg or OptimizerConfig()
     probs = state.probabilities()
     floor_index = int(np.argmax(probs))
+    update_site = _pure_site_update(state.tensor())
     best, restarts_used, per_restart = _optimize(
         update_site, state.shape, cfg, float(probs[floor_index]), floor_index
     )

@@ -29,7 +29,9 @@ from .errors import (
 )
 
 # Construction accepts hand-typed input within 1e-8 of unit norm and
-# renormalizes; unitary operations must preserve norm to 1e-12.
+# renormalizes when it drifts beyond 1e-12, the norm unitary operations must
+# preserve; input within 1e-12 is stored bit for bit.  Every tolerance check
+# is written as ``not x <= tol`` so that a NaN fails it.
 CONSTRUCT_TOL = 1e-8
 NORM_DRIFT_TOL = 1e-12
 ZERO_NORM_TOL = 1e-12
@@ -40,10 +42,10 @@ DENSITY_TOL = 1e-10
 MAX_TOTAL_DIM = 2**62
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def seed_sequence(seed: int, *keys: int) -> np.random.SeedSequence:
+    """Seed sequence for one derived stream: a user seed (wrapped to 64 bits,
+    so negative seeds are accepted) followed by integer keys."""
+    return np.random.SeedSequence((int(seed) & (2**64 - 1), *keys))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -127,8 +129,10 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if norm < ZERO_NORM_TOL:
             raise ZeroVector("state vector has zero norm")
-        if abs(norm - 1.0) > CONSTRUCT_TOL:
+        if not abs(norm - 1.0) <= CONSTRUCT_TOL:
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-8")
+        if abs(norm - 1.0) > NORM_DRIFT_TOL:
+            amps = amps / norm
         object.__setattr__(self, "amps", _readonly(amps))
 
     @property
@@ -165,7 +169,7 @@ class ProductState:
             f = np.ascontiguousarray(f, dtype=np.complex128)
             if f.ndim != 1 or f.size != d:
                 raise DimensionMismatch(f"factor {j} must have length {d}")
-            if abs(float(np.linalg.norm(f)) - 1.0) > NORM_DRIFT_TOL:
+            if not abs(float(np.linalg.norm(f)) - 1.0) <= NORM_DRIFT_TOL:
                 raise NotNormalized(f"factor {j} is not a unit vector")
             fixed.append(_readonly(canonical_phase(f)))
         object.__setattr__(self, "factors", tuple(fixed))
@@ -189,7 +193,7 @@ class LocalUnitaryLayer:
             if g.shape != (d, d):
                 raise DimensionMismatch(f"gate {j} must be {d}x{d}")
             defect = np.abs(g.conj().T @ g - np.eye(d)).max()
-            if defect > UNITARY_TOL:
+            if not defect <= UNITARY_TOL:
                 raise NotNormalized(f"gate {j} is not unitary (defect {defect:.2e})")
             fixed.append(_readonly(g))
         object.__setattr__(self, "gates", tuple(fixed))
@@ -210,12 +214,13 @@ class DensityMatrix:
         m = np.ascontiguousarray(self.entries, dtype=np.complex128)
         if m.shape != (total, total):
             raise DimensionMismatch(f"density matrix must be {total}x{total}")
-        if np.abs(m - m.conj().T).max() > DENSITY_TOL:
+        # The Hermitian check also keeps non-finite entries from eigvalsh.
+        if not np.abs(m - m.conj().T).max() <= DENSITY_TOL:
             raise InvalidDensity("matrix is not Hermitian")
         trace = complex(np.trace(m))
-        if abs(trace.real - 1.0) > DENSITY_TOL or abs(trace.imag) > DENSITY_TOL:
+        if not (abs(trace.real - 1.0) <= DENSITY_TOL and abs(trace.imag) <= DENSITY_TOL):
             raise InvalidDensity("trace differs from 1")
-        if float(np.linalg.eigvalsh(m).min()) < -DENSITY_TOL:
+        if not float(np.linalg.eigvalsh(m).min()) >= -DENSITY_TOL:
             raise InvalidDensity("matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", _readonly(m))
 
@@ -241,19 +246,6 @@ class SchmidtDecomposition:
     @property
     def p_max(self) -> float:
         return float(self.coeffs[0] ** 2)
-
-
-def make_state(shape: SystemShape, amps) -> StateVector:
-    """Build a normalized StateVector, renormalizing input within the 1e-8 window."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    if amps.ndim != 1 or amps.size != shape.total:
-        raise DimensionMismatch(f"expected {shape.total} amplitudes, got {amps.size}")
-    norm = float(np.linalg.norm(amps))
-    if norm < ZERO_NORM_TOL:
-        raise ZeroVector("cannot normalize a zero vector")
-    if abs(norm - 1.0) > CONSTRUCT_TOL:
-        raise NotNormalized(f"norm {norm!r} deviates from 1 by more than 1e-8")
-    return StateVector(shape, amps / norm)
 
 
 def basis_state(shape: SystemShape, index: int) -> StateVector:
@@ -296,10 +288,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 def product_to_state(p: ProductState) -> StateVector:
     """Expand a product state into joint amplitudes; amp[x] = prod_j factor_j[x_j]."""
-    amps = p.factors[0]
-    for f in p.factors[1:]:
-        amps = np.kron(amps, f)
-    return StateVector(p.shape, amps)
+    return StateVector(p.shape, product_amps(p.factors))
 
 
 def product_amps(factors) -> np.ndarray:
@@ -407,19 +396,24 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
 
 def random_state(shape: SystemShape, seed) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
     return StateVector(shape, z / np.linalg.norm(z))
 
 
-def random_product(shape: SystemShape, seed) -> ProductState:
-    """Product of independent Haar-random single-site states."""
-    rng = _rng(seed)
+def _random_factors(dims, seed) -> list[np.ndarray]:
+    """One Haar-random unit vector per site dimension, drawn in site order."""
+    rng = np.random.default_rng(seed)
     factors = []
-    for d in shape.dims:
+    for d in dims:
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         factors.append(z / np.linalg.norm(z))
-    return ProductState(shape, tuple(factors))
+    return factors
+
+
+def random_product(shape: SystemShape, seed) -> ProductState:
+    """Product of independent Haar-random single-site states."""
+    return ProductState(shape, tuple(_random_factors(shape.dims, seed)))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -437,7 +431,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_local_layer(shape: SystemShape, seed) -> LocalUnitaryLayer:
     """Independent Haar-random unitary on each site."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return LocalUnitaryLayer(shape, tuple(haar_unitary(d, rng) for d in shape.dims))
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverian import (
     SystemShape,
@@ -83,8 +87,13 @@ class TestFamilies:
 
 
 class TestStateFiles:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        state = random_state(SystemShape([2, 3]), 123)
+    @pytest.mark.parametrize(
+        "dims,seed",
+        [([2, 3], 123), ([2, 2, 2], 4), ([2] * 10, 5)],
+        ids=["2,3", "2,2,2", "2^10"],
+    )
+    def test_roundtrip_bit_exact(self, tmp_path, dims, seed):
+        state = random_state(SystemShape(dims), seed)
         path = tmp_path / "state.json"
         save_state(state, path)
         loaded = load_state(path)
@@ -356,6 +365,26 @@ class TestCliErrors:
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "pmax")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["pmax", "--state"], {"dims": [2], "amps": [[math.nan, 0], [0, 0]]}),
+            (["pmax", "--state"], {"dims": [2], "amps": [["x", 0], [0, 0]]}),
+            (
+                ["groverian", "--mixed"],
+                {"dims": [2], "rho": [[math.nan, 0], [0, 0], [0, 0], [0.5, 0]]},
+            ),
+        ],
+        ids=["nan-amplitude", "text-amplitude", "nan-density"],
+    )
+    def test_bad_number_in_file(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert "null" not in out
+        assert "Traceback" not in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -364,3 +393,128 @@ class TestCliErrors:
         assert code == 0
         report = json.loads(path.read_text())
         assert report["results"]["value"] == pytest.approx(0.5, abs=1e-9)
+
+
+def _is_finite_number(value):
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _parses_as_marked(text, total):
+    try:
+        marked = [int(x) for x in text.split(",")]
+    except ValueError:
+        return False
+    return len(set(marked)) == len(marked) and all(0 <= m < total for m in marked)
+
+
+def _parses_as_sites(text):
+    lo, _, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi or lo)
+    except ValueError:
+        return False
+    return 2 <= lo <= hi
+
+
+# A value that float() rejects or that is not finite.
+BAD_NUMBER = st.one_of(
+    st.text(max_size=6).filter(lambda t: not _is_finite_number(t)),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, None]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# Lists hold at most three items, so nesting never yields a full [re, im] array.
+NESTED_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+BAD_PAIR = st.one_of(
+    st.lists(st.just(0.5), max_size=4).filter(lambda pair: len(pair) != 2),
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+)
+BAD_DIMS = st.one_of(
+    NESTED_JUNK.filter(
+        lambda d: not (isinstance(d, list) and all(type(x) is int for x in d) and d)
+    ),
+    st.lists(st.integers(-3, 1), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def bad_input_files(draw):
+    """A state or density document for dims [2] with exactly one defect."""
+    key = draw(st.sampled_from(["amps", "rho"]))
+    if key == "amps":
+        pairs = [[0.6, 0.0], [0.0, 0.8]]
+    else:
+        pairs = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    doc = {"dims": [2], key: pairs}
+    defect = draw(st.sampled_from(["number", "pair", "count", "values", "dims"]))
+    i = draw(st.integers(0, len(pairs) - 1))
+    if defect == "number":
+        pairs[i][draw(st.integers(0, 1))] = draw(BAD_NUMBER)
+    elif defect == "pair":
+        pairs[i] = draw(BAD_PAIR)
+    elif defect == "count":
+        count = draw(st.integers(0, 2 * len(pairs)).filter(lambda c: c != len(pairs)))
+        doc[key] = [[0.0, 0.0]] * count
+    elif defect == "values":
+        doc[key] = draw(NESTED_JUNK)
+    else:
+        doc["dims"] = draw(BAD_DIMS)
+    flag = "--state" if key == "amps" else "--mixed"
+    return flag, json.dumps(doc)
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestCliInputFailures:
+    """Every malformed input ends in exit 2 or 3, with no number left null."""
+
+    @given(bad_input_files())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_malformed_files(self, tmp_path_factory, case):
+        flag, text = case
+        path = tmp_path_factory.getbasetemp() / "malformed.json"
+        path.write_text(text)
+        code, out = _main_quietly(["groverian", flag, str(path)])
+        assert code in (2, 3)
+        assert "null" not in out
+
+    @given(
+        st.one_of(
+            st.text(max_size=8),
+            st.lists(st.integers(-5, 9), min_size=1, max_size=5).map(
+                lambda xs: ",".join(map(str, xs))
+            ),
+        ).filter(lambda t: not _parses_as_marked(t, 4))
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_malformed_marked(self, marked):
+        code, out = _main_quietly(["grover", "--state", "uniform:2,2", f"--marked={marked}"])
+        assert code in (2, 3)
+        assert "null" not in out
+
+    @given(
+        st.one_of(
+            st.text(max_size=6),
+            st.tuples(st.integers(-3, 8), st.integers(-3, 8)).map(lambda t: f"{t[0]}:{t[1]}"),
+        ).filter(lambda t: not _parses_as_sites(t))
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_malformed_sites(self, sites):
+        code, out = _main_quietly(["sweep", "--measure", "grover-success", f"--sites={sites}"])
+        assert code in (2, 3)
+        assert "null" not in out

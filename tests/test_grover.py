@@ -18,13 +18,13 @@ from groverian import (
     grover_iterate,
     inner,
     iteration_bound,
-    make_state,
     optimal_iterations,
     oracle_phase,
     pmax_simulated,
     random_state,
     run_grover,
     run_modified,
+    success_probability,
     uniform_state,
 )
 
@@ -147,6 +147,30 @@ class TestOptimalIterations:
 
     @pytest.mark.parametrize(
         "dims,marked",
+        [
+            ([2, 2], [0, 1, 2, 3]),
+            ([2] * 4, [3]),
+            ([2] * 4, [1, 6]),
+            ([2] * 6, [0, 7, 21]),
+            ([3, 3], [2]),
+            ([3, 3], [0, 4, 8]),
+        ],
+    )
+    def test_matches_strict_scan(self, dims, marked):
+        # the first strict maximum of P(k), found step by step
+        shape = SystemShape(dims)
+        oracle = OracleSpec(shape, marked)
+        state = uniform_state(shape)
+        best_k, best_p = 0, success_probability(oracle, state)
+        for k in range(1, iteration_bound(shape.total, oracle.count) + 1):
+            state = grover_iterate(oracle, state)
+            p = success_probability(oracle, state)
+            if p > best_p:
+                best_k, best_p = k, p
+        assert optimal_iterations(shape, oracle) == best_k
+
+    @pytest.mark.parametrize(
+        "dims,marked",
         [([2, 2], [0]), ([2] * 4, [3]), ([2] * 6, [0, 9]), ([3, 3], [2]), ([5], [1])],
     )
     def test_bound_respected(self, dims, marked):
@@ -167,6 +191,24 @@ class TestRunGrover:
         assert run.iterations == m
         assert len(run.prob_curve) == m + 1
 
+    @pytest.mark.parametrize(
+        "dims,marked",
+        [([2] * 8, [37]), ([2] * 6, [0, 9, 40]), ([3, 3, 2], [4]), ([3, 3, 2], [1, 7, 12])],
+    )
+    def test_matches_reference_iterate(self, dims, marked):
+        # the in-place loop against composing the public reflections
+        shape = SystemShape(dims)
+        oracle = OracleSpec(shape, marked)
+        state = random_state(shape, 13)
+        steps = iteration_bound(shape.total, 1)
+        run = run_grover(state, oracle, steps)
+        curve = [success_probability(oracle, state)]
+        for _ in range(steps):
+            state = diffusion(oracle_phase(oracle, state))
+            curve.append(success_probability(oracle, state))
+        assert np.array_equal(run.prob_curve, curve)
+        assert np.array_equal(run.final_state.amps, state.amps)
+
     def test_marked_basis_state_no_iterations(self, two_qubits):
         run = run_grover(basis_state(two_qubits, 3), OracleSpec(two_qubits, [3]), 0)
         assert run.prob_curve == (1.0,)
@@ -175,7 +217,7 @@ class TestRunGrover:
         # (|1> - |2>)/sqrt2 is orthogonal to |eta> and to the target |0>
         amps = np.zeros(4, dtype=complex)
         amps[1], amps[2] = SQRT_HALF, -SQRT_HALF
-        run = run_grover(make_state(two_qubits, amps), OracleSpec(two_qubits, [0]), 4)
+        run = run_grover(StateVector(two_qubits, amps), OracleSpec(two_qubits, [0]), 4)
         assert all(p == 0.0 for p in run.prob_curve)
 
     def test_curve_values_are_probabilities(self, three_qubits):

@@ -10,6 +10,7 @@ from groverian import (
     InvalidDensity,
     InvalidDistribution,
     OutOfRange,
+    StateVector,
     SystemShape,
     WrongShape,
     bell,
@@ -22,7 +23,6 @@ from groverian import (
     groverian_mixed,
     groverian_product_mixed,
     majorizes,
-    make_state,
     monotone_check_bipartite,
     product_to_state,
     random_product,
@@ -37,7 +37,7 @@ SQRT_HALF = math.sqrt(0.5)
 def schmidt_pair_state(p):
     amps = np.zeros(4, dtype=complex)
     amps[0], amps[3] = math.sqrt(p), math.sqrt(1 - p)
-    return make_state(SystemShape([2, 2]), amps)
+    return StateVector(SystemShape([2, 2]), amps)
 
 
 class TestGroverianPure:

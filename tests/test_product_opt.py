@@ -7,6 +7,7 @@ from groverian import (
     DensityMatrix,
     OptimizerConfig,
     OutOfRange,
+    StateVector,
     SystemShape,
     TooLarge,
     WrongShape,
@@ -15,7 +16,6 @@ from groverian import (
     bell,
     ghz,
     inner,
-    make_state,
     pmax_bipartite,
     pmax_grid_oracle,
     pmax_mixed,
@@ -138,7 +138,7 @@ class TestPmaxOverlap:
         # (|0>+|1>)/sqrt2 (x) (-|0>+|1>)/sqrt2 has zero row sums, so the
         # uniform restart's first contraction vanishes and must be reseeded;
         # the state is a product, so the recovered optimum is 1
-        state = make_state(two_qubits, np.array([-1, 1, -1, 1]) / 2)
+        state = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)
         result = pmax_overlap(state, OptimizerConfig(restarts=3, seed=0))
         assert abs(result.value - 1.0) <= 1e-10
 
@@ -154,7 +154,7 @@ class TestPmaxBipartite:
         amps = np.zeros(4, dtype=complex)
         amps[0] = math.sqrt(0.7)
         amps[3] = math.sqrt(0.3)
-        state = make_state(two_qubits, amps)
+        state = StateVector(two_qubits, amps)
         assert abs(pmax_bipartite(state, [1]) - 0.7) <= 1e-14
 
 
@@ -195,7 +195,7 @@ class TestGridOracle:
             assert direct == pytest.approx(brute_force_grid(state, 16), abs=1e-14)
 
     def test_single_qubit(self):
-        state = make_state(SystemShape([2]), [math.sqrt(0.8), math.sqrt(0.2)])
+        state = StateVector(SystemShape([2]), [math.sqrt(0.8), math.sqrt(0.2)])
         # best single-qubit product state is the state itself
         assert abs(pmax_grid_oracle(state, 256) - 1.0) <= 1e-3
 

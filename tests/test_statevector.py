@@ -15,13 +15,13 @@ from groverian import (
     LocalUnitaryLayer,
     NotNormalized,
     ProductState,
+    StateVector,
     SystemShape,
     ZeroVector,
     apply_local,
     basis_state,
     fourier_gate,
     inner,
-    make_state,
     partial_contract,
     product_to_state,
     random_local_layer,
@@ -39,7 +39,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
 
 
 def bell_state():
-    return make_state(SystemShape([2, 2]), [SQRT_HALF, 0, 0, SQRT_HALF])
+    return StateVector(SystemShape([2, 2]), [SQRT_HALF, 0, 0, SQRT_HALF])
 
 
 class TestSystemShape:
@@ -72,8 +72,10 @@ class TestSystemShape:
 
 
 class TestMakeState:
+    """StateVector construction, the one validation gate for amplitudes."""
+
     def test_basis_qubit(self):
-        state = make_state(SystemShape([2]), [1, 0])
+        state = StateVector(SystemShape([2]), [1, 0])
         assert np.array_equal(state.amps, np.array([1, 0], dtype=complex))
 
     def test_bell_norm(self):
@@ -81,19 +83,24 @@ class TestMakeState:
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
-            make_state(SystemShape([2]), [1, 1])
+            StateVector(SystemShape([2]), [1, 1])
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
-            make_state(SystemShape([2]), [0, 0])
+            StateVector(SystemShape([2]), [0, 0])
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            make_state(SystemShape([2, 2]), [1, 0])
+            StateVector(SystemShape([2, 2]), [1, 0])
 
     def test_renormalizes_within_window(self):
-        state = make_state(SystemShape([2]), [1 + 5e-9, 0])
+        state = StateVector(SystemShape([2]), [1 + 5e-9, 0])
         assert abs(state.norm - 1.0) < 1e-15
+
+    def test_keeps_input_within_drift(self):
+        amps = np.array([1 + 1e-13, 0], dtype=complex)
+        state = StateVector(SystemShape([2]), amps.copy())
+        assert np.array_equal(state.amps, amps)
 
     def test_amps_read_only(self):
         state = bell_state()
@@ -104,10 +111,24 @@ class TestMakeState:
     @settings(max_examples=30, derandomize=True)
     def test_rejects_outside_window(self, off):
         if off <= 1e-8:
-            make_state(SystemShape([2]), [1 + off, 0])
+            StateVector(SystemShape([2]), [1 + off, 0])
         else:
             with pytest.raises(NotNormalized):
-                make_state(SystemShape([2]), [1 + off, 0])
+                StateVector(SystemShape([2]), [1 + off, 0])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_every_constructor_rejects(self, bad):
+        qubit = SystemShape([2])
+        with pytest.raises(NotNormalized):
+            StateVector(qubit, [bad, 0])
+        with pytest.raises(NotNormalized):
+            ProductState(qubit, (np.array([bad, 0.0]),))
+        with pytest.raises(NotNormalized):
+            LocalUnitaryLayer(qubit, (np.array([[bad, 0], [0, 1]]),))
+        with pytest.raises(InvalidDensity):
+            DensityMatrix(qubit, np.array([[bad, 0], [0, 0.5]]))
 
 
 class TestUniformState:
@@ -251,7 +272,7 @@ class TestSchmidt:
         shape = SystemShape([2, 2, 2])
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[7] = SQRT_HALF
-        dec = schmidt(make_state(shape, amps), [1])
+        dec = schmidt(StateVector(shape, amps), [1])
         assert np.allclose(dec.coeffs, [SQRT_HALF, SQRT_HALF], atol=1e-12)
 
     def test_reconstruction_upto_256(self):
