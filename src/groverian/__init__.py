@@ -20,6 +20,7 @@ from .errors import (
     GroverianError,
     InvalidDensity,
     InvalidDistribution,
+    NonFiniteResult,
     NotNormalized,
     OutOfRange,
     TooLarge,

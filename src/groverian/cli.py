@@ -18,6 +18,7 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     GroverianError,
+    NonFiniteResult,
     TooLarge,
     ZeroContraction,
 )
@@ -402,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     args.start_time = time.perf_counter()
     try:
         return COMMANDS[args.command](args, argv)
-    except (ZeroContraction, TooLarge) as exc:
+    except (ZeroContraction, TooLarge, NonFiniteResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except GroverianError as exc:

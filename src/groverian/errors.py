@@ -51,3 +51,7 @@ class InvalidDistribution(GroverianError):
 
 class InvalidDensity(GroverianError):
     """Matrix is not a valid density operator."""
+
+
+class NonFiniteResult(GroverianError):
+    """A result holds NaN or infinity, which the report format cannot carry."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GroverianError
+from .errors import GroverianError, NonFiniteResult
 from .statevector import DensityMatrix, StateVector, SystemShape
 
 
@@ -23,10 +23,14 @@ class FileFormatError(GroverianError):
 
 
 def format_float(x: float) -> str:
-    """17 significant digits, enough to reproduce any double exactly."""
+    """17 significant digits, enough to reproduce any double exactly.
+
+    JSON has no literal for NaN or infinity, so a non-finite value raises
+    ``NonFiniteResult`` instead of being written as ``null``.
+    """
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        return "null"  # JSON has no non-finite literals
+    if not math.isfinite(x):
+        raise NonFiniteResult(f"cannot serialize non-finite value {x!r}")
     return format(x, ".16e")
 
 

@@ -7,6 +7,11 @@ pure states, or the top eigenvector of a small Hermitian environment matrix
 for density operators.  Each update is the exact single-site optimum, so the
 objective never decreases; random restarts guard against local maxima.
 
+A sweep visits sites 1..n in order and carries the left environment (the
+target with the already-updated factors contracted in) from site to site,
+so one sweep costs O(N) for a state of N amplitudes and O(N^2) for an
+N x N density matrix.  Pure and mixed input share one sweep engine.
+
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
 squared Schmidt coefficient).
@@ -49,8 +54,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise OutOfRange("restarts must be >= 1")
-        if not self.tol > 0:
-            raise OutOfRange("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise OutOfRange("tol must be finite and > 0")
         if self.max_sweeps < 1:
             raise OutOfRange("max_sweeps must be >= 1")
 
@@ -82,26 +87,75 @@ class _Climb:
     degenerate: bool
 
 
-def _climb(update_site, initial_factors, dims, cfg, restart) -> _Climb:
-    """Run alternating single-site updates from one starting point.
+def _pure_site(left, factors, j):
+    """Site j of the pure objective |<e_1..e_n|psi>|^2.
 
-    ``update_site(factors, j)`` must replace factors[j] with the exact
-    single-site optimum and return the resulting objective, or None when the
-    environment is degenerate.
+    ``left`` is the state tensor with conj(e_1..e_{j-1}) contracted in, of
+    shape (d_j, ..., d_n).  Returns the normalized environment contraction,
+    its objective and the left environment of site j+1, or None when the
+    contraction vanishes.
     """
+    v = _contract_all_but(left, factors[j:], 0)
+    nv = float(np.linalg.norm(v))
+    if nv < CONTRACTION_EPS:
+        return None
+    e = v / nv
+    return e, nv * nv, (np.conj(e) @ left.reshape(e.size, -1)).reshape(left.shape[1:])
+
+
+def _mixed_site(left, factors, j):
+    """Site j of the mixed objective <e_1..e_n|rho|e_1..e_n>.
+
+    ``left`` is rho with conj(e_1..e_{j-1}) contracted onto the ket axes and
+    e_1..e_{j-1} onto the bra axes, an (M, M) matrix with M = d_j...d_n.  The
+    site environment is (I (x) w^H) left (I (x) w) with w the product of the
+    factors right of j; its top eigenvector is the new factor.  Returns the
+    factor, its objective and the left environment of site j+1, or None when
+    the environment vanishes.
+    """
+    d = factors[j].size
+    r = left.shape[0] // d
+    if j + 1 < len(factors):
+        w = product_amps(factors[j + 1 :])
+    else:
+        w = np.ones(1, dtype=np.complex128)
+    env = np.matmul(w.conj(), (left.reshape(-1, r) @ w).reshape(d, r, d))
+    if float(np.trace(env).real) < CONTRACTION_EPS:
+        return None
+    vals, vecs = np.linalg.eigh(env)
+    e = np.ascontiguousarray(vecs[:, -1])
+    ket = (np.conj(e) @ left.reshape(d, -1)).reshape(r, d, r)
+    return e, float(vals[-1]), np.matmul(e, ket)
+
+
+def _sweep(site, target, factors) -> list[float] | None:
+    """One left-to-right sweep of exact single-site updates over ``factors``.
+
+    The left environment starts as ``target`` and ``site`` absorbs each
+    updated factor into it.  Replaces factors in place and returns the
+    objective after each site, or None at the first degenerate contraction.
+    """
+    left = target
+    objectives = []
+    for j in range(len(factors)):
+        step = site(left, factors, j)
+        if step is None:
+            return None
+        factors[j], objective, left = step
+        objectives.append(objective)
+    return objectives
+
+
+def _climb(site, target, initial_factors, dims, cfg, restart) -> _Climb:
+    """Run alternating single-site sweeps from one starting point."""
     factors = [f.copy() for f in initial_factors]
-    n = len(dims)
     prev = -math.inf
     sweeps = 0
     attempt = 0
     while sweeps < cfg.max_sweeps:
         sweeps += 1
-        obj = None
-        for j in range(n):
-            obj = update_site(factors, j)
-            if obj is None:
-                break
-        if obj is None:
+        objectives = _sweep(site, target, factors)
+        if objectives is None:
             # Degenerate contraction: reseed this restart a bounded number
             # of times before declaring it failed.
             attempt += 1
@@ -110,13 +164,14 @@ def _climb(update_site, initial_factors, dims, cfg, restart) -> _Climb:
             factors = _random_factors(dims, seed_sequence(cfg.seed, restart, attempt))
             prev = -math.inf
             continue
+        obj = objectives[-1]
         if obj - prev < cfg.tol:
             return _Climb(obj, factors, sweeps, True, False)
         prev = obj
     return _Climb(prev, factors, sweeps, False, False)
 
 
-def _optimize(update_site, shape, cfg, basis_floor_value, basis_floor_index):
+def _optimize(site, target, shape, cfg, basis_floor_value, basis_floor_index):
     """Shared restart loop for the pure and mixed objectives."""
     dims = shape.dims
     starts: list[list[np.ndarray]] = [[uniform_factor(d) for d in dims]]
@@ -126,7 +181,7 @@ def _optimize(update_site, shape, cfg, basis_floor_value, basis_floor_index):
     best: _Climb | None = None
     per_restart: list[float] = []
     for r, init in enumerate(starts, start=1):
-        climb = _climb(update_site, init, dims, cfg, r)
+        climb = _climb(site, target, init, dims, cfg, r)
         per_restart.append(0.0 if climb.degenerate else climb.objective)
         if climb.degenerate:
             continue
@@ -144,7 +199,7 @@ def _optimize(update_site, shape, cfg, basis_floor_value, basis_floor_index):
             e = np.zeros(d, dtype=np.complex128)
             e[x] = 1.0
             init.append(e)
-        climb = _climb(update_site, init, dims, cfg, restarts_used + 1)
+        climb = _climb(site, target, init, dims, cfg, restarts_used + 1)
         restarts_used += 1
         per_restart.append(0.0 if climb.degenerate else climb.objective)
         if not climb.degenerate and climb.objective > best.objective:
@@ -153,22 +208,6 @@ def _optimize(update_site, shape, cfg, basis_floor_value, basis_floor_index):
     if best is None:
         raise ZeroContraction("every restart produced a degenerate contraction")
     return best, restarts_used, tuple(per_restart)
-
-
-def _pure_site_update(tensor: np.ndarray):
-    """Exact single-site update for the pure objective |<e_1..e_n|psi>|^2,
-    in the form ``_climb`` takes: it sets factors[j] to the normalized
-    environment contraction and returns the objective, or None if degenerate."""
-
-    def update_site(factors, j):
-        v = _contract_all_but(tensor, factors, j)
-        nv = float(np.linalg.norm(v))
-        if nv < CONTRACTION_EPS:
-            return None
-        factors[j] = v / nv
-        return nv * nv
-
-    return update_site
 
 
 def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> PmaxResult:
@@ -181,9 +220,9 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     cfg = cfg or OptimizerConfig()
     probs = state.probabilities()
     floor_index = int(np.argmax(probs))
-    update_site = _pure_site_update(state.tensor())
     best, restarts_used, per_restart = _optimize(
-        update_site, state.shape, cfg, float(probs[floor_index]), floor_index
+        _pure_site, state.tensor(), state.shape, cfg,
+        float(probs[floor_index]), floor_index,
     )
     argmax = ProductState(state.shape, tuple(best.factors))
     value = abs(complex(np.vdot(product_amps(argmax.factors), state.amps))) ** 2
@@ -207,32 +246,11 @@ def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxRe
     """
     cfg = cfg or OptimizerConfig()
     shape = rho.shape
-    dims = shape.dims
     matrix = rho.entries
-
-    def update_site(factors, j):
-        left = product_amps(factors[:j]).reshape(-1, 1) if j > 0 else None
-        right = (
-            product_amps(factors[j + 1 :]).reshape(-1, 1)
-            if j < len(dims) - 1
-            else None
-        )
-        k = np.eye(dims[j], dtype=np.complex128)
-        if left is not None:
-            k = np.kron(left, k)
-        if right is not None:
-            k = np.kron(k, right)
-        env = k.conj().T @ matrix @ k
-        if float(np.trace(env).real) < CONTRACTION_EPS:
-            return None
-        vals, vecs = np.linalg.eigh(env)
-        factors[j] = np.ascontiguousarray(vecs[:, -1])
-        return float(vals[-1])
-
     diag = np.real(np.diagonal(matrix))
     floor_index = int(np.argmax(diag))
     best, restarts_used, per_restart = _optimize(
-        update_site, shape, cfg, float(diag[floor_index]), floor_index
+        _mixed_site, matrix, shape, cfg, float(diag[floor_index]), floor_index
     )
     argmax = ProductState(shape, tuple(best.factors))
     e = product_amps(argmax.factors)

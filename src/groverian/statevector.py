@@ -192,6 +192,8 @@ class LocalUnitaryLayer:
             g = np.ascontiguousarray(g, dtype=np.complex128)
             if g.shape != (d, d):
                 raise DimensionMismatch(f"gate {j} must be {d}x{d}")
+            if not np.isfinite(g).all():
+                raise NotNormalized(f"gate {j} has a non-finite entry")
             defect = np.abs(g.conj().T @ g - np.eye(d)).max()
             if not defect <= UNITARY_TOL:
                 raise NotNormalized(f"gate {j} is not unitary (defect {defect:.2e})")
@@ -214,7 +216,8 @@ class DensityMatrix:
         m = np.ascontiguousarray(self.entries, dtype=np.complex128)
         if m.shape != (total, total):
             raise DimensionMismatch(f"density matrix must be {total}x{total}")
-        # The Hermitian check also keeps non-finite entries from eigvalsh.
+        if not np.isfinite(m).all():
+            raise InvalidDensity("density matrix has a non-finite entry")
         if not np.abs(m - m.conj().T).max() <= DENSITY_TOL:
             raise InvalidDensity("matrix is not Hermitian")
         trace = complex(np.trace(m))

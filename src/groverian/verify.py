@@ -37,7 +37,8 @@ from .measures import (
 )
 from .product_opt import (
     OptimizerConfig,
-    _pure_site_update,
+    _pure_site,
+    _sweep,
     pmax_bipartite,
     pmax_grid_oracle,
     pmax_overlap,
@@ -357,13 +358,12 @@ def check_ascent(seed: int) -> list[CheckResult]:
         shape = SystemShape(dims)
         state = random_state(shape, seed_sequence(seed, 34, 2 * i))
         factors = list(random_product(shape, seed_sequence(seed, 34, 2 * i + 1)).factors)
-        update_site = _pure_site_update(state.tensor())
         prev = -math.inf
         for _ in range(25):
-            for j in range(shape.n):
-                objective = update_site(factors, j)
-                if objective is None:
-                    break
+            objectives = _sweep(_pure_site, state.tensor(), factors)
+            if objectives is None:
+                break
+            for objective in objectives:
                 if prev > -math.inf:
                     worst_drop = max(worst_drop, prev - objective)
                 prev = objective

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverian import (
+    NonFiniteResult,
     SystemShape,
     bell,
     canonical_json,
@@ -22,6 +25,7 @@ from groverian import (
     uniform_state,
     w_state,
 )
+from groverian import cli
 from groverian.cli import main
 from groverian.families import expand_state_family
 from groverian.fileio import FileFormatError, format_float
@@ -137,6 +141,15 @@ class TestCanonicalJson:
     def test_float_formatting(self):
         assert format_float(0.5) == "5.0000000000000000e-01"
         assert float(format_float(1 / 3)) == 1 / 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(NonFiniteResult):
+            format_float(bad)
+        with pytest.raises(NonFiniteResult):
+            canonical_json({"x": bad})
+        with pytest.raises(NonFiniteResult):
+            canonical_json([1.0, np.float64(bad)])
 
     def test_document_structure(self):
         doc = {"a": 1, "b": [1.5, 2], "c": {"d": True, "e": None}}
@@ -384,6 +397,32 @@ class TestCliErrors:
         assert code == 2
         assert "null" not in out
         assert "Traceback" not in err
+
+    def test_infinite_density_entry(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text(
+            json.dumps({"dims": [2], "rho": [[0.5, 0], [math.inf, 0], [0, 0], [0.5, 0]]})
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "groverian", "--mixed", str(path))
+        assert code == 2
+        assert "non-finite" in err
+        assert "RuntimeWarning" not in err
+        assert "null" not in out
+
+    def test_non_finite_result_exits_numerical(self, capsys, monkeypatch):
+        real = cli.groverian
+
+        def nan_measure(state, cfg):
+            return dataclasses.replace(real(state, cfg), groverian=math.nan)
+
+        monkeypatch.setattr(cli, "groverian", nan_measure)
+        code, out, err = run_cli(capsys, "groverian", "--state", "bell")
+        assert code == 3
+        assert "non-finite" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

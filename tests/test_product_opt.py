@@ -7,6 +7,7 @@ from groverian import (
     DensityMatrix,
     OptimizerConfig,
     OutOfRange,
+    ProductState,
     StateVector,
     SystemShape,
     TooLarge,
@@ -16,21 +17,33 @@ from groverian import (
     bell,
     ghz,
     inner,
+    partial_contract,
     pmax_bipartite,
     pmax_grid_oracle,
     pmax_mixed,
     pmax_overlap,
     product_to_state,
     random_local_layer,
+    random_product,
     random_state,
     w_state,
 )
 from groverian.product_opt import (
+    _climb,
     _grid_candidates,
     _grid_max_three_site,
     _grid_max_two_site,
+    _mixed_site,
+    _pure_site,
+    _sweep,
 )
-from groverian.statevector import haar_unitary
+from groverian.statevector import (
+    _random_factors,
+    canonical_phase,
+    haar_unitary,
+    product_amps,
+    seed_sequence,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -59,7 +72,13 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(restarts=0), dict(tol=0.0), dict(tol=-1e-9), dict(max_sweeps=0)],
+        [
+            dict(restarts=0),
+            dict(tol=0.0),
+            dict(tol=-1e-9),
+            dict(max_sweeps=0),
+            dict(tol=math.inf),
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(OutOfRange):
@@ -254,3 +273,105 @@ class TestPmaxMixed:
         e = product_amps(result.argmax.factors)
         recomputed = float(np.real(np.vdot(e, rho.entries @ e)))
         assert abs(recomputed - result.value) <= 1e-12
+
+
+SWEEP_DIMS = [[2, 2, 2], [3, 2], [2, 3, 2], [3, 3], [2] * 6]
+
+
+def reference_pure_sweep(state, factors):
+    """One sweep in which every site recontracts the full state tensor."""
+    factors = list(factors)
+    objectives = []
+    for j in range(state.shape.n):
+        v = partial_contract(state, ProductState(state.shape, tuple(factors)), j + 1)
+        nv = float(np.linalg.norm(v))
+        factors[j] = v / nv
+        objectives.append(nv * nv)
+    return factors, objectives
+
+
+def reference_mixed_sweep(rho, factors):
+    """One sweep that sandwiches the full density matrix between
+    left (x) I (x) right for every site."""
+    factors = list(factors)
+    dims = rho.shape.dims
+    objectives = []
+    for j, d in enumerate(dims):
+        k = np.eye(d, dtype=np.complex128)
+        if j > 0:
+            k = np.kron(product_amps(factors[:j]).reshape(-1, 1), k)
+        if j < len(dims) - 1:
+            k = np.kron(k, product_amps(factors[j + 1 :]).reshape(-1, 1))
+        vals, vecs = np.linalg.eigh(k.conj().T @ rho.entries @ k)
+        factors[j] = vecs[:, -1]
+        objectives.append(float(vals[-1]))
+    return factors, objectives
+
+
+def random_full_rank_density(shape, seed):
+    rng = np.random.default_rng(seed)
+    n = shape.total
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = g @ g.conj().T
+    return DensityMatrix(shape, m / np.trace(m).real)
+
+
+def assert_same_sweep(fast_factors, fast_objectives, ref_factors, ref_objectives):
+    # Factors agree up to a global phase per site, which the product state
+    # does not see; compare them in canonical phase.
+    assert np.allclose(fast_objectives, ref_objectives, rtol=0, atol=1e-12)
+    for f, g in zip(fast_factors, ref_factors):
+        assert np.allclose(canonical_phase(f), canonical_phase(g), rtol=0, atol=1e-12)
+
+
+class TestSweepAgainstReference:
+    @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
+    def test_pure_sweep(self, dims):
+        shape = SystemShape(dims)
+        state = random_state(shape, 200)
+        factors = list(random_product(shape, 201).factors)
+        ref_factors, ref_objectives = reference_pure_sweep(state, factors)
+        objectives = _sweep(_pure_site, state.tensor(), factors)
+        assert_same_sweep(factors, objectives, ref_factors, ref_objectives)
+
+    @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
+    def test_mixed_sweep(self, dims):
+        shape = SystemShape(dims)
+        rho = random_full_rank_density(shape, 202)
+        factors = list(random_product(shape, 203).factors)
+        ref_factors, ref_objectives = reference_mixed_sweep(rho, factors)
+        objectives = _sweep(_mixed_site, rho.entries, factors)
+        assert_same_sweep(factors, objectives, ref_factors, ref_objectives)
+
+    @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
+    def test_projector_matches_pure_optimizer(self, dims):
+        shape = SystemShape(dims)
+        state = random_state(shape, 204)
+        rho = DensityMatrix(shape, np.outer(state.amps, state.amps.conj()))
+        cfg = OptimizerConfig(restarts=4, seed=5)
+        assert abs(pmax_mixed(rho, cfg).value - pmax_overlap(state, cfg).value) <= 1e-12
+
+    def test_degenerate_middle_site_reseeds(self, three_qubits):
+        # A pure sweep cannot vanish after its first site (the overlap only
+        # grows), so a site step reports the middle site degenerate once.
+        state = random_state(three_qubits, 205)
+        calls = []
+
+        def site(left, factors, j):
+            calls.append(j)
+            if j == 1 and calls.count(1) == 1:
+                return None
+            return _pure_site(left, factors, j)
+
+        cfg = OptimizerConfig(seed=9)
+        dims = three_qubits.dims
+        start = _random_factors(dims, 206)
+        climb = _climb(site, state.tensor(), start, dims, cfg, 2)
+        reseed = _random_factors(dims, seed_sequence(9, 2, 1))
+        reseeded = _climb(_pure_site, state.tensor(), reseed, dims, cfg, 2)
+        assert calls[:3] == [0, 1, 0]
+        assert not climb.degenerate
+        assert climb.sweeps == reseeded.sweeps + 1
+        assert climb.objective == reseeded.objective
+        for f, g in zip(climb.factors, reseeded.factors):
+            assert np.array_equal(f, g)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestNonFiniteInput:
             LocalUnitaryLayer(qubit, (np.array([[bad, 0], [0, 1]]),))
         with pytest.raises(InvalidDensity):
             DensityMatrix(qubit, np.array([[bad, 0], [0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [-math.inf, complex(0, math.inf), math.nan])
+    def test_non_finite_entry_named_without_warning(self, bad):
+        qubit = SystemShape([2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalized, match="non-finite"):
+                LocalUnitaryLayer(qubit, (np.array([[1, 0], [0, bad]]),))
+            with pytest.raises(InvalidDensity, match="non-finite"):
+                DensityMatrix(qubit, np.array([[0.5, bad], [0, 0.5]]))
 
 
 class TestUniformState:
