@@ -10,6 +10,7 @@ input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -75,15 +76,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-sweeps", type=int, default=1000)
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", metavar="FILE", help="write the report here")
-
-
-def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        tol=args.tol,
-        max_sweeps=args.max_sweeps,
-        seed=args.seed,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,24 +152,18 @@ def _emit(report: dict, args, extra_lines: list[str] | None = None) -> None:
         print(text)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return canonical_json(value)
-
-
 def _to_csv(results: dict) -> str:
     rows = results.get("rows")
     if rows is not None:
         header = results["columns"]
         out = [",".join(header)]
         for row in rows:
-            out.append(",".join(_csv_cell(v) for v in row))
+            out.append(",".join(canonical_json(v) for v in row))
         return "\n".join(out)
     out = ["key,value"]
     for key, value in results.items():
-        if value is None or isinstance(value, (int, float, str, bool)):
-            out.append(f"{key},{_csv_cell(value)}")
+        if isinstance(value, (int, float, str, bool)):
+            out.append(f"{key},{canonical_json(value)}")
     return "\n".join(out)
 
 
@@ -204,7 +190,7 @@ def _factor_pairs(product) -> list:
 
 def cmd_pmax(args, argv) -> int:
     state = resolve_state(args.state)
-    result = pmax_overlap(state, _config(args))
+    result = pmax_overlap(state, args.cfg)
     report = _report_skeleton(args, argv)
     report["results"] = {
         "dims": list(state.shape.dims),
@@ -222,11 +208,11 @@ def cmd_groverian(args, argv) -> int:
     report = _report_skeleton(args, argv)
     if args.mixed:
         rho = resolve_density(args.mixed)
-        measure = groverian_mixed(rho, _config(args))
+        measure = groverian_mixed(rho, args.cfg)
         dims = list(rho.shape.dims)
     else:
         state = resolve_state(args.state)
-        measure = groverian(state, _config(args))
+        measure = groverian(state, args.cfg)
         dims = list(state.shape.dims)
     report["results"] = {"dims": dims, **measure.as_record()}
     return _finish(report, args)
@@ -303,6 +289,7 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
         raise FileFormatError(f"bad --sites range {args.sites!r}")
     if lo < 2 or hi < lo:
         raise FileFormatError("--sites range must satisfy 2 <= lo <= hi")
+    SystemShape([2] * hi)  # an oversize range fails before the first row
 
     measure = args.measure
     family = args.family or {
@@ -326,10 +313,7 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
     for index, n in enumerate(range(lo, hi + 1)):
         total = 2**n
         state = family_state(n, index)
-        cfg = OptimizerConfig(
-            restarts=args.restarts, tol=args.tol, max_sweeps=args.max_sweeps,
-            seed=args.seed + index,
-        )
+        cfg = dataclasses.replace(args.cfg, seed=args.seed + index)
         if measure == "grover-success":
             shape = state.shape
             oracle = OracleSpec(shape, (0,))
@@ -337,21 +321,22 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
             value = run_grover(uniform_state(shape), oracle, m).prob_curve[-1]
             reference = 1.0 / total
             error = 1.0 - value  # must stay below 1/N
-        elif measure == "pmax":
-            value = pmax_overlap(state, cfg).value
-            reference = _pmax_reference(family, n)
-            error = None if reference is None else abs(value - reference)
-        elif measure == "groverian":
-            value = groverian(state, cfg).groverian
-            p_ref = _pmax_reference(family, n)
-            reference = None if p_ref is None else math.sqrt(1.0 - p_ref)
-            error = None if reference is None else abs(value - reference)
-        else:  # pmax-gap
-            value = abs(pmax_simulated(state, cfg) - pmax_overlap(state, cfg).value)
+        elif measure == "pmax-gap":
+            best = pmax_overlap(state, cfg)
+            value = abs(pmax_simulated(state, best) - best.value)
             reference = 5.0 / math.sqrt(total)
             error = value - reference  # negative when within the bound
-        rows.append([total, value, reference, error])
-    return ["N", "value", "reference", "error"], rows
+        else:
+            p_ref = _pmax_reference(family, n)
+            if measure == "pmax":
+                value, reference = pmax_overlap(state, cfg).value, p_ref
+            else:
+                value = groverian(state, cfg).groverian
+                reference = None if p_ref is None else math.sqrt(1.0 - p_ref)
+            error = None if reference is None else abs(value - reference)
+        # a family without a closed form gets no reference columns
+        rows.append([total, value] + ([] if reference is None else [reference, error]))
+    return ["N", "value", "reference", "error"][: len(rows[0])], rows
 
 
 def _pmax_reference(family: str, n: int) -> float | None:
@@ -402,9 +387,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.start_time = time.perf_counter()
     try:
+        args.cfg = OptimizerConfig(  # every command's flags, checked once
+            restarts=args.restarts, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed
+        )
         return COMMANDS[args.command](args, argv)
     except (ZeroContraction, TooLarge, NonFiniteResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     except GroverianError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GroverianError
 from .statevector import (
+    MAX_TOTAL_DIM,
     DensityMatrix,
     StateVector,
     SystemShape,
@@ -53,8 +54,15 @@ def bell() -> StateVector:
     return ghz(2)
 
 
+def _density_shape(shape: SystemShape) -> SystemShape:
+    """``shape``, once its N x N matrix is known to fit the array cap."""
+    if shape.total**2 > MAX_TOTAL_DIM:
+        raise DimensionMismatch(f"{shape.total}^2 density entries exceed the cap of 2^30")
+    return shape
+
+
 def maximally_mixed(dims) -> DensityMatrix:
-    shape = SystemShape(dims)
+    shape = _density_shape(SystemShape(dims))
     return DensityMatrix(shape, np.eye(shape.total) / shape.total)
 
 
@@ -102,7 +110,7 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
             state = expand_state_family(rest)
             if state is not None:
                 return DensityMatrix(
-                    state.shape, np.outer(state.amps, state.amps.conj())
+                    _density_shape(state.shape), np.outer(state.amps, state.amps.conj())
                 )
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc

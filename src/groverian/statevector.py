@@ -38,8 +38,10 @@ ZERO_NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DENSITY_TOL = 1e-10
 
-# Largest representable joint dimension; protects basis-index arithmetic.
-MAX_TOTAL_DIM = 2**62
+# Largest joint dimension, and largest entry count of any dense array, that
+# input may ask for: 2^30 complex amplitudes are 16 GiB.  Checked before
+# allocation, so an oversize request is a usage error, not a memory fault.
+MAX_TOTAL_DIM = 2**30
 
 
 def seed_sequence(seed: int, *keys: int) -> np.random.SeedSequence:
@@ -74,13 +76,10 @@ class SystemShape:
             raise DimensionMismatch("register needs at least one site")
         if any(d < 2 for d in dims):
             raise DimensionMismatch(f"every site dimension must be >= 2, got {dims}")
-        total = 1
-        for d in dims:
-            total *= d
-            if total > MAX_TOTAL_DIM:
-                raise DimensionMismatch(
-                    f"total dimension of {dims} overflows the index range"
-                )
+        if math.prod(dims) > MAX_TOTAL_DIM:
+            raise DimensionMismatch(
+                f"total dimension of {dims} exceeds the cap of 2^30 amplitudes"
+            )
         object.__setattr__(self, "dims", dims)
 
     @property

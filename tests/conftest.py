@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,22 @@ def seeded_states(dims, count, base_seed):
         random_state(shape, np.random.SeedSequence((base_seed, i)))
         for i in range(count)
     ]
+
+
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """Total dimensions of the states passed to ``pmax_overlap``, counted
+    through every groverian module that binds the name."""
+    from groverian import product_opt
+
+    real = product_opt.pmax_overlap
+    calls = []
+
+    def counted(state, cfg=None):
+        calls.append(state.shape.total)
+        return real(state, cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "groverian" and hasattr(module, "pmax_overlap"):
+            monkeypatch.setattr(module, "pmax_overlap", counted)
+    return calls

@@ -67,7 +67,7 @@ def test_c03_exact_n4():
 
 def test_c04_average_equals_overlap():
     """|simulated average - product overlap| <= 5/sqrt(N) on 50 seeded
-    states per shape, full target enumeration; budget 60 s."""
+    states per shape, averaged over every target; budget 60 s."""
     results, elapsed = timed(check_average_vs_overlap)
     report(results, budget_s=60, elapsed=elapsed)
 

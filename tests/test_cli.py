@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,23 +307,51 @@ class TestCliSweep:
         for total, value, reference, error in rows:
             assert error <= reference  # 1 - P(m) <= 1/N
 
-    def test_pmax_gap_within_bound_to_256(self, capsys):
+    def test_pmax_gap_within_bound_to_1024(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--measure", "pmax-gap", "--sites", "2:8"
+            capsys, "sweep", "--measure", "pmax-gap", "--sites", "2:10"
         )
         assert code == 0
         rows = last_json(out)["results"]["rows"]
-        assert rows[-1][0] == 256
+        assert rows[-1][0] == 1024
         for total, value, reference, error in rows:
             assert error <= 0  # |gap| <= 5/sqrt(N)
 
-    def test_numerical_cap_exit_code(self, capsys):
-        # pmax-gap beyond the simulation cap must exit 3, not crash
-        code, _, err = run_cli(
+    def test_numerical_cap_exit_code(self, capsys, monkeypatch):
+        # a request under the size cap that the machine cannot serve exits 3
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "pmax_simulated", out_of_memory)
+        code, out, err = run_cli(
             capsys, "sweep", "--measure", "pmax-gap", "--sites", "9:9"
         )
         assert code == 3
         assert "numerical" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_pmax_gap_runs_optimizer_once_per_state(self, capsys, optimizer_calls):
+        code, _, _ = run_cli(capsys, "sweep", "--measure", "pmax-gap", "--sites", "2:5")
+        assert code == 0
+        assert optimizer_calls == [4, 8, 16, 32]
+
+    def test_no_reference_columns_without_closed_form(self, capsys):
+        for output in ("json", "csv"):
+            code, out, _ = run_cli(
+                capsys, "sweep", "--measure", "pmax", "--family", "random",
+                "--sites", "2:3", "--output", output,
+            )
+            assert code == 0
+            assert "null" not in out
+            if output == "json":
+                results = last_json(out)["results"]
+                assert results["columns"] == ["N", "value"]
+                assert [len(row) for row in results["rows"]] == [2, 2]
+            else:
+                lines = out.splitlines()
+                assert lines[0] == "N,value" and len(lines) == 3
+                assert all(line.count(",") == 1 for line in lines)
 
 
 class TestCliVerify:
@@ -377,6 +406,45 @@ class TestCliErrors:
 
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "pmax")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,budget",
+        [
+            (["pmax", "--state", "uniform:" + ",".join(["2"] * 40)], 2**20),
+            (["groverian", "--mixed", "maximally-mixed:" + ",".join(["2"] * 16)], 2**20),
+            # the 1 MiB state is built, the 64 GiB matrix is not
+            (["groverian", "--mixed", "pure:uniform:" + ",".join(["2"] * 16)], 2**22),
+            (["sweep", "--measure", "grover-success", "--sites", "2:40"], 2**20),
+        ],
+        ids=["state-2^40", "density-2^32", "pure-density-2^32", "sweep-2^40"],
+    )
+    def test_oversize_input_refused_before_allocation(self, capsys, argv, budget):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "cap of 2^30" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert peak < budget
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover", "--state", "uniform:2,2", "--marked", "1", "--tol", "-1"],
+            ["grover", "--state", "uniform:2,2", "--marked", "1", "--tol", "nan"],
+            ["verify", "--suite", "grover", "--restarts", "0"],
+        ],
+        ids=["grover-tol-negative", "grover-tol-nan", "verify-restarts-0"],
+    )
+    def test_optimizer_flags_checked_for_every_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv,doc",

@@ -8,8 +8,8 @@ from groverian import (
     LocalUnitaryLayer,
     OracleSpec,
     StateVector,
+    OptimizerConfig,
     SystemShape,
-    TooLarge,
     apply_local,
     basis_state,
     bell,
@@ -20,6 +20,7 @@ from groverian import (
     iteration_bound,
     optimal_iterations,
     oracle_phase,
+    pmax_overlap,
     pmax_simulated,
     random_state,
     run_grover,
@@ -245,21 +246,65 @@ class TestRunModified:
             assert abs(run.prob_curve[-1] - 1.0) <= 1e-12
 
 
+def enumerated_average(state, best):
+    """The target average by one dense search per marked position."""
+    from groverian.grover import alignment_layer
+
+    shape = state.shape
+    prepared = apply_local(alignment_layer(best.argmax, shape), state)
+    m = optimal_iterations(shape, OracleSpec(shape, (0,)))
+    total = 0.0
+    for s in range(shape.total):
+        total += run_grover(prepared, OracleSpec(shape, (s,)), m).prob_curve[-1]
+    return total / shape.total
+
+
 class TestPmaxSimulated:
     def test_uniform_input(self, two_qubits):
-        assert pmax_simulated(uniform_state(two_qubits)) >= 1.0 - 1.0 / 4
+        state = uniform_state(two_qubits)
+        assert pmax_simulated(state, pmax_overlap(state)) >= 1.0 - 1.0 / 4
 
     def test_product_input(self, three_qubits):
         from groverian import product_to_state, random_product
 
         state = product_to_state(random_product(three_qubits, 5))
-        assert pmax_simulated(state) >= 1.0 - 5.0 / math.sqrt(8)
+        assert pmax_simulated(state, pmax_overlap(state)) >= 1.0 - 5.0 / math.sqrt(8)
 
     def test_bell_input(self, two_qubits):
-        value = pmax_simulated(bell())
+        value = pmax_simulated(bell(), pmax_overlap(bell()))
         assert abs(value - 0.5) <= 5.0 / math.sqrt(4)
 
     def test_cap(self):
-        shape = SystemShape([2] * 9)
-        with pytest.raises(TooLarge):
-            pmax_simulated(uniform_state(shape), simulation_cap=256)
+        # no size cap: beyond N = 256 the uniform input gives plain search
+        shape = SystemShape([2] * 10)
+        state = uniform_state(shape)
+        oracle = OracleSpec(shape, (0,))
+        plain = run_grover(state, oracle, optimal_iterations(shape, oracle))
+        value = pmax_simulated(state, pmax_overlap(state, OptimizerConfig(restarts=1)))
+        assert abs(value - plain.prob_curve[-1]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[2], [2, 2], [2, 2, 2], [3, 2], [3, 3], [2, 3, 2], [2] * 8],
+        ids=str,
+    )
+    @pytest.mark.parametrize("kind", ["random", "product", "basis"])
+    def test_closed_form_matches_enumeration(self, dims, kind):
+        from groverian import product_to_state, random_product
+
+        shape = SystemShape(dims)
+        if kind == "random":
+            state = random_state(shape, 11)
+        elif kind == "product":
+            state = product_to_state(random_product(shape, 12))
+        else:
+            state = basis_state(shape, shape.total - 1)
+        best = pmax_overlap(state, OptimizerConfig(restarts=3))
+        assert abs(pmax_simulated(state, best) - enumerated_average(state, best)) <= 1e-12
+
+    def test_one_optimizer_run_per_state(self, optimizer_calls):
+        from groverian.verify import check_average_vs_overlap
+
+        (result,) = check_average_vs_overlap(7)
+        assert result.passed
+        assert optimizer_calls == [4] * 50 + [8] * 50
