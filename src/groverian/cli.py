@@ -281,7 +281,7 @@ def cmd_verify(args, argv) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _sweep_rows(args) -> tuple[list[str], list[list]]:
+def _sweep_rows(args, family: str) -> tuple[list[str], list[list]]:
     lo, _, hi = args.sites.partition(":")
     try:
         lo, hi = int(lo), int(hi or lo)
@@ -292,12 +292,6 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
     SystemShape([2] * hi)  # an oversize range fails before the first row
 
     measure = args.measure
-    family = args.family or {
-        "grover-success": "uniform",
-        "pmax-gap": "random",
-        "groverian": "ghz",
-        "pmax": "ghz",
-    }[measure]
 
     def family_state(n, index):
         shape = SystemShape([2] * n)
@@ -351,11 +345,17 @@ def _pmax_reference(family: str, n: int) -> float | None:
 
 
 def cmd_sweep(args, argv) -> int:
-    columns, rows = _sweep_rows(args)
+    family = args.family or {
+        "grover-success": "uniform",
+        "pmax-gap": "random",
+        "groverian": "ghz",
+        "pmax": "ghz",
+    }[args.measure]
+    columns, rows = _sweep_rows(args, family)
     report = _report_skeleton(args, argv)
     report["results"] = {
         "measure": args.measure,
-        "family": args.family,
+        "family": family,
         "columns": columns,
         "rows": rows,
     }

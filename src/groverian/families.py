@@ -74,29 +74,37 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
-def expand_state_family(spec: str) -> StateVector | None:
-    """Expand a family string to a state, or None when it names no family."""
+def _state_family(spec: str):
+    """The shape a family string names and a function building its state, or
+    None when it names no family.  Nothing N-sized is allocated before the
+    function is called, so a caller can refuse the shape first."""
     name, _, rest = spec.partition(":")
     args = rest.split(":") if rest else []
+    if name == "bell" and not args:
+        return SystemShape([2, 2]), bell
+    if name in ("ghz", "w") and len(args) == 1:
+        n, family = int(args[0]), ghz if name == "ghz" else w_state
+        return SystemShape([2] * n), lambda: family(n)
+    if name == "uniform" and len(args) == 1:
+        shape = SystemShape(_parse_dims(args[0]))
+        return shape, lambda: uniform_state(shape)
+    if name in ("basis", "random", "product-random") and len(args) == 2:
+        shape, value = SystemShape(_parse_dims(args[0])), int(args[1])
+        if name == "basis":
+            return shape, lambda: basis_state(shape, value)
+        if name == "random":
+            return shape, lambda: random_state(shape, value)
+        return shape, lambda: product_to_state(random_product(shape, value))
+    return None
+
+
+def expand_state_family(spec: str) -> StateVector | None:
+    """Expand a family string to a state, or None when it names no family."""
     try:
-        if name == "bell" and not args:
-            return bell()
-        if name == "ghz" and len(args) == 1:
-            return ghz(int(args[0]))
-        if name == "w" and len(args) == 1:
-            return w_state(int(args[0]))
-        if name == "uniform" and len(args) == 1:
-            return uniform_state(SystemShape(_parse_dims(args[0])))
-        if name == "basis" and len(args) == 2:
-            return basis_state(SystemShape(_parse_dims(args[0])), int(args[1]))
-        if name == "random" and len(args) == 2:
-            return random_state(SystemShape(_parse_dims(args[0])), int(args[1]))
-        if name == "product-random" and len(args) == 2:
-            shape = SystemShape(_parse_dims(args[0]))
-            return product_to_state(random_product(shape, int(args[1])))
+        family = _state_family(spec)
+        return None if family is None else family[1]()
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in state spec {spec!r}") from exc
-    return None
 
 
 def expand_density_family(spec: str) -> DensityMatrix | None:
@@ -107,11 +115,11 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
         if name == "maximally-mixed" and len(args) == 1:
             return maximally_mixed(_parse_dims(args[0]))
         if name == "pure" and len(args) >= 1:
-            state = expand_state_family(rest)
-            if state is not None:
-                return DensityMatrix(
-                    _density_shape(state.shape), np.outer(state.amps, state.amps.conj())
-                )
+            family = _state_family(rest)
+            if family is not None:
+                shape = _density_shape(family[0])  # refused before the state is built
+                amps = family[1]().amps
+                return DensityMatrix(shape, np.outer(amps, amps.conj()))
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc
     return None

@@ -8,18 +8,21 @@ discrete Fourier gate is the canonical choice, reducing to the Hadamard for
 qubits); the rank-one form used here is that composition evaluated exactly,
 global sign included.
 
-With one marked position s the iterate acts on the marked amplitude k and
-the sum L of the unmarked ones through one fixed 2x2 map (Biham, Biham,
-Biron, Grassl and Lidar, PRA 60, 2742 (1999)): with mean = (L - k)/N,
-k -> -k - 2 mean and L -> L - 2(N-1) mean.  The map does not depend on s,
-so ``pmax_simulated`` averages the final success over every target in
-O(N + m) for m iterations; ``run_grover`` stays the dense reference.
+With r marked positions the iterate moves the marked amplitudes k_j and the
+sum L of the unmarked ones by one small linear map (Biham, Biham, Biron,
+Grassl and Lidar, PRA 60, 2742 (1999)): with mean = (L - sum_j k_j)/N,
+k_j -> -k_j - 2 mean and L -> L - 2(N-r) mean; each unmarked amplitude only
+loses 2 mean.  ``run_grover`` and ``optimal_iterations`` run this map; with
+one marked position s it does not depend on s, so ``pmax_simulated``
+averages over every target in O(N + m).  ``oracle_phase`` and ``diffusion``
+are the dense reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .statevector import (
     _check_same_shape,
     apply_local,
     fourier_gate,
-    uniform_state,
 )
 
 
@@ -63,15 +65,22 @@ class OracleSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroverRun:
-    """Iteration count, success probability after each step, final state."""
+    """Iteration count, success probability after each step, final state.
+
+    The final state is built from the two-mode result when first read."""
 
     iterations: int
     prob_curve: tuple[float, ...]  # P(k) for k = 0..iterations
-    final_state: StateVector
+    _initial: StateVector = field(repr=False)
+    _oracle: OracleSpec = field(repr=False)
+    _final_marked: np.ndarray = field(repr=False)
+    _shift: complex = field(repr=False)
 
-
-def _marked_probability(amps: np.ndarray, marked) -> float:
-    return float(np.sum(np.abs(amps[marked]) ** 2))
+    @cached_property
+    def final_state(self) -> StateVector:
+        amps = self._initial.amps - self._shift
+        amps[list(self._oracle.marked)] = self._final_marked
+        return StateVector(self._initial.shape, amps)
 
 
 def _flip_marked(amps: np.ndarray, marked) -> None:
@@ -84,7 +93,7 @@ def _reflect_uniform(amps: np.ndarray) -> None:
 
 
 def success_probability(oracle: OracleSpec, state: StateVector) -> float:
-    return _marked_probability(state.amps, list(oracle.marked))
+    return float(np.sum(np.abs(state.amps[list(oracle.marked)]) ** 2))
 
 
 def oracle_phase(oracle: OracleSpec, state: StateVector) -> StateVector:
@@ -121,32 +130,51 @@ def iteration_bound(total: int, r: int) -> int:
     return math.ceil(math.pi / 4.0 * math.sqrt(total / r))
 
 
+def _two_mode(marked_amps, rest_sum, total: int, iterations: int):
+    """P(k) for k = 0..iterations, the final marked amplitudes, and the shift
+    2 sum_t mean_t every unmarked amplitude has lost; O(r) per step."""
+    k, rest = np.array(marked_amps), rest_sum
+    unmarked = total - k.size
+    curve = np.empty(iterations + 1)
+    curve[0] = np.vdot(k, k).real
+    mean_sum = 0.0
+    for t in range(1, iterations + 1):
+        mean = (rest - k.sum()) / total  # the oracle negates k, then reflect
+        k, rest = -k - 2.0 * mean, rest - 2.0 * unmarked * mean
+        mean_sum += mean
+        curve[t] = np.vdot(k, k).real
+    return curve, k, 2.0 * mean_sum
+
+
 def optimal_iterations(shape: SystemShape, oracle: OracleSpec) -> int:
     """Iteration count maximizing success probability from the uniform state.
 
-    Scans the simulated curve P(k) for k up to the ceil(pi/4 sqrt(N/r))
-    bound; ties break toward the smallest k.
+    Runs the two-mode map from marked amplitudes 1/sqrt(N) and unmarked sum
+    (N - r)/sqrt(N) up to the ceil(pi/4 sqrt(N/r)) bound: O(sqrt(rN)), with
+    nothing N-sized.  Returns the smallest k whose P(k) is within 1e-12 of
+    the maximum, so exact ties (P(k) = 1/2 for all k when r = N/2) give 0.
     """
-    bound = iteration_bound(shape.total, oracle.count)
-    curve = run_grover(uniform_state(shape), oracle, bound).prob_curve
-    return int(np.argmax(curve))
+    total, r = shape.total, oracle.count
+    amp = 1.0 / math.sqrt(total)
+    bound = iteration_bound(total, r)
+    curve = _two_mode(np.full(r, amp), (total - r) * amp, total, bound)[0]
+    return int(np.argmax(curve >= curve.max() - 1e-12))
 
 
 def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> GroverRun:
     """Apply the iterate ``iterations`` times, recording P(k) at every step.
 
-    The steps run in place on one copy of the amplitudes."""
+    One pass over the amplitudes gives the unmarked sum; the steps then run
+    the two-mode map, O(N + r m) for r marked indices and m iterations.  The
+    N-sized final state is built only when ``final_state`` is first read.
+    """
     _check_same_shape(oracle, initial)
     if iterations < 0:
         raise DimensionMismatch("iteration count must be >= 0")
-    marked = np.asarray(oracle.marked)
-    amps = initial.amps.copy()
-    curve = [_marked_probability(amps, marked)]
-    for _ in range(iterations):
-        _flip_marked(amps, marked)
-        _reflect_uniform(amps)
-        curve.append(_marked_probability(amps, marked))
-    return GroverRun(iterations, tuple(curve), StateVector(initial.shape, amps))
+    marked = initial.amps[list(oracle.marked)]
+    rest = np.sum(initial.amps) - np.sum(marked)
+    curve, final, shift = _two_mode(marked, rest, initial.shape.total, iterations)
+    return GroverRun(iterations, tuple(curve.tolist()), initial, oracle, final, shift)
 
 
 def run_modified(
@@ -198,12 +226,8 @@ def pmax_simulated(initial: StateVector, best: PmaxResult) -> float:
     shape, total = initial.shape, initial.shape.total
     prepared = apply_local(alignment_layer(best.argmax, shape), initial).amps
     iterations = optimal_iterations(shape, OracleSpec(shape, (0,)))
-    row = []  # (a, b): the map's m-th power applied to (1, 0) and (0, 1)
-    for k, rest in ((1.0, 0.0), (0.0, 1.0)):
-        for _ in range(iterations):
-            mean = (rest - k) / total  # the oracle negates k, then reflect
-            k, rest = -k - 2.0 * mean, rest - 2.0 * (total - 1) * mean
-        row.append(k)
-    a, b = row
+    # (a, b): the final marked amplitude from (k, L) = (1, 0) and (0, 1)
+    a = _two_mode([1.0], 0.0, total, iterations)[1][0]
+    b = _two_mode([0.0], 1.0, total, iterations)[1][0]
     final = a * prepared + b * (np.sum(prepared) - prepared)
     return float(np.mean(np.abs(final) ** 2))

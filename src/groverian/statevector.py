@@ -399,8 +399,11 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
 def random_state(shape: SystemShape, seed) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
-    return StateVector(shape, z / np.linalg.norm(z))
+    z = np.empty(shape.total, dtype=np.complex128)  # one N-sized buffer
+    z.real = rng.standard_normal(shape.total)
+    z.imag = rng.standard_normal(shape.total)
+    z /= np.linalg.norm(z)
+    return StateVector(shape, z)
 
 
 def _random_factors(dims, seed) -> list[np.ndarray]:

@@ -248,8 +248,9 @@ def check_diffusion_composition(seed: int) -> list[CheckResult]:
 def check_unitarity_drift(seed: int) -> list[CheckResult]:
     """Norm stays within 1e-12 of 1 across many iterations.
 
-    Runs the in-place step that run_grover runs: a constructed StateVector
-    would renormalize drift beyond 1e-12 and hide it."""
+    Runs the dense in-place step behind oracle_phase and diffusion (run_grover
+    takes the two-mode map instead) on a bare array: a constructed
+    StateVector would renormalize drift beyond 1e-12 and hide it."""
     amps = random_state(_qubit_shape(6), seed_sequence(seed, 22, 0)).amps.copy()
     worst = 0.0
     for _ in range(100):

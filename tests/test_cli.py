@@ -336,6 +336,21 @@ class TestCliSweep:
         assert code == 0
         assert optimizer_calls == [4, 8, 16, 32]
 
+    @pytest.mark.parametrize(
+        "measure,family",
+        [
+            ("pmax-gap", "random"),
+            ("grover-success", "uniform"),
+            ("groverian", "ghz"),
+            ("pmax", "ghz"),
+        ],
+    )
+    def test_reports_default_family(self, capsys, measure, family):
+        code, out, _ = run_cli(capsys, "sweep", "--measure", measure, "--sites", "2:3")
+        assert code == 0
+        assert last_json(out)["results"]["family"] == family
+        assert "null" not in out
+
     def test_no_reference_columns_without_closed_form(self, capsys):
         for output in ("json", "csv"):
             code, out, _ = run_cli(
@@ -412,8 +427,7 @@ class TestCliErrors:
         [
             (["pmax", "--state", "uniform:" + ",".join(["2"] * 40)], 2**20),
             (["groverian", "--mixed", "maximally-mixed:" + ",".join(["2"] * 16)], 2**20),
-            # the 1 MiB state is built, the 64 GiB matrix is not
-            (["groverian", "--mixed", "pure:uniform:" + ",".join(["2"] * 16)], 2**22),
+            (["groverian", "--mixed", "pure:uniform:" + ",".join(["2"] * 16)], 2**20),
             (["sweep", "--measure", "grover-success", "--sites", "2:40"], 2**20),
         ],
         ids=["state-2^40", "density-2^32", "pure-density-2^32", "sweep-2^40"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,54 @@ class TestOptimalIterations:
         assert optimal_iterations(shape, oracle) == best_k
 
     @pytest.mark.parametrize(
+        "dims",
+        [[2] * n for n in range(1, 13)] + [[3], [3, 3], [5], [4, 3], [3, 3, 3], [5, 5]],
+        ids=str,
+    )
+    def test_matches_dense_scan(self, dims):
+        # qubits: r in {1, 2, 3, N/4, N/2, N-1, N}; qudits: every r
+        shape = SystemShape(dims)
+        total = shape.total
+        if set(dims) == {2}:
+            counts = {1, 2, 3, total // 4, total // 2, total - 1, total} - {0}
+            counts = sorted(r for r in counts if r <= total)
+        else:
+            counts = range(1, total + 1)
+        for r in counts:
+            oracle = OracleSpec(shape, range(r))
+            state = uniform_state(shape)
+            curve = [success_probability(oracle, state)]
+            for _ in range(iteration_bound(total, r)):
+                state = diffusion(oracle_phase(oracle, state))
+                curve.append(success_probability(oracle, state))
+            m = optimal_iterations(shape, oracle)
+            top, second = sorted(curve, reverse=True)[:2]  # the bound is >= 1
+            if top - second > 1e-12:
+                assert m == int(np.argmax(curve)), (dims, r)
+            else:  # a tie within 1e-12 goes to the smallest such k
+                assert m == min(k for k, p in enumerate(curve) if p >= top - 1e-12), (dims, r)
+
+    @pytest.mark.parametrize(
+        "dims,marked",
+        [([4, 3], range(6)), ([2] * 3, range(8)), ([3, 3], range(9)), ([2] * 4, range(12))],
+        ids=["[4,3]-6-marked", "r=N-qubits", "r=N-qutrits", "r=3N/4"],
+    )
+    def test_flat_or_falling_curve_takes_zero(self, dims, marked):
+        shape = SystemShape(dims)
+        assert optimal_iterations(shape, OracleSpec(shape, marked)) == 0
+
+    def test_no_allocation_grows_with_n(self):
+        shape = SystemShape([2] * 28)
+        tracemalloc.start()
+        try:
+            m = optimal_iterations(shape, OracleSpec(shape, (0,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == iteration_bound(shape.total, 1) - 1  # floor(pi/4 sqrt N)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
         "dims,marked",
         [([2, 2], [0]), ([2] * 4, [3]), ([2] * 6, [0, 9]), ([3, 3], [2]), ([5], [1])],
     )
@@ -197,18 +246,44 @@ class TestRunGrover:
         [([2] * 8, [37]), ([2] * 6, [0, 9, 40]), ([3, 3, 2], [4]), ([3, 3, 2], [1, 7, 12])],
     )
     def test_matches_reference_iterate(self, dims, marked):
-        # the in-place loop against composing the public reflections
         shape = SystemShape(dims)
-        oracle = OracleSpec(shape, marked)
         state = random_state(shape, 13)
-        steps = iteration_bound(shape.total, 1)
-        run = run_grover(state, oracle, steps)
-        curve = [success_probability(oracle, state)]
-        for _ in range(steps):
-            state = diffusion(oracle_phase(oracle, state))
-            curve.append(success_probability(oracle, state))
-        assert np.array_equal(run.prob_curve, curve)
-        assert np.array_equal(run.final_state.amps, state.amps)
+        assert_matches_reference(state, OracleSpec(shape, marked), iteration_bound(shape.total, 1))
+
+    @pytest.mark.parametrize(
+        "dims,marked,start,steps",
+        [
+            ([2] * 6, range(32), "random", 7),
+            ([3, 3, 2], range(18), "random", 4),
+            ([2] * 12, "random-3", "random", 3 * iteration_bound(2**12, 1)),
+            ([3, 3, 2], [1, 7, 12], "basis", 12),
+            ([2] * 8, [5, 200], "uniform", 3 * iteration_bound(2**8, 2)),
+        ],
+        ids=["r=N/2", "r=N", "3-of-4096", "basis-input", "uniform-input"],
+    )
+    def test_matches_reference_edge_cases(self, dims, marked, start, steps):
+        shape = SystemShape(dims)
+        if marked == "random-3":
+            marked = np.random.default_rng(21).choice(shape.total, size=3, replace=False)
+        state = {
+            "random": lambda: random_state(shape, 14),
+            "basis": lambda: basis_state(shape, 7),
+            "uniform": lambda: uniform_state(shape),
+        }[start]()
+        assert_matches_reference(state, OracleSpec(shape, marked), steps)
+
+    def test_curve_allocates_nothing_n_sized(self):
+        shape = SystemShape([2] * 20)
+        state = random_state(shape, 15)
+        oracle = OracleSpec(shape, (12345,))
+        tracemalloc.start()
+        try:
+            curve = run_grover(state, oracle, 800).prob_curve
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == 801
+        assert peak < 2**20
 
     def test_marked_basis_state_no_iterations(self, two_qubits):
         run = run_grover(basis_state(two_qubits, 3), OracleSpec(two_qubits, [3]), 0)
@@ -228,6 +303,19 @@ class TestRunGrover:
     def test_negative_iterations_rejected(self, two_qubits):
         with pytest.raises(DimensionMismatch):
             run_grover(uniform_state(two_qubits), OracleSpec(two_qubits, [0]), -1)
+
+
+def assert_matches_reference(state, oracle, steps):
+    """run_grover against iterating the dense public reflections, to 1e-12."""
+    run = run_grover(state, oracle, steps)
+    curve = [success_probability(oracle, state)]
+    for _ in range(steps):
+        state = diffusion(oracle_phase(oracle, state))
+        curve.append(success_probability(oracle, state))
+    assert len(run.prob_curve) == steps + 1
+    assert max(abs(a - b) for a, b in zip(run.prob_curve, curve)) <= 1e-12
+    assert np.abs(run.final_state.amps - state.amps).max() <= 1e-12
+    assert min(run.prob_curve) >= 0.0
 
 
 class TestRunModified:

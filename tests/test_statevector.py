@@ -363,6 +363,19 @@ class TestRandomGeneration:
         pb = random_product(two_qubits, 42)
         assert all(np.array_equal(x, y) for x, y in zip(pa.factors, pb.factors))
 
+    @pytest.mark.parametrize(
+        "dims,seed", [([2], 0), ([2, 2], 42), ([3, 2, 2], 7), ([2] * 10, 12345)]
+    )
+    def test_bits_match_two_draw_expression(self, dims, seed):
+        # one preallocated buffer against drawing the real and imaginary parts
+        # into separate arrays and dividing into a new one
+        shape = SystemShape(dims)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
+        expected = z / np.linalg.norm(z)
+        got = random_state(shape, seed).amps
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_norms(self, two_qubits):
         assert abs(random_state(two_qubits, 1).norm - 1.0) <= 1e-12
         for f in random_product(two_qubits, 1).factors:
