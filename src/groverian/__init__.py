@@ -25,7 +25,6 @@ from .errors import (
     OutOfRange,
     TooLarge,
     WrongShape,
-    ZeroContraction,
     ZeroVector,
 )
 from .families import bell, ghz, maximally_mixed, w_state

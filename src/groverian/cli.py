@@ -21,7 +21,6 @@ from .errors import (
     GroverianError,
     NonFiniteResult,
     TooLarge,
-    ZeroContraction,
 )
 from .families import expand_density_family, expand_state_family, ghz, w_state
 from .fileio import FileFormatError, canonical_json, load_density, load_state
@@ -391,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             restarts=args.restarts, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed
         )
         return COMMANDS[args.command](args, argv)
-    except (ZeroContraction, TooLarge, NonFiniteResult) as exc:
+    except (TooLarge, NonFiniteResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:

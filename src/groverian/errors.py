@@ -37,10 +37,6 @@ class TooLarge(GroverianError):
     """Problem size exceeds the configured cap for this operation."""
 
 
-class ZeroContraction(GroverianError):
-    """Every optimizer restart produced a degenerate (zero) contraction."""
-
-
 class OutOfRange(GroverianError):
     """Scalar argument outside its admissible interval."""
 

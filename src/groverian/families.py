@@ -20,6 +20,7 @@ from .statevector import (
     basis_state,
     product_to_state,
     random_product,
+    _readonly,
     random_state,
     uniform_state,
 )
@@ -36,7 +37,7 @@ def ghz(n: int) -> StateVector:
     shape = SystemShape([2] * n)
     amps = np.zeros(shape.total, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return StateVector(shape, amps)
+    return StateVector(shape, _readonly(amps))
 
 
 def w_state(n: int) -> StateVector:
@@ -47,7 +48,7 @@ def w_state(n: int) -> StateVector:
     amps = np.zeros(shape.total, dtype=np.complex128)
     for j in range(n):
         amps[1 << j] = 1.0 / math.sqrt(n)
-    return StateVector(shape, amps)
+    return StateVector(shape, _readonly(amps))
 
 
 def bell() -> StateVector:
@@ -63,7 +64,7 @@ def _density_shape(shape: SystemShape) -> SystemShape:
 
 def maximally_mixed(dims) -> DensityMatrix:
     shape = _density_shape(SystemShape(dims))
-    return DensityMatrix(shape, np.eye(shape.total) / shape.total)
+    return DensityMatrix(shape, _readonly(np.eye(shape.total) / shape.total))
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -119,7 +120,7 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
             if family is not None:
                 shape = _density_shape(family[0])  # refused before the state is built
                 amps = family[1]().amps
-                return DensityMatrix(shape, np.outer(amps, amps.conj()))
+                return DensityMatrix(shape, _readonly(np.outer(amps, amps.conj())))
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc
     return None

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroverianError, NonFiniteResult
-from .statevector import DensityMatrix, StateVector, SystemShape
+from .statevector import DensityMatrix, StateVector, SystemShape, _readonly
 
 
 class FileFormatError(GroverianError):
@@ -114,7 +114,7 @@ def load_state(path) -> StateVector:
     doc = _load_json(path)
     shape = _parse_dims(doc, path)
     amps = _parse_pairs(doc.get("amps"), shape.total, path, "amps")
-    return StateVector(shape, amps)
+    return StateVector(shape, _readonly(amps))
 
 
 def _write_pairs(path, dims, key: str, values: np.ndarray) -> None:
@@ -136,7 +136,7 @@ def load_density(path) -> DensityMatrix:
     shape = _parse_dims(doc, path)
     total = shape.total
     entries = _parse_pairs(doc.get("rho"), total * total, path, "rho")
-    return DensityMatrix(shape, entries.reshape(total, total))
+    return DensityMatrix(shape, _readonly(entries).reshape(total, total))
 
 
 def save_density(rho: DensityMatrix, path) -> None:

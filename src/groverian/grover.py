@@ -33,6 +33,7 @@ from .statevector import (
     StateVector,
     SystemShape,
     _check_same_shape,
+    _readonly,
     apply_local,
     fourier_gate,
 )
@@ -80,7 +81,7 @@ class GroverRun:
     def final_state(self) -> StateVector:
         amps = self._initial.amps - self._shift
         amps[list(self._oracle.marked)] = self._final_marked
-        return StateVector(self._initial.shape, amps)
+        return StateVector(self._initial.shape, _readonly(amps))
 
 
 def _flip_marked(amps: np.ndarray, marked) -> None:
@@ -101,7 +102,7 @@ def oracle_phase(oracle: OracleSpec, state: StateVector) -> StateVector:
     _check_same_shape(oracle, state)
     amps = state.amps.copy()
     _flip_marked(amps, list(oracle.marked))
-    return StateVector(state.shape, amps)
+    return StateVector(state.shape, _readonly(amps))
 
 
 def diffusion(state: StateVector) -> StateVector:
@@ -112,7 +113,7 @@ def diffusion(state: StateVector) -> StateVector:
     """
     amps = state.amps.copy()
     _reflect_uniform(amps)
-    return StateVector(state.shape, amps)
+    return StateVector(state.shape, _readonly(amps))
 
 
 def diffusion_layer(shape: SystemShape) -> LocalUnitaryLayer:

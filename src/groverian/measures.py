@@ -189,3 +189,15 @@ def monotone_check_bipartite(source_p, target_p) -> MonotoneVerdict:
         g_source=g_source,
         g_target=g_target,
     )
+
+
+def monotone_check_rows(source, target) -> tuple[np.ndarray, np.ndarray]:
+    """``monotone_check_bipartite`` over the rows of two (K, d) arrays of
+    spectra, unvalidated: whether each target majorizes its source, and
+    whether g_source >= g_target - 1e-12."""
+    s = np.sort(source, axis=1)[:, ::-1]
+    t = np.sort(target, axis=1)[:, ::-1]
+    applicable = np.all(np.cumsum(t, axis=1) >= np.cumsum(s, axis=1), axis=1)
+    g_source = np.sqrt(np.maximum(0.0, 1.0 - s[:, 0]))
+    g_target = np.sqrt(np.maximum(0.0, 1.0 - t[:, 0]))
+    return applicable, g_source >= g_target - 1e-12

@@ -8,9 +8,15 @@ for density operators.  Each update is the exact single-site optimum, so the
 objective never decreases; random restarts guard against local maxima.
 
 A sweep visits sites 1..n in order and carries the left environment (the
-target with the already-updated factors contracted in) from site to site,
-so one sweep costs O(N) for a state of N amplitudes and O(N^2) for an
-N x N density matrix.  Pure and mixed input share one sweep engine.
+target with the already-updated factors contracted in) from site to site.
+Restarts climb together: each site's factors for a batch of restarts are
+stacked into an (R, d_j) array, and one sweep updates every restart still
+climbing with a few batched contractions per site (a batched eigh for
+density input).  A restart leaves the batch when it converges or runs out
+of sweeps.  Restarts run in chunks of at most CHUNK_AMPLITUDES / N (state
+of N amplitudes) or CHUNK_AMPLITUDES / N^2 (N x N density matrix), and at
+least one, so one sweep costs O(chunk * N) or O(chunk * N^2).  Pure and
+mixed input share one sweep engine.
 
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, TooLarge, WrongShape, ZeroContraction
+from .errors import OutOfRange, TooLarge, WrongShape
 from .statevector import (
     DensityMatrix,
     ProductState,
@@ -40,6 +46,11 @@ from .statevector import (
 # A contraction below this norm carries no gradient information; the restart
 # is reseeded rather than divided by noise.
 CONTRACTION_EPS = 1e-14
+
+# Restarts run together in chunks whose left environments hold at most this
+# many amplitudes: chunk * N for a state of N amplitudes, chunk * N^2 for an
+# N x N density matrix.  Larger inputs run one restart at a time.
+CHUNK_AMPLITUDES = 2**16
 
 
 @dataclass(frozen=True)
@@ -79,135 +90,191 @@ class PmaxResult:
 
 
 @dataclass
-class _Climb:
-    objective: float
-    factors: list[np.ndarray]
-    sweeps: int
-    converged: bool
-    degenerate: bool
+class _Climbs:
+    """Per-restart outcome of a batch of climbs, one row per restart.
+
+    A degenerate restart has objective 0.0 and is never chosen as best."""
+
+    objective: np.ndarray
+    factors: list[np.ndarray]  # (R, d_j) final factors per site
+    sweeps: np.ndarray
+    converged: np.ndarray
+    degenerate: np.ndarray
+
+    def best(self) -> int:
+        """The first row of largest objective among non-degenerate rows."""
+        return int(np.argmax(np.where(self.degenerate, -math.inf, self.objective)))
 
 
-def _pure_site(left, factors, j):
-    """Site j of the pure objective |<e_1..e_n|psi>|^2.
+def _join(climbs: list[_Climbs]) -> _Climbs:
+    return _Climbs(
+        np.concatenate([c.objective for c in climbs]),
+        [np.concatenate(fs) for fs in zip(*(c.factors for c in climbs))],
+        np.concatenate([c.sweeps for c in climbs]),
+        np.concatenate([c.converged for c in climbs]),
+        np.concatenate([c.degenerate for c in climbs]),
+    )
 
-    ``left`` is the state tensor with conj(e_1..e_{j-1}) contracted in, of
-    shape (d_j, ..., d_n).  Returns the normalized environment contraction,
-    its objective and the left environment of site j+1, or None when the
-    contraction vanishes.
+
+def _sweep_rows(target, factors, mixed):
+    """One left-to-right sweep of exact single-site updates over R restarts.
+
+    ``factors[j]`` is the (R, d_j) stack of site-j factors, one row per
+    restart, and is replaced in place.  The left environment starts as
+    ``target`` (shared by every row: the state tensor, or rho as an N x N
+    matrix) and absorbs each updated factor, so site j works on an
+    (R, d_j, ..., d_n) tensor, or an (R, M, M) matrix with M = d_j...d_n.
+    A pure site contracts the trailing factors one site at a time, and the
+    normalized result is the new factor.  A mixed site contracts the product
+    of the trailing factors onto the bra axes in one pass over the M x M
+    matrix, then its conjugate onto the ket axes; the top eigenvector of
+    the resulting d_j x d_j matrix is the new factor.
+
+    Returns the (R, n) objectives after each site and the rows whose
+    contraction vanished at some site; those rows hold finite values that
+    mean nothing.
     """
-    v = _contract_all_but(left, factors[j:], 0)
-    nv = float(np.linalg.norm(v))
-    if nv < CONTRACTION_EPS:
-        return None
-    e = v / nv
-    return e, nv * nv, (np.conj(e) @ left.reshape(e.size, -1)).reshape(left.shape[1:])
-
-
-def _mixed_site(left, factors, j):
-    """Site j of the mixed objective <e_1..e_n|rho|e_1..e_n>.
-
-    ``left`` is rho with conj(e_1..e_{j-1}) contracted onto the ket axes and
-    e_1..e_{j-1} onto the bra axes, an (M, M) matrix with M = d_j...d_n.  The
-    site environment is (I (x) w^H) left (I (x) w) with w the product of the
-    factors right of j; its top eigenvector is the new factor.  Returns the
-    factor, its objective and the left environment of site j+1, or None when
-    the environment vanishes.
-    """
-    d = factors[j].size
-    r = left.shape[0] // d
-    if j + 1 < len(factors):
-        w = product_amps(factors[j + 1 :])
-    else:
-        w = np.ones(1, dtype=np.complex128)
-    env = np.matmul(w.conj(), (left.reshape(-1, r) @ w).reshape(d, r, d))
-    if float(np.trace(env).real) < CONTRACTION_EPS:
-        return None
-    vals, vecs = np.linalg.eigh(env)
-    e = np.ascontiguousarray(vecs[:, -1])
-    ket = (np.conj(e) @ left.reshape(d, -1)).reshape(r, d, r)
-    return e, float(vals[-1]), np.matmul(e, ket)
-
-
-def _sweep(site, target, factors) -> list[float] | None:
-    """One left-to-right sweep of exact single-site updates over ``factors``.
-
-    The left environment starts as ``target`` and ``site`` absorbs each
-    updated factor into it.  Replaces factors in place and returns the
-    objective after each site, or None at the first degenerate contraction.
-    """
+    rows, n = len(factors[0]), len(factors)
+    objectives = np.empty((rows, n))
+    degenerate = np.zeros(rows, dtype=bool)
     left = target
-    objectives = []
-    for j in range(len(factors)):
-        step = site(left, factors, j)
-        if step is None:
-            return None
-        factors[j], objective, left = step
-        objectives.append(objective)
-    return objectives
+    for j in range(n):
+        d = factors[j].shape[1]
+        trailing = [f.shape[1] for f in factors[j + 1 :]]
+        if mixed:
+            m = left.shape[-1]
+            r = m // d
+            w = np.ones((rows, 1), dtype=np.complex128)
+            for f in factors[j + 1 :]:
+                w = (w[:, :, None] * f[:, None, :]).reshape(rows, -1)
+            bra = np.matmul(left.reshape(-1, m * d, r), w[:, :, None])
+            env = np.matmul(np.conj(w)[:, None, None, :], bra.reshape(rows, d, r, d))
+            env = env.reshape(rows, d, d)
+            vals, vecs = np.linalg.eigh(env)
+            bad = np.trace(env, axis1=1, axis2=2).real < CONTRACTION_EPS
+            e = np.ascontiguousarray(vecs[:, :, -1])
+            objectives[:, j] = vals[:, -1]
+        else:
+            v = _contract_all_but(left, factors[j:], 0)
+            norm = np.linalg.norm(v, axis=1)
+            bad = norm < CONTRACTION_EPS
+            e = v / np.where(bad, 1.0, norm)[:, None]
+            objectives[:, j] = norm * norm
+        factors[j] = e
+        degenerate |= bad
+        if j + 1 == n:
+            break
+        if mixed:
+            ket = np.matmul(np.conj(e)[:, None, :], left.reshape(-1, d, r * m))
+            left = np.matmul(e[:, None, None, :], ket.reshape(rows, r, d, r)).reshape(rows, r, r)
+        else:
+            ket = np.matmul(np.conj(e)[:, None, :], left.reshape(-1, d, math.prod(trailing)))
+            left = ket.reshape(rows, *trailing)
+    return objectives, degenerate
 
 
-def _climb(site, target, initial_factors, dims, cfg, restart) -> _Climb:
-    """Run alternating single-site sweeps from one starting point."""
-    factors = [f.copy() for f in initial_factors]
-    prev = -math.inf
-    sweeps = 0
-    attempt = 0
-    while sweeps < cfg.max_sweeps:
-        sweeps += 1
-        objectives = _sweep(site, target, factors)
-        if objectives is None:
-            # Degenerate contraction: reseed this restart a bounded number
-            # of times before declaring it failed.
-            attempt += 1
-            if attempt > 3:
-                return _Climb(0.0, factors, sweeps, False, True)
-            factors = _random_factors(dims, seed_sequence(cfg.seed, restart, attempt))
-            prev = -math.inf
+def _climb_rows(target, mixed, factors, restarts, dims, cfg) -> _Climbs:
+    """Alternating sweeps from R starting points at once.
+
+    ``factors`` holds the (R, d_j) starting stacks and ``restarts`` the
+    restart index of each row.  A row leaves the batch when its last-site
+    objective gains less than ``cfg.tol`` over the previous sweep, or when
+    the sweep budget runs out.  A row whose contraction vanishes is reseeded
+    from ``seed_sequence(cfg.seed, restart, attempt)`` a bounded number of
+    times, and counts as degenerate when that fails or leaves no sweep.
+    """
+    rows = len(restarts)
+    out = _Climbs(
+        np.zeros(rows),
+        [np.empty_like(f) for f in factors],
+        np.zeros(rows, dtype=int),
+        np.zeros(rows, dtype=bool),
+        np.zeros(rows, dtype=bool),
+    )
+    live = np.arange(rows)
+    current = [f.copy() for f in factors]
+    prev = np.full(rows, -math.inf)
+    attempt = np.zeros(rows, dtype=int)
+    for sweep in range(1, cfg.max_sweeps + 1):
+        objectives, bad = _sweep_rows(target, current, mixed)
+        obj = objectives[:, -1]
+        converged = ~bad & (obj - prev < cfg.tol)
+        last = sweep == cfg.max_sweeps
+        if not (last or bad.any() or converged.any()):
+            prev = obj
             continue
-        obj = objectives[-1]
-        if obj - prev < cfg.tol:
-            return _Climb(obj, factors, sweeps, True, False)
-        prev = obj
-    return _Climb(prev, factors, sweeps, False, False)
+        attempt += bad
+        prev = np.where(bad, -math.inf, obj)
+        failed = bad & ((attempt > 3) | last)
+        done = converged | failed | (last & ~bad)
+        rows_done = live[done]
+        out.objective[rows_done] = np.where(failed, 0.0, obj)[done]
+        out.sweeps[rows_done] = sweep
+        out.converged[rows_done] = converged[done]
+        out.degenerate[rows_done] = failed[done]
+        for j, f in enumerate(current):
+            out.factors[j][rows_done] = f[done]
+        for i in np.flatnonzero(bad & ~failed):
+            # Degenerate contraction: restart this row from a fresh seed.
+            seed = seed_sequence(cfg.seed, restarts[live[i]], int(attempt[i]))
+            reseed = _random_factors(dims, seed)
+            for f, g in zip(current, reseed):
+                f[i] = g
+        keep = ~done
+        if not keep.any():
+            break
+        live, prev, attempt = live[keep], prev[keep], attempt[keep]
+        current = [f[keep] for f in current]
+    return out
 
 
-def _optimize(site, target, shape, cfg, basis_floor_value, basis_floor_index):
-    """Shared restart loop for the pure and mixed objectives."""
+def _optimize(target, mixed, shape, cfg, basis_floor_value, basis_floor_index):
+    """Batched restart schedule shared by the pure and mixed objectives.
+
+    Restarts run in chunks whose left environments stay within
+    ``CHUNK_AMPLITUDES``; returns every restart's climb, in restart order.
+    """
     dims = shape.dims
-    starts: list[list[np.ndarray]] = [[uniform_factor(d) for d in dims]]
-    for r in range(2, cfg.restarts + 1):
-        starts.append(_random_factors(dims, seed_sequence(cfg.seed, r, 0)))
+    chunk = max(1, CHUNK_AMPLITUDES // (shape.total**2 if mixed else shape.total))
+    climbs = []
+    for first in range(1, cfg.restarts + 1, chunk):
+        restarts = range(first, min(first + chunk, cfg.restarts + 1))
+        starts = [
+            [uniform_factor(d) for d in dims]
+            if r == 1
+            else _random_factors(dims, seed_sequence(cfg.seed, r, 0))
+            for r in restarts
+        ]
+        stacks = [np.array([s[j] for s in starts]) for j in range(len(dims))]
+        climbs.append(_climb_rows(target, mixed, stacks, restarts, dims, cfg))
 
-    best: _Climb | None = None
-    per_restart: list[float] = []
-    for r, init in enumerate(starts, start=1):
-        climb = _climb(site, target, init, dims, cfg, r)
-        per_restart.append(0.0 if climb.degenerate else climb.objective)
-        if climb.degenerate:
-            continue
-        if best is None or climb.objective > best.objective:
-            best = climb
-    restarts_used = len(starts)
+    joined = _join(climbs)
+    if joined.objective[joined.best()] < basis_floor_value - 1e-15:
+        # Every scheduled restart undershot the best computational-basis
+        # product (a degenerate one reports 0.0, below any floor); climb once
+        # from that basis state, which cannot descend below it or vanish on
+        # nonzero input.  Keeps value >= max_x |amp_x|^2 unconditionally.
+        stacks = [np.zeros((1, d), dtype=np.complex128) for d in dims]
+        for f, x in zip(stacks, shape.digits_of(basis_floor_index)):
+            f[0, x] = 1.0
+        floor = _climb_rows(target, mixed, stacks, [cfg.restarts + 1], dims, cfg)
+        joined = _join([joined, floor])
+    return joined
 
-    if best is not None and best.objective < basis_floor_value - 1e-15:
-        # All scheduled restarts undershot the best computational-basis
-        # product; climb once from that basis state, which cannot descend
-        # below it.  Keeps value >= max_x |amp_x|^2 unconditionally.
-        digits = shape.digits_of(basis_floor_index)
-        init = []
-        for d, x in zip(dims, digits):
-            e = np.zeros(d, dtype=np.complex128)
-            e[x] = 1.0
-            init.append(e)
-        climb = _climb(site, target, init, dims, cfg, restarts_used + 1)
-        restarts_used += 1
-        per_restart.append(0.0 if climb.degenerate else climb.objective)
-        if not climb.degenerate and climb.objective > best.objective:
-            best = climb
 
-    if best is None:
-        raise ZeroContraction("every restart produced a degenerate contraction")
-    return best, restarts_used, tuple(per_restart)
+def _result(climbs: _Climbs, shape, value_of) -> PmaxResult:
+    """The best restart as a result; ``value_of`` recomputes the objective
+    from the joint amplitudes of the argmax."""
+    best = climbs.best()
+    argmax = ProductState(shape, tuple(f[best] for f in climbs.factors))
+    return PmaxResult(
+        value=value_of(product_amps(argmax.factors)),
+        argmax=argmax,
+        restarts_used=len(climbs.objective),
+        sweeps=int(climbs.sweeps[best]),
+        converged=bool(climbs.converged[best]),
+        best_per_restart=tuple(float(v) for v in climbs.objective),
+    )
 
 
 def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> PmaxResult:
@@ -220,20 +287,10 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     cfg = cfg or OptimizerConfig()
     probs = state.probabilities()
     floor_index = int(np.argmax(probs))
-    best, restarts_used, per_restart = _optimize(
-        _pure_site, state.tensor(), state.shape, cfg,
-        float(probs[floor_index]), floor_index,
+    climbs = _optimize(
+        state.tensor(), False, state.shape, cfg, float(probs[floor_index]), floor_index
     )
-    argmax = ProductState(state.shape, tuple(best.factors))
-    value = abs(complex(np.vdot(product_amps(argmax.factors), state.amps))) ** 2
-    return PmaxResult(
-        value=value,
-        argmax=argmax,
-        restarts_used=restarts_used,
-        sweeps=best.sweeps,
-        converged=best.converged,
-        best_per_restart=per_restart,
-    )
+    return _result(climbs, state.shape, lambda e: abs(complex(np.vdot(e, state.amps))) ** 2)
 
 
 def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxResult:
@@ -245,24 +302,11 @@ def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxRe
     eigensolver's vector is kept as returned (canonical phase applied).
     """
     cfg = cfg or OptimizerConfig()
-    shape = rho.shape
     matrix = rho.entries
     diag = np.real(np.diagonal(matrix))
     floor_index = int(np.argmax(diag))
-    best, restarts_used, per_restart = _optimize(
-        _mixed_site, matrix, shape, cfg, float(diag[floor_index]), floor_index
-    )
-    argmax = ProductState(shape, tuple(best.factors))
-    e = product_amps(argmax.factors)
-    value = float(np.real(np.vdot(e, matrix @ e)))
-    return PmaxResult(
-        value=value,
-        argmax=argmax,
-        restarts_used=restarts_used,
-        sweeps=best.sweeps,
-        converged=best.converged,
-        best_per_restart=per_restart,
-    )
+    climbs = _optimize(matrix, True, rho.shape, cfg, float(diag[floor_index]), floor_index)
+    return _result(climbs, rho.shape, lambda e: float(np.real(np.vdot(e, matrix @ e))))
 
 
 def pmax_bipartite(state: StateVector, split) -> float:

@@ -50,9 +50,32 @@ def seed_sequence(seed: int, *keys: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed) & (2**64 - 1), *keys))
 
 
+def _views(a):
+    """``a`` and every array it is a view of."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+    """Mark a fresh array, and every array it views, read-only."""
+    for b in _views(a):
+        b.setflags(write=False)
     return a
+
+
+def _private(a: np.ndarray, given) -> np.ndarray:
+    """``a``, converted from the caller's ``given``, as read-only data that
+    no caller can write.
+
+    A new array made by the conversion is kept.  The caller's own data is
+    kept only when it and every array it views are read-only, as builders
+    hand over their fresh buffers; otherwise it is copied, so the caller's
+    array stays writable and later writes to it do not reach the value.
+    """
+    if (a is given or a.base is not None) and any(b.flags.writeable for b in _views(a)):
+        a = a.copy()
+    return _readonly(a)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -132,7 +155,7 @@ class StateVector:
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-8")
         if abs(norm - 1.0) > NORM_DRIFT_TOL:
             amps = amps / norm
-        object.__setattr__(self, "amps", _readonly(amps))
+        object.__setattr__(self, "amps", _private(amps, self.amps))
 
     @property
     def norm(self) -> float:
@@ -196,7 +219,7 @@ class LocalUnitaryLayer:
             defect = np.abs(g.conj().T @ g - np.eye(d)).max()
             if not defect <= UNITARY_TOL:
                 raise NotNormalized(f"gate {j} is not unitary (defect {defect:.2e})")
-            fixed.append(_readonly(g))
+            fixed.append(_private(g, self.gates[j - 1]))
         object.__setattr__(self, "gates", tuple(fixed))
 
     def adjoint(self) -> "LocalUnitaryLayer":
@@ -224,7 +247,7 @@ class DensityMatrix:
             raise InvalidDensity("trace differs from 1")
         if not float(np.linalg.eigvalsh(m).min()) >= -DENSITY_TOL:
             raise InvalidDensity("matrix has a negative eigenvalue")
-        object.__setattr__(self, "entries", _readonly(m))
+        object.__setattr__(self, "entries", _private(m, self.entries))
 
     def tensor(self) -> np.ndarray:
         """Entries reshaped to (d_1..d_n, d_1..d_n), ket axes then bra axes."""
@@ -256,13 +279,14 @@ def basis_state(shape: SystemShape, index: int) -> StateVector:
         raise DimensionMismatch(f"basis index {index} outside 0..{shape.total - 1}")
     amps = np.zeros(shape.total, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(shape, amps)
+    return StateVector(shape, _readonly(amps))
 
 
 def uniform_state(shape: SystemShape) -> StateVector:
     """The equal superposition of all basis states, amplitude 1/sqrt(N) each."""
     total = shape.total
-    return StateVector(shape, np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128))
+    amps = np.full(total, 1.0 / math.sqrt(total), dtype=np.complex128)
+    return StateVector(shape, _readonly(amps))
 
 
 def uniform_factor(dim: int) -> np.ndarray:
@@ -279,7 +303,7 @@ def apply_local(layer: LocalUnitaryLayer, state: StateVector) -> StateVector:
     t = state.tensor()
     for j, gate in enumerate(layer.gates):
         t = np.moveaxis(np.tensordot(gate, t, axes=([1], [j])), 0, j)
-    return StateVector(state.shape, np.ascontiguousarray(t).reshape(-1))
+    return StateVector(state.shape, _readonly(np.ascontiguousarray(t)).reshape(-1))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -290,7 +314,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 def product_to_state(p: ProductState) -> StateVector:
     """Expand a product state into joint amplitudes; amp[x] = prod_j factor_j[x_j]."""
-    return StateVector(p.shape, product_amps(p.factors))
+    return StateVector(p.shape, _readonly(product_amps(p.factors)))
 
 
 def product_amps(factors) -> np.ndarray:
@@ -302,13 +326,23 @@ def product_amps(factors) -> np.ndarray:
 
 
 def _contract_all_but(tensor: np.ndarray, factors, skip_axis: int) -> np.ndarray:
-    """Contract conj(factors[j]) onto every axis except skip_axis."""
-    t = tensor
-    for axis in range(tensor.ndim - 1, -1, -1):
-        if axis == skip_axis:
-            continue
-        t = np.tensordot(t, np.conj(factors[axis]), axes=([axis], [0]))
-    return t
+    """Contract conj(factors[j]) onto every site axis except skip_axis, per row.
+
+    ``factors[j]`` is an (R, d_j) stack with one row per member of a batch,
+    and ``tensor`` is (R, d_1, ..., d_n), or (d_1, ..., d_n) shared by every
+    row.  Trailing sites are contracted one at a time, last first, as
+    batched matrix-vector products, then the leading sites from the first;
+    ``factors[skip_axis]`` sets only the row count.  Returns the (R, d_skip)
+    contractions.
+    """
+    t = tensor if tensor.ndim > len(factors) else tensor[None]
+    for f in factors[:skip_axis:-1]:
+        t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
+    for f in factors[:skip_axis]:
+        t = np.matmul(np.conj(f)[:, None, :], t.reshape(len(t), f.shape[1], -1))
+    t = t.reshape(len(t), -1)
+    rows = len(factors[skip_axis])
+    return t if len(t) == rows else np.broadcast_to(t, (rows, t.shape[1]))
 
 
 def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarray:
@@ -319,7 +353,7 @@ def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarr
     """
     _check_same_shape(p, state)
     state.shape.check_site(skip)
-    return _contract_all_but(state.tensor(), p.factors, skip - 1)
+    return _contract_all_but(state.tensor(), [f[None] for f in p.factors], skip - 1)[0]
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -393,7 +427,7 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     m, left, _right = split_matrix(state, keep)
     rho = m @ m.conj().T
     kept_shape = SystemShape([state.shape.dims[s - 1] for s in left])
-    return DensityMatrix(kept_shape, rho)
+    return DensityMatrix(kept_shape, _readonly(rho))
 
 
 def random_state(shape: SystemShape, seed) -> StateVector:
@@ -403,7 +437,7 @@ def random_state(shape: SystemShape, seed) -> StateVector:
     z.real = rng.standard_normal(shape.total)
     z.imag = rng.standard_normal(shape.total)
     z /= np.linalg.norm(z)
-    return StateVector(shape, z)
+    return StateVector(shape, _readonly(z))
 
 
 def _random_factors(dims, seed) -> list[np.ndarray]:

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverian import (
+    DensityMatrix,
     NonFiniteResult,
+    StateVector,
     SystemShape,
     bell,
     canonical_json,
@@ -220,6 +222,36 @@ class TestCliGroverian:
         code, out, _ = run_cli(capsys, "groverian", "--mixed", str(path))
         assert code == 0
         assert last_json(out)["results"]["method"] == "mixed"
+
+
+class TestVanishingUniformStart:
+    """(|0>-|1>)(x)(|0>-|1>)/2 has zero overlap with the uniform start's
+    first environment, so restart 1 is reseeded; with one sweep allowed the
+    reseed has no sweep left and the restart counts as degenerate."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        shape = SystemShape([2, 2])
+        amps = np.array([1, -1, -1, 1], dtype=complex) / 2
+        save_state(StateVector(shape, amps), tmp_path / "state.json")
+        save_density(DensityMatrix(shape, np.outer(amps, amps)), tmp_path / "rho.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("restarts", ["1", "2"])
+    @pytest.mark.parametrize("command", ["pmax", "groverian", "mixed"])
+    def test_finite_value_one(self, capsys, files, command, restarts):
+        if command == "mixed":
+            argv = ["groverian", "--mixed", str(files / "rho.json")]
+        else:
+            argv = [command, "--state", str(files / "state.json")]
+        code, out, err = run_cli(capsys, *argv, "--max-sweeps", "1", "--restarts", restarts)
+        assert code == 0, err
+        assert "inf" not in out.lower()
+        results = last_json(out)["results"]
+        value = results["value"] if command == "pmax" else results["pmax"]
+        assert abs(value - 1.0) <= 1e-12
+        if command == "pmax":
+            assert results["best_per_restart"][0] == 0.0
 
 
 class TestCliGrover:

@@ -29,7 +29,9 @@ from groverian import (
     random_state,
     w_state,
 )
+from groverian.measures import monotone_check_rows
 from groverian.statevector import haar_unitary
+from groverian.verify import _majorizing_pairs
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -232,6 +234,36 @@ class TestMonotoneCheck:
         assert majorizes([0.7, 0.3], [0.5, 0.5])
         assert not majorizes([0.5, 0.5], [0.7, 0.3])
         assert majorizes([0.5, 0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("outcomes", [2, 3, 4])
+    def test_rows_match_pairwise_check(self, outcomes):
+        rng = np.random.default_rng(outcomes)
+        source = rng.dirichlet(np.ones(outcomes), size=300)
+        target = rng.dirichlet(np.ones(outcomes), size=300)
+        # Ties: equal spectra, permuted equal spectra, and a shared top entry.
+        target[:50] = source[:50]
+        target[50:100] = source[50:100, ::-1]
+        source[100:150] = [0.5] + [0.5 / (outcomes - 1)] * (outcomes - 1)
+        target[100:150, 0] = 0.5
+        target[100:150, 1:] = rng.dirichlet(np.ones(outcomes - 1), size=50) * 0.5
+        applicable, monotone = monotone_check_rows(source, target)
+        for s, t, a, m in zip(source, target, applicable, monotone):
+            verdict = monotone_check_bipartite(s, t)
+            assert a == majorizes(t, s) == verdict.applicable
+            assert m == verdict.monotone_ok
+        assert applicable[:100].all()
+
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    def test_block_pairs_match_pair_by_pair_draws(self, outcomes):
+        sequential, pairs = np.random.default_rng(5), []
+        while len(pairs) < 300:
+            s = sequential.dirichlet(np.ones(outcomes))
+            t = sequential.dirichlet(np.ones(outcomes))
+            if majorizes(t, s):
+                pairs.append((s, t))
+        blocked = np.random.default_rng(5)
+        assert np.array_equal(_majorizing_pairs(blocked, outcomes, 300), np.array(pairs))
+        assert blocked.random() == sequential.random()
 
 
 class TestVedralRelation:

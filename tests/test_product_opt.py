@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,14 +29,13 @@ from groverian import (
     random_state,
     w_state,
 )
+from groverian import product_opt
 from groverian.product_opt import (
-    _climb,
+    _climb_rows,
     _grid_candidates,
     _grid_max_three_site,
     _grid_max_two_site,
-    _mixed_site,
-    _pure_site,
-    _sweep,
+    _sweep_rows,
 )
 from groverian.statevector import (
     _random_factors,
@@ -43,6 +43,7 @@ from groverian.statevector import (
     haar_unitary,
     product_amps,
     seed_sequence,
+    uniform_factor,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -160,6 +161,21 @@ class TestPmaxOverlap:
         state = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)
         result = pmax_overlap(state, OptimizerConfig(restarts=3, seed=0))
         assert abs(result.value - 1.0) <= 1e-10
+
+
+    def test_reseed_without_a_sweep_left_is_degenerate(self, two_qubits):
+        # The uniform start vanishes on the first sweep; with one sweep
+        # allowed its reseed never runs, so the restart reports 0.0 and the
+        # basis-floor climb supplies the value.
+        state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
+        cfg = OptimizerConfig(restarts=1, max_sweeps=1)
+        start = [uniform_factor(2)[None] for _ in range(2)]
+        climbs = _climb_rows(state.tensor(), False, start, [1], two_qubits.dims, cfg)
+        assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
+        result = pmax_overlap(state, cfg)
+        assert result.restarts_used == 2
+        assert result.best_per_restart[0] == 0.0
+        assert abs(result.value - 1.0) <= 1e-12
 
 
 class TestPmaxBipartite:
@@ -324,24 +340,37 @@ def assert_same_sweep(fast_factors, fast_objectives, ref_factors, ref_objectives
         assert np.allclose(canonical_phase(f), canonical_phase(g), rtol=0, atol=1e-12)
 
 
+def stacked(products):
+    """(R, d_j) factor stacks from R product states, one row each."""
+    return [np.array(fs) for fs in zip(*(p.factors for p in products))]
+
+
 class TestSweepAgainstReference:
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_pure_sweep(self, dims):
         shape = SystemShape(dims)
         state = random_state(shape, 200)
-        factors = list(random_product(shape, 201).factors)
-        ref_factors, ref_objectives = reference_pure_sweep(state, factors)
-        objectives = _sweep(_pure_site, state.tensor(), factors)
-        assert_same_sweep(factors, objectives, ref_factors, ref_objectives)
+        starts = [random_product(shape, 201 + 10 * i) for i in range(3)]
+        factors = stacked(starts)
+        objectives, degenerate = _sweep_rows(state.tensor(), factors, False)
+        assert not degenerate.any()
+        for i, start in enumerate(starts):
+            ref_factors, ref_objectives = reference_pure_sweep(state, start.factors)
+            row = [f[i] for f in factors]
+            assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
 
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_mixed_sweep(self, dims):
         shape = SystemShape(dims)
         rho = random_full_rank_density(shape, 202)
-        factors = list(random_product(shape, 203).factors)
-        ref_factors, ref_objectives = reference_mixed_sweep(rho, factors)
-        objectives = _sweep(_mixed_site, rho.entries, factors)
-        assert_same_sweep(factors, objectives, ref_factors, ref_objectives)
+        starts = [random_product(shape, 203 + 10 * i) for i in range(3)]
+        factors = stacked(starts)
+        objectives, degenerate = _sweep_rows(rho.entries, factors, True)
+        assert not degenerate.any()
+        for i, start in enumerate(starts):
+            ref_factors, ref_objectives = reference_mixed_sweep(rho, start.factors)
+            row = [f[i] for f in factors]
+            assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
 
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_projector_matches_pure_optimizer(self, dims):
@@ -351,27 +380,173 @@ class TestSweepAgainstReference:
         cfg = OptimizerConfig(restarts=4, seed=5)
         assert abs(pmax_mixed(rho, cfg).value - pmax_overlap(state, cfg).value) <= 1e-12
 
-    def test_degenerate_middle_site_reseeds(self, three_qubits):
+    def test_degenerate_middle_site_reseeds(self, three_qubits, monkeypatch):
         # A pure sweep cannot vanish after its first site (the overlap only
-        # grows), so a site step reports the middle site degenerate once.
+        # grows), so the contraction is made to report row 1 of a three-row
+        # batch degenerate at the middle site of the first sweep.
         state = random_state(three_qubits, 205)
+        dims = three_qubits.dims
+        cfg = OptimizerConfig(seed=9)
+        starts = stacked([random_product(three_qubits, 206 + i) for i in range(3)])
+        restarts = [4, 5, 6]
+        plain = _climb_rows(state.tensor(), False, starts, restarts, dims, cfg)
+        reseed = [f[None] for f in _random_factors(dims, seed_sequence(9, 5, 1))]
+        reseeded = _climb_rows(state.tensor(), False, reseed, [5], dims, cfg)
+
+        real = product_opt._contract_all_but
         calls = []
 
-        def site(left, factors, j):
-            calls.append(j)
-            if j == 1 and calls.count(1) == 1:
-                return None
-            return _pure_site(left, factors, j)
+        def vanishing(tensor, factors, skip_axis):
+            v = real(tensor, factors, skip_axis)
+            calls.append(len(factors))
+            if len(factors) == 2 and calls.count(2) == 1:
+                v = v.copy()
+                v[1] = 0.0
+            return v
 
-        cfg = OptimizerConfig(seed=9)
-        dims = three_qubits.dims
-        start = _random_factors(dims, 206)
-        climb = _climb(site, state.tensor(), start, dims, cfg, 2)
-        reseed = _random_factors(dims, seed_sequence(9, 2, 1))
-        reseeded = _climb(_pure_site, state.tensor(), reseed, dims, cfg, 2)
-        assert calls[:3] == [0, 1, 0]
-        assert not climb.degenerate
-        assert climb.sweeps == reseeded.sweeps + 1
-        assert climb.objective == reseeded.objective
-        for f, g in zip(climb.factors, reseeded.factors):
-            assert np.array_equal(f, g)
+        monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            climbs = _climb_rows(state.tensor(), False, starts, restarts, dims, cfg)
+
+        assert calls[:3] == [3, 2, 1]
+        assert not climbs.degenerate.any()
+        assert climbs.sweeps[1] == reseeded.sweeps[0] + 1
+        assert climbs.objective[1] == reseeded.objective[0]
+        for f, g in zip(climbs.factors, reseeded.factors):
+            assert np.array_equal(f[1], g[0])
+        for i in (0, 2):  # the rows that did not vanish are unaffected
+            assert climbs.sweeps[i] == plain.sweeps[i]
+            assert climbs.objective[i] == plain.objective[i]
+            assert climbs.converged[i] == plain.converged[i]
+            for f, g in zip(climbs.factors, plain.factors):
+                assert np.array_equal(f[i], g[i])
+
+
+# A serial copy of the one-restart-at-a-time optimizer that the batched
+# engine replaced: each restart climbs alone, and its site updates contract
+# with tensordot and build the trailing product with kron.
+
+
+def serial_pure_site(left, factors, j):
+    t = left
+    for axis in range(left.ndim - 1, 0, -1):
+        t = np.tensordot(t, np.conj(factors[j + axis]), axes=([axis], [0]))
+    nv = float(np.linalg.norm(t))
+    if nv < product_opt.CONTRACTION_EPS:
+        return None
+    e = t / nv
+    return e, nv * nv, (np.conj(e) @ left.reshape(e.size, -1)).reshape(left.shape[1:])
+
+
+def serial_mixed_site(left, factors, j):
+    d = factors[j].size
+    r = left.shape[0] // d
+    w = product_amps(factors[j + 1 :]) if j + 1 < len(factors) else np.ones(1, complex)
+    env = np.matmul(w.conj(), (left.reshape(-1, r) @ w).reshape(d, r, d))
+    if float(np.trace(env).real) < product_opt.CONTRACTION_EPS:
+        return None
+    vals, vecs = np.linalg.eigh(env)
+    e = np.ascontiguousarray(vecs[:, -1])
+    ket = (np.conj(e) @ left.reshape(d, -1)).reshape(r, d, r)
+    return e, float(vals[-1]), np.matmul(e, ket)
+
+
+def serial_climb(site, target, factors, dims, cfg, restart):
+    """Returns (objective, sweeps, degenerate) of one restart."""
+    factors = [f.copy() for f in factors]
+    prev, sweeps, attempt = -math.inf, 0, 0
+    while sweeps < cfg.max_sweeps:
+        sweeps += 1
+        left, objectives = target, []
+        for j in range(len(factors)):
+            step = site(left, factors, j)
+            if step is None:
+                break
+            factors[j], objective, left = step
+            objectives.append(objective)
+        if len(objectives) < len(factors):
+            attempt += 1
+            if attempt > 3:
+                return 0.0, sweeps, True
+            factors = _random_factors(dims, seed_sequence(cfg.seed, restart, attempt))
+            prev = -math.inf
+            continue
+        if objectives[-1] - prev < cfg.tol:
+            return objectives[-1], sweeps, False
+        prev = objectives[-1]
+    return prev, sweeps, False
+
+
+def serial_optimize(target, mixed, shape, cfg):
+    """(restarts_used, best_per_restart) of the serial restart loop."""
+    site = serial_mixed_site if mixed else serial_pure_site
+    dims = shape.dims
+    if mixed:
+        weights = np.real(np.diagonal(target))
+    else:
+        weights = np.abs(target.reshape(-1)) ** 2
+    floor_index = int(np.argmax(weights))
+    starts = [[uniform_factor(d) for d in dims]]
+    starts += [_random_factors(dims, seed_sequence(cfg.seed, r, 0)) for r in range(2, cfg.restarts + 1)]
+    per_restart, best = [], None
+    for r, start in enumerate(starts, start=1):
+        objective, _, degenerate = serial_climb(site, target, start, dims, cfg, r)
+        per_restart.append(0.0 if degenerate else objective)
+        if not degenerate and (best is None or objective > best):
+            best = objective
+    if best < weights[floor_index] - 1e-15:
+        basis = [np.eye(d, dtype=np.complex128)[x] for d, x in zip(dims, shape.digits_of(floor_index))]
+        objective, _, degenerate = serial_climb(site, target, basis, dims, cfg, len(starts) + 1)
+        per_restart.append(0.0 if degenerate else objective)
+    return len(per_restart), per_restart
+
+
+def serial_cases():
+    cases = []
+    for dims in ([2, 2, 2], [3, 2], [2, 3, 2], [2] * 6):
+        cases.append((str(dims), random_state(SystemShape(dims), 300 + len(cases))))
+    cases += [("ghz4", ghz(4)), ("w4", w_state(4))]
+    cases.append(("product", product_to_state(random_product(SystemShape([2, 3, 2]), 310))))
+    return cases
+
+
+class TestBatchedAgainstSerial:
+    @pytest.mark.parametrize("case", serial_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_same_restarts_and_values(self, case, mixed):
+        state = case[1]
+        cfg = OptimizerConfig(restarts=8, seed=17)
+        if mixed:
+            rho = DensityMatrix(state.shape, np.outer(state.amps, state.amps.conj()))
+            result, target = pmax_mixed(rho, cfg), rho.entries
+        else:
+            result, target = pmax_overlap(state, cfg), state.tensor()
+        used, per_restart = serial_optimize(target, mixed, state.shape, cfg)
+        assert result.restarts_used == used
+        assert np.allclose(result.best_per_restart, per_restart, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_chunks_match_one_batch(self, monkeypatch, chunk, mixed):
+        shape = SystemShape([2, 3, 2])
+        state = random_state(shape, 320)
+        cfg = OptimizerConfig(restarts=7, seed=21)
+        rho = DensityMatrix(shape, np.outer(state.amps, state.amps.conj()))
+        size = shape.total**2 if mixed else shape.total
+        run = (lambda: pmax_mixed(rho, cfg)) if mixed else (lambda: pmax_overlap(state, cfg))
+        assert product_opt.CHUNK_AMPLITUDES >= cfg.restarts * size  # one batch
+        whole = run()
+        real, batches = product_opt._climb_rows, []
+
+        def counted(target, mixed, factors, restarts, dims, cfg):
+            batches.append(len(restarts))
+            return real(target, mixed, factors, restarts, dims, cfg)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk * size)
+        chunked = run()
+        expected = {1: [1] * 7, 3: [3, 3, 1]}[chunk]
+        assert batches[: len(expected)] == expected
+        assert chunked.restarts_used == whole.restarts_used
+        assert np.allclose(chunked.best_per_restart, whole.best_per_restart, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,8 @@ from groverian import (
     schmidt_reconstruction_error,
     uniform_state,
 )
+from groverian.fileio import load_state, save_state
+from groverian.grover import OracleSpec, run_grover
 from groverian.statevector import haar_unitary
 
 SQRT_HALF = math.sqrt(0.5)
@@ -108,6 +111,36 @@ class TestMakeState:
         with pytest.raises(ValueError):
             state.amps[0] = 1.0
 
+    def test_caller_array_stays_writable(self):
+        a = np.array([1, 0], dtype=complex)
+        state = StateVector(SystemShape([2]), a)
+        assert a.flags.writeable
+        a[:] = [0, 1]
+        assert np.array_equal(state.amps, [1, 0])
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        a = np.array([1, 0], dtype=complex)
+        view = a.view()
+        view.setflags(write=False)
+        state = StateVector(SystemShape([2]), view)
+        a[:] = [0, 1]
+        assert np.array_equal(state.amps, [1, 0])
+
+    def test_read_only_array_is_kept(self):
+        a = np.array([1, 0], dtype=complex)
+        a.setflags(write=False)
+        assert StateVector(SystemShape([2]), a).amps is a
+
+    def test_density_and_gates_leave_caller_arrays_writable(self):
+        m = np.eye(2, dtype=complex) / 2
+        g = HADAMARD.copy()
+        rho = DensityMatrix(SystemShape([2]), m)
+        layer = LocalUnitaryLayer(SystemShape([2]), (g,))
+        assert m.flags.writeable and g.flags.writeable
+        m[0, 0] = g[0, 0] = 0.0
+        assert rho.entries[0, 0] == 0.5
+        assert layer.gates[0][0, 0] == SQRT_HALF
+
     @given(st.floats(min_value=1e-11, max_value=0.5))
     @settings(max_examples=30, derandomize=True)
     def test_rejects_outside_window(self, off):
@@ -116,6 +149,46 @@ class TestMakeState:
         else:
             with pytest.raises(NotNormalized):
                 StateVector(SystemShape([2]), [1 + off, 0])
+
+
+class TestBuildersMakeNoCopy:
+    """Builders hand StateVector a fresh read-only buffer, which it keeps:
+    constructing their result allocates nothing N-sized."""
+
+    SHAPE = SystemShape([2] * 20)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        state = random_state(self.SHAPE, 1)
+        path = tmp_path_factory.mktemp("state") / "state.json"
+        save_state(state, path)
+        return {
+            "random_state": lambda: random_state(self.SHAPE, 2),
+            "load_state": lambda: load_state(path),
+            "apply_local": lambda: apply_local(random_local_layer(self.SHAPE, 3), state),
+            "product_to_state": lambda: product_to_state(random_product(self.SHAPE, 4)),
+            "final_state": lambda: run_grover(state, OracleSpec(self.SHAPE, (5,)), 3).final_state,
+        }
+
+    @pytest.mark.parametrize(
+        "builder", ["random_state", "load_state", "apply_local", "product_to_state", "final_state"]
+    )
+    def test_constructor_allocates_no_copy(self, monkeypatch, inputs, builder):
+        real = StateVector.__post_init__
+        growth = []
+
+        def traced(self):
+            tracemalloc.start()
+            try:
+                real(self)
+                growth.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(StateVector, "__post_init__", traced)
+        state = inputs[builder]()
+        assert state.shape == self.SHAPE
+        assert growth and max(growth) < self.SHAPE.total * 16 // 4
 
 
 class TestNonFiniteInput:
