@@ -1,22 +1,24 @@
 """Maximal squared overlap between a state and the set of product states.
 
 The maximizer is alternating single-site optimization (best rank-one tensor
-approximation by power-type iteration): holding all factors but one fixed,
-the optimal remaining factor is the normalized environment contraction for
-pure states, or the top eigenvector of a small Hermitian environment matrix
-for density operators.  Each update is the exact single-site optimum, so the
-objective never decreases; random restarts guard against local maxima.
+approximation by power-type iteration).  Both objectives are written over an
+N x K block of columns b_k: sum_k |<e|b_k>|^2.  A state is one column; a
+density matrix is factored once as rho = B B^+ by pivoted Cholesky, with K
+its numerical rank, in O(N * K^2) time and O(N * K) memory.  Holding all
+factors but one fixed, the optimal remaining factor is the normalized
+environment contraction for one column, or the top eigenvector of the
+d_j x d_j Gram matrix of the (d_j, K) contraction for several.  Each update
+is the exact single-site optimum, so the objective never decreases; random
+restarts guard against local maxima.
 
 A sweep visits sites 1..n in order and carries the left environment (the
 target with the already-updated factors contracted in) from site to site.
 Restarts climb together: each site's factors for a batch of restarts are
 stacked into an (R, d_j) array, and one sweep updates every restart still
-climbing with a few batched contractions per site (a batched eigh for
-density input).  A restart leaves the batch when it converges or runs out
-of sweeps.  Restarts run in chunks of at most CHUNK_AMPLITUDES / N (state
-of N amplitudes) or CHUNK_AMPLITUDES / N^2 (N x N density matrix), and at
-least one, so one sweep costs O(chunk * N) or O(chunk * N^2).  Pure and
-mixed input share one sweep engine.
+climbing with a few batched contractions per site.  A restart leaves the
+batch when it converges or runs out of sweeps.  Restarts run in chunks of
+at most CHUNK_AMPLITUDES / (N * K), and at least one, so one sweep costs
+O(chunk * N * K).  Pure and mixed input share one sweep engine.
 
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
@@ -48,8 +50,8 @@ from .statevector import (
 CONTRACTION_EPS = 1e-14
 
 # Restarts run together in chunks whose left environments hold at most this
-# many amplitudes: chunk * N for a state of N amplitudes, chunk * N^2 for an
-# N x N density matrix.  Larger inputs run one restart at a time.
+# many amplitudes: chunk * N * K for N amplitudes in K columns.  Larger
+# inputs run one restart at a time.
 CHUNK_AMPLITUDES = 2**16
 
 
@@ -116,64 +118,84 @@ def _join(climbs: list[_Climbs]) -> _Climbs:
     )
 
 
-def _sweep_rows(target, factors, mixed):
+def _factor(matrix: np.ndarray) -> np.ndarray:
+    """Pivoted Cholesky factor: the (N, K) block B with B B^+ = matrix.
+
+    Each step pivots on the largest remaining diagonal entry and stops once
+    that is at most N * eps * max diag (the ``matrix_rank`` convention), so
+    K is the numerical rank of a positive semidefinite input.  Column i of
+    the Hermitian matrix is read as the conjugate of its contiguous row i.
+    O(N * K^2) time; only the K columns used are stored.
+    """
+    n = len(matrix)
+    residual = np.real(np.diagonal(matrix)).copy()
+    stop = n * np.finfo(float).eps * residual.max()
+    rows = np.empty((min(n, 8), n), dtype=np.complex128)  # row k is column k of B
+    k = 0
+    while k < n:
+        i = int(np.argmax(residual))
+        pivot = residual[i]
+        if not pivot > stop:
+            break
+        if k == len(rows):
+            grown = np.empty((min(n, 2 * k), n), dtype=np.complex128)
+            grown[:k] = rows
+            rows = grown
+        col = np.conj(matrix[i]) - np.conj(rows[:k, i]) @ rows[:k]
+        col /= math.sqrt(pivot)
+        rows[k] = col
+        residual -= col.real**2 + col.imag**2
+        residual[i] = 0.0
+        k += 1
+    return np.ascontiguousarray(rows[:k].T)
+
+
+def _sweep_rows(target, factors):
     """One left-to-right sweep of exact single-site updates over R restarts.
 
+    ``target`` is the (d_1, ..., d_n, K) block of K columns b_k whose
+    objective sum_k |<e|b_k>|^2 is maximized, shared by every row.
     ``factors[j]`` is the (R, d_j) stack of site-j factors, one row per
     restart, and is replaced in place.  The left environment starts as
-    ``target`` (shared by every row: the state tensor, or rho as an N x N
-    matrix) and absorbs each updated factor, so site j works on an
-    (R, d_j, ..., d_n) tensor, or an (R, M, M) matrix with M = d_j...d_n.
-    A pure site contracts the trailing factors one site at a time, and the
-    normalized result is the new factor.  A mixed site contracts the product
-    of the trailing factors onto the bra axes in one pass over the M x M
-    matrix, then its conjugate onto the ket axes; the top eigenvector of
-    the resulting d_j x d_j matrix is the new factor.
+    ``target`` and absorbs each updated factor, so site j works on an
+    (R, d_j, ..., d_n, K) tensor.  With one column the normalized
+    contraction is the new factor; with several, the top eigenvector of the
+    d_j x d_j Gram matrix of the (d_j, K) contraction.
 
     Returns the (R, n) objectives after each site and the rows whose
     contraction vanished at some site; those rows hold finite values that
     mean nothing.
     """
-    rows, n = len(factors[0]), len(factors)
+    rows, n, cols = len(factors[0]), len(factors), target.shape[-1]
     objectives = np.empty((rows, n))
     degenerate = np.zeros(rows, dtype=bool)
     left = target
     for j in range(n):
         d = factors[j].shape[1]
         trailing = [f.shape[1] for f in factors[j + 1 :]]
-        if mixed:
-            m = left.shape[-1]
-            r = m // d
-            w = np.ones((rows, 1), dtype=np.complex128)
-            for f in factors[j + 1 :]:
-                w = (w[:, :, None] * f[:, None, :]).reshape(rows, -1)
-            bra = np.matmul(left.reshape(-1, m * d, r), w[:, :, None])
-            env = np.matmul(np.conj(w)[:, None, None, :], bra.reshape(rows, d, r, d))
-            env = env.reshape(rows, d, d)
-            vals, vecs = np.linalg.eigh(env)
-            bad = np.trace(env, axis1=1, axis2=2).real < CONTRACTION_EPS
-            e = np.ascontiguousarray(vecs[:, :, -1])
-            objectives[:, j] = vals[:, -1]
-        else:
-            v = _contract_all_but(left, factors[j:], 0)
+        v = _contract_all_but(left, factors[j:], 0)
+        if cols == 1:
+            v = v.reshape(rows, d)
             norm = np.linalg.norm(v, axis=1)
             bad = norm < CONTRACTION_EPS
             e = v / np.where(bad, 1.0, norm)[:, None]
             objectives[:, j] = norm * norm
+        else:
+            gram = np.matmul(v, np.conj(v).transpose(0, 2, 1))
+            vals, vecs = np.linalg.eigh(gram)
+            bad = np.trace(gram, axis1=1, axis2=2).real < CONTRACTION_EPS
+            e = np.ascontiguousarray(vecs[:, :, -1])
+            objectives[:, j] = vals[:, -1]
         factors[j] = e
         degenerate |= bad
         if j + 1 == n:
             break
-        if mixed:
-            ket = np.matmul(np.conj(e)[:, None, :], left.reshape(-1, d, r * m))
-            left = np.matmul(e[:, None, None, :], ket.reshape(rows, r, d, r)).reshape(rows, r, r)
-        else:
-            ket = np.matmul(np.conj(e)[:, None, :], left.reshape(-1, d, math.prod(trailing)))
-            left = ket.reshape(rows, *trailing)
+        ket = np.matmul(np.conj(e)[:, None, :], left.reshape(-1, d, math.prod(trailing) * cols))
+        left = ket.reshape(rows, *trailing, cols)
     return objectives, degenerate
 
 
-def _climb_rows(target, mixed, factors, restarts, dims, cfg) -> _Climbs:
+def _climb_rows(target, factors, restarts, dims, cfg) -> _Climbs:
     """Alternating sweeps from R starting points at once.
 
     ``factors`` holds the (R, d_j) starting stacks and ``restarts`` the
@@ -196,7 +218,7 @@ def _climb_rows(target, mixed, factors, restarts, dims, cfg) -> _Climbs:
     prev = np.full(rows, -math.inf)
     attempt = np.zeros(rows, dtype=int)
     for sweep in range(1, cfg.max_sweeps + 1):
-        objectives, bad = _sweep_rows(target, current, mixed)
+        objectives, bad = _sweep_rows(target, current)
         obj = objectives[:, -1]
         converged = ~bad & (obj - prev < cfg.tol)
         last = sweep == cfg.max_sweeps
@@ -228,14 +250,14 @@ def _climb_rows(target, mixed, factors, restarts, dims, cfg) -> _Climbs:
     return out
 
 
-def _optimize(target, mixed, shape, cfg, basis_floor_value, basis_floor_index):
-    """Batched restart schedule shared by the pure and mixed objectives.
+def _optimize(target, shape, cfg, basis_floor_value, basis_floor_index):
+    """Batched restart schedule over the (d_1, ..., d_n, K) column block.
 
     Restarts run in chunks whose left environments stay within
     ``CHUNK_AMPLITUDES``; returns every restart's climb, in restart order.
     """
     dims = shape.dims
-    chunk = max(1, CHUNK_AMPLITUDES // (shape.total**2 if mixed else shape.total))
+    chunk = max(1, CHUNK_AMPLITUDES // (shape.total * target.shape[-1]))
     climbs = []
     for first in range(1, cfg.restarts + 1, chunk):
         restarts = range(first, min(first + chunk, cfg.restarts + 1))
@@ -246,7 +268,7 @@ def _optimize(target, mixed, shape, cfg, basis_floor_value, basis_floor_index):
             for r in restarts
         ]
         stacks = [np.array([s[j] for s in starts]) for j in range(len(dims))]
-        climbs.append(_climb_rows(target, mixed, stacks, restarts, dims, cfg))
+        climbs.append(_climb_rows(target, stacks, restarts, dims, cfg))
 
     joined = _join(climbs)
     if joined.objective[joined.best()] < basis_floor_value - 1e-15:
@@ -257,7 +279,7 @@ def _optimize(target, mixed, shape, cfg, basis_floor_value, basis_floor_index):
         stacks = [np.zeros((1, d), dtype=np.complex128) for d in dims]
         for f, x in zip(stacks, shape.digits_of(basis_floor_index)):
             f[0, x] = 1.0
-        floor = _climb_rows(target, mixed, stacks, [cfg.restarts + 1], dims, cfg)
+        floor = _climb_rows(target, stacks, [cfg.restarts + 1], dims, cfg)
         joined = _join([joined, floor])
     return joined
 
@@ -288,7 +310,7 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     probs = state.probabilities()
     floor_index = int(np.argmax(probs))
     climbs = _optimize(
-        state.tensor(), False, state.shape, cfg, float(probs[floor_index]), floor_index
+        state.tensor()[..., None], state.shape, cfg, float(probs[floor_index]), floor_index
     )
     return _result(climbs, state.shape, lambda e: abs(complex(np.vdot(e, state.amps))) ** 2)
 
@@ -296,16 +318,21 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
 def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxResult:
     """Maximize <e_1,...,e_n|rho|e_1,...,e_n> over product states.
 
-    The single-site update replaces a factor with the top eigenvector of the
-    small Hermitian matrix obtained by contracting rho with the other
-    factors on both sides; within a degenerate top eigenspace the
-    eigensolver's vector is kept as returned (canonical phase applied).
+    rho is factored once as B B^+ by pivoted Cholesky (B is N x K, K the
+    numerical rank; O(N * K^2) time), and the restarts climb
+    sum_k |<e|b_k>|^2 in the sweep engine of ``pmax_overlap`` at
+    O(chunk * N * K) per sweep.  For K > 1 the single-site update is the
+    top eigenvector of a d_j x d_j Gram matrix; within a degenerate top
+    eigenspace the eigensolver's vector is kept as returned (canonical
+    phase applied).  ``value`` is recomputed from rho itself.
     """
     cfg = cfg or OptimizerConfig()
     matrix = rho.entries
     diag = np.real(np.diagonal(matrix))
     floor_index = int(np.argmax(diag))
-    climbs = _optimize(matrix, True, rho.shape, cfg, float(diag[floor_index]), floor_index)
+    factor = _factor(matrix)
+    target = factor.reshape(rho.shape.dims + (factor.shape[1],))
+    climbs = _optimize(target, rho.shape, cfg, float(diag[floor_index]), floor_index)
     return _result(climbs, rho.shape, lambda e: float(np.real(np.vdot(e, matrix @ e))))
 
 
@@ -318,6 +345,10 @@ def pmax_bipartite(state: StateVector, split) -> float:
 # Doubling R refines each grid in place (the coarse grid is a subset), which
 # makes the oracle value monotone under power-of-two refinement.
 MIN_GRID_RESOLUTION = 32
+
+# Grid overlaps are evaluated in blocks of rows holding at most this many
+# entries (4 MiB of complex128), however many candidates survive.
+GRID_BLOCK_ENTRIES = 2**18
 
 
 def _grid_candidates(resolution: int) -> np.ndarray:
@@ -337,15 +368,19 @@ def _top_sigma_sq_2x2(m: np.ndarray) -> np.ndarray:
     return (t + disc) / 2.0
 
 
-def _grid_max_two_site(matrix: np.ndarray, cand_conj: np.ndarray) -> float:
-    """Exact max of |e1+ M e2*| over the candidate grid, chunked over rows."""
-    left = cand_conj @ matrix  # (G, 2)
+def _grid_block_max(rows: np.ndarray, cand_conj: np.ndarray) -> float:
+    """max |rows @ cand_conj.T|^2, evaluated in blocks of rows."""
+    step = max(1, GRID_BLOCK_ENTRIES // len(cand_conj))
     best = 0.0
-    step = 512
-    for i in range(0, left.shape[0], step):
-        vals = np.abs(left[i : i + step] @ cand_conj.T) ** 2
+    for i in range(0, len(rows), step):
+        vals = np.abs(rows[i : i + step] @ cand_conj.T) ** 2
         best = max(best, float(vals.max()))
     return best
+
+
+def _grid_max_two_site(matrix: np.ndarray, cand_conj: np.ndarray) -> float:
+    """Exact max of |e1+ M e2*| over the candidate grid."""
+    return _grid_block_max(cand_conj @ matrix, cand_conj)
 
 
 def _grid_max_three_site(tensor: np.ndarray, cand_conj: np.ndarray) -> float:
@@ -372,8 +407,7 @@ def _grid_max_three_site(tensor: np.ndarray, cand_conj: np.ndarray) -> float:
         sel = np.nonzero(ub2 > best)[0]
         if sel.size == 0:
             continue
-        vals = np.abs(w[sel] @ cand_conj.T) ** 2
-        best = max(best, float(vals.max()))
+        best = max(best, _grid_block_max(w[sel], cand_conj))
     return best
 
 

@@ -329,20 +329,29 @@ def _contract_all_but(tensor: np.ndarray, factors, skip_axis: int) -> np.ndarray
     """Contract conj(factors[j]) onto every site axis except skip_axis, per row.
 
     ``factors[j]`` is an (R, d_j) stack with one row per member of a batch,
-    and ``tensor`` is (R, d_1, ..., d_n), or (d_1, ..., d_n) shared by every
-    row.  Trailing sites are contracted one at a time, last first, as
-    batched matrix-vector products, then the leading sites from the first;
-    ``factors[skip_axis]`` sets only the row count.  Returns the (R, d_skip)
-    contractions.
+    and ``tensor`` is (R, d_1, ..., d_n, K), or (d_1, ..., d_n, K) shared by
+    every row, with a trailing axis of K columns that is carried through.
+    With one column the trailing sites are contracted one at a time, last
+    first, as batched matrix-vector products; with several, in one pass
+    through the product of their factors.  The leading sites follow, from
+    the first.  ``factors[skip_axis]`` sets only the row count.  Returns the
+    (R, d_skip, K) contractions.
     """
-    t = tensor if tensor.ndim > len(factors) else tensor[None]
-    for f in factors[:skip_axis:-1]:
-        t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
+    t = tensor if tensor.ndim > len(factors) + 1 else tensor[None]
+    cols = t.shape[-1]
+    if cols == 1:
+        for f in factors[:skip_axis:-1]:
+            t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
+    elif skip_axis + 1 < len(factors):
+        w = np.conj(factors[skip_axis + 1])
+        for f in factors[skip_axis + 2 :]:
+            w = (w[:, :, None] * np.conj(f)[:, None, :]).reshape(len(w), -1)
+        t = np.matmul(w[:, None, None, :], t.reshape(len(t), -1, w.shape[1], cols))
     for f in factors[:skip_axis]:
         t = np.matmul(np.conj(f)[:, None, :], t.reshape(len(t), f.shape[1], -1))
-    t = t.reshape(len(t), -1)
+    t = t.reshape(len(t), -1, cols)
     rows = len(factors[skip_axis])
-    return t if len(t) == rows else np.broadcast_to(t, (rows, t.shape[1]))
+    return t if len(t) == rows else np.broadcast_to(t, (rows, *t.shape[1:]))
 
 
 def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarray:
@@ -353,7 +362,8 @@ def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarr
     """
     _check_same_shape(p, state)
     state.shape.check_site(skip)
-    return _contract_all_but(state.tensor(), [f[None] for f in p.factors], skip - 1)[0]
+    factors = [f[None] for f in p.factors]
+    return _contract_all_but(state.tensor()[..., None], factors, skip - 1)[0, :, 0]
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -441,12 +451,17 @@ def random_state(shape: SystemShape, seed) -> StateVector:
 
 
 def _random_factors(dims, seed) -> list[np.ndarray]:
-    """One Haar-random unit vector per site dimension, drawn in site order."""
-    rng = np.random.default_rng(seed)
-    factors = []
+    """One Haar-random unit vector per site dimension, drawn in site order.
+
+    One call draws every normal; site j reads d_j real parts, then d_j
+    imaginary parts, the same numbers as drawing them site by site.
+    """
+    z = np.random.default_rng(seed).standard_normal(2 * sum(dims))
+    factors, start = [], 0
     for d in dims:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        factors.append(z / np.linalg.norm(z))
+        f = z[start : start + d] + 1j * z[start + d : start + 2 * d]
+        factors.append(f / np.linalg.norm(f))
+        start += 2 * d
     return factors
 
 

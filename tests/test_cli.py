@@ -224,6 +224,46 @@ class TestCliGroverian:
         assert last_json(out)["results"]["method"] == "mixed"
 
 
+class TestCliMixedFactored:
+    """``groverian --mixed`` runs on the density's pivoted Cholesky factor."""
+
+    @staticmethod
+    def results_text(out):
+        start = out.index('  "results": {')
+        return out[start : out.index("\n  }", start)]
+
+    def test_rank_two_and_maximally_mixed(self, capsys, tmp_path):
+        shape = SystemShape([2, 2, 2])
+        a, b = random_state(shape, 5).amps, random_state(shape, 6).amps
+        rho = 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
+        path = tmp_path / "rank2.json"
+        save_density(DensityMatrix(shape, rho), path)
+        for spec in (str(path), "maximally-mixed:2,2,2"):
+            outs = []
+            for _ in range(2):
+                code, out, err = run_cli(capsys, "groverian", "--mixed", spec)
+                assert code == 0, err
+                assert "null" not in out
+                outs.append(self.results_text(out))
+            assert outs[0] == outs[1]
+        results = last_json(out)["results"]
+        assert abs(results["pmax"] - 0.125) <= 1e-12
+
+    def test_rank_one_file_matches_pure_spec(self, capsys, tmp_path):
+        state = random_state(SystemShape([2, 3, 2]), 8)
+        path = tmp_path / "rank1.json"
+        save_density(DensityMatrix(state.shape, np.outer(state.amps, state.amps.conj())), path)
+        code, out, err = run_cli(capsys, "groverian", "--mixed", str(path))
+        assert code == 0, err
+        mixed = last_json(out)["results"]["pmax"]
+        save_state(state, tmp_path / "state.json")
+        state_file = str(tmp_path / "state.json")
+        for argv in (["--mixed", "pure:random:2,3,2:8"], ["--state", state_file]):
+            code, out, err = run_cli(capsys, "groverian", *argv)
+            assert code == 0, err
+            assert abs(last_json(out)["results"]["pmax"] - mixed) <= 1e-12
+
+
 class TestVanishingUniformStart:
     """(|0>-|1>)(x)(|0>-|1>)/2 has zero overlap with the uniform start's
     first environment, so restart 1 is reseeded; with one sweep allowed the

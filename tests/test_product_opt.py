@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from groverian import (
     bell,
     ghz,
     inner,
+    maximally_mixed,
     partial_contract,
     pmax_bipartite,
     pmax_grid_oracle,
@@ -32,10 +34,12 @@ from groverian import (
 from groverian import product_opt
 from groverian.product_opt import (
     _climb_rows,
+    _factor,
     _grid_candidates,
     _grid_max_three_site,
     _grid_max_two_site,
     _sweep_rows,
+    _top_sigma_sq_2x2,
 )
 from groverian.statevector import (
     _random_factors,
@@ -170,7 +174,7 @@ class TestPmaxOverlap:
         state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         start = [uniform_factor(2)[None] for _ in range(2)]
-        climbs = _climb_rows(state.tensor(), False, start, [1], two_qubits.dims, cfg)
+        climbs = _climb_rows(state.tensor()[..., None], start, [1], two_qubits.dims, cfg)
         assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
         result = pmax_overlap(state, cfg)
         assert result.restarts_used == 2
@@ -191,6 +195,27 @@ class TestPmaxBipartite:
         amps[3] = math.sqrt(0.3)
         state = StateVector(two_qubits, amps)
         assert abs(pmax_bipartite(state, [1]) - 0.7) <= 1e-14
+
+
+def unblocked_three_site(tensor, cand_conj):
+    """The three-site branch and bound with every surviving row of a branch
+    evaluated in one product, as it was before the rows were blocked."""
+    v = np.tensordot(cand_conj, tensor, axes=([1], [0]))
+    ub1 = _top_sigma_sq_2x2(v)
+    order = np.argsort(-ub1, kind="stable")
+    best = 0.0
+    for a in order[:4]:
+        w = cand_conj @ v[a]
+        b = int(np.argmax((np.abs(w) ** 2).sum(axis=1)))
+        best = max(best, float((np.abs(cand_conj @ w[b]) ** 2).max()))
+    for a in order:
+        if ub1[a] <= best:
+            break
+        w = cand_conj @ v[a]
+        sel = np.nonzero((np.abs(w) ** 2).sum(axis=1) > best)[0]
+        if sel.size:
+            best = max(best, float((np.abs(w[sel] @ cand_conj.T) ** 2).max()))
+    return best
 
 
 class TestGridOracle:
@@ -228,6 +253,35 @@ class TestGridOracle:
             state = random_state(two_qubits, 95 + i)
             direct = _grid_max_two_site(state.amps.reshape(2, 2), cand)
             assert direct == pytest.approx(brute_force_grid(state, 16), abs=1e-14)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_blocked_rows_equal_one_block(self, seed):
+        # The verify inputs: Bell at 64, the pole and five random states at
+        # 64 and 128, against the expression evaluated for all rows at once.
+        shape = SystemShape([2] * 3)
+        states = [basis_state(shape, 0)]
+        states += [random_state(shape, seed_sequence(seed, 38, i)) for i in range(5)]
+        for resolution in (64, 128):
+            cand = _grid_candidates(resolution).conj()
+            for state in states:
+                assert _grid_max_three_site(state.tensor(), cand) == unblocked_three_site(
+                    state.tensor(), cand
+                )
+        cand = _grid_candidates(64).conj()
+        expected = float((np.abs((cand @ bell().amps.reshape(2, 2)) @ cand.T) ** 2).max())
+        assert _grid_max_two_site(bell().amps.reshape(2, 2), cand) == expected
+
+    def test_memory_stays_bounded(self, three_qubits):
+        states = [basis_state(three_qubits, 0)]
+        states += [random_state(three_qubits, 110 + i) for i in range(3)]
+        for state in states:
+            tracemalloc.start()
+            try:
+                pmax_grid_oracle(state, 128)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
     def test_single_qubit(self):
         state = StateVector(SystemShape([2]), [math.sqrt(0.8), math.sqrt(0.2)])
@@ -332,6 +386,30 @@ def random_full_rank_density(shape, seed):
     return DensityMatrix(shape, m / np.trace(m).real)
 
 
+def random_rank_two_density(shape, seed):
+    u = haar_unitary(shape.total, np.random.default_rng(seed))[:, :2]
+    return DensityMatrix(shape, (u * [0.7, 0.3]) @ u.conj().T)
+
+
+def projector(state):
+    return DensityMatrix(state.shape, np.outer(state.amps, state.amps.conj()))
+
+
+def densities(shape, seed):
+    """A pure, a rank-2 and a full-rank density, with their ranks."""
+    return [
+        (projector(random_state(shape, seed)), 1),
+        (random_rank_two_density(shape, seed + 1), 2),
+        (random_full_rank_density(shape, seed + 2), shape.total),
+    ]
+
+
+def factored(rho):
+    """rho's pivoted Cholesky factor as the optimizer's column block."""
+    b = _factor(rho.entries)
+    return b.reshape(rho.shape.dims + (b.shape[1],))
+
+
 def assert_same_sweep(fast_factors, fast_objectives, ref_factors, ref_objectives):
     # Factors agree up to a global phase per site, which the product state
     # does not see; compare them in canonical phase.
@@ -352,7 +430,7 @@ class TestSweepAgainstReference:
         state = random_state(shape, 200)
         starts = [random_product(shape, 201 + 10 * i) for i in range(3)]
         factors = stacked(starts)
-        objectives, degenerate = _sweep_rows(state.tensor(), factors, False)
+        objectives, degenerate = _sweep_rows(state.tensor()[..., None], factors)
         assert not degenerate.any()
         for i, start in enumerate(starts):
             ref_factors, ref_objectives = reference_pure_sweep(state, start.factors)
@@ -361,24 +439,30 @@ class TestSweepAgainstReference:
 
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_mixed_sweep(self, dims):
+        # The factored sweep against the M x M sandwich it replaced, on a
+        # pure (one column), a rank-2 and a full-rank density.
         shape = SystemShape(dims)
-        rho = random_full_rank_density(shape, 202)
         starts = [random_product(shape, 203 + 10 * i) for i in range(3)]
-        factors = stacked(starts)
-        objectives, degenerate = _sweep_rows(rho.entries, factors, True)
-        assert not degenerate.any()
-        for i, start in enumerate(starts):
-            ref_factors, ref_objectives = reference_mixed_sweep(rho, start.factors)
-            row = [f[i] for f in factors]
-            assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
+        for rho, rank in densities(shape, 202):
+            target = factored(rho)
+            assert target.shape[-1] == rank
+            factors = stacked(starts)
+            objectives, degenerate = _sweep_rows(target, factors)
+            assert not degenerate.any()
+            for i, start in enumerate(starts):
+                ref_factors, ref_objectives = reference_mixed_sweep(rho, start.factors)
+                row = [f[i] for f in factors]
+                assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
 
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_projector_matches_pure_optimizer(self, dims):
         shape = SystemShape(dims)
         state = random_state(shape, 204)
-        rho = DensityMatrix(shape, np.outer(state.amps, state.amps.conj()))
         cfg = OptimizerConfig(restarts=4, seed=5)
-        assert abs(pmax_mixed(rho, cfg).value - pmax_overlap(state, cfg).value) <= 1e-12
+        mixed, pure = pmax_mixed(projector(state), cfg), pmax_overlap(state, cfg)
+        assert abs(mixed.value - pure.value) <= 1e-12
+        assert mixed.restarts_used == pure.restarts_used
+        assert np.allclose(mixed.best_per_restart, pure.best_per_restart, rtol=0, atol=1e-12)
 
     def test_degenerate_middle_site_reseeds(self, three_qubits, monkeypatch):
         # A pure sweep cannot vanish after its first site (the overlap only
@@ -389,9 +473,10 @@ class TestSweepAgainstReference:
         cfg = OptimizerConfig(seed=9)
         starts = stacked([random_product(three_qubits, 206 + i) for i in range(3)])
         restarts = [4, 5, 6]
-        plain = _climb_rows(state.tensor(), False, starts, restarts, dims, cfg)
+        target = state.tensor()[..., None]
+        plain = _climb_rows(target, starts, restarts, dims, cfg)
         reseed = [f[None] for f in _random_factors(dims, seed_sequence(9, 5, 1))]
-        reseeded = _climb_rows(state.tensor(), False, reseed, [5], dims, cfg)
+        reseeded = _climb_rows(target, reseed, [5], dims, cfg)
 
         real = product_opt._contract_all_but
         calls = []
@@ -407,7 +492,7 @@ class TestSweepAgainstReference:
         monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            climbs = _climb_rows(state.tensor(), False, starts, restarts, dims, cfg)
+            climbs = _climb_rows(target, starts, restarts, dims, cfg)
 
         assert calls[:3] == [3, 2, 1]
         assert not climbs.degenerate.any()
@@ -421,6 +506,53 @@ class TestSweepAgainstReference:
             assert climbs.converged[i] == plain.converged[i]
             for f, g in zip(climbs.factors, plain.factors):
                 assert np.array_equal(f[i], g[i])
+
+
+class TestFactor:
+    @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
+    def test_reconstructs_rho(self, dims):
+        shape = SystemShape(dims)
+        for rho, rank in densities(shape, 400):
+            b = _factor(rho.entries)
+            assert b.shape == (shape.total, rank)
+            assert np.abs(b @ b.conj().T - rho.entries).max() <= 1e-13
+
+    def test_maximally_mixed_is_full_rank(self):
+        rho = maximally_mixed([2, 2, 2])
+        b = _factor(rho.entries)
+        assert b.shape == (8, 8)
+        assert np.abs(b @ b.conj().T - rho.entries).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 3, 2], [2] * 4])
+    def test_slightly_negative_eigenvalue(self, dims):
+        # Validation admits eigenvalues down to -1e-10; the factor stops at
+        # the numerical rank, and the value, recomputed from rho, stays
+        # finite and at least the best diagonal entry.
+        shape = SystemShape(dims)
+        spectrum = np.zeros(shape.total)
+        spectrum[:4] = [0.5, 0.3, 0.2 + 5e-11, -5e-11]
+        u = haar_unitary(shape.total, np.random.default_rng(401))
+        rho = DensityMatrix(shape, (u * spectrum) @ u.conj().T)
+        assert np.linalg.eigvalsh(rho.entries).min() < -4e-11
+        result = pmax_mixed(rho, OptimizerConfig(restarts=5, seed=3))
+        assert math.isfinite(result.value)
+        assert all(math.isfinite(v) for v in result.best_per_restart)
+        assert result.value >= float(np.real(np.diagonal(rho.entries)).max())
+
+    def test_single_draw_equals_per_site_draws(self):
+        def per_site(dims, seed):
+            rng = np.random.default_rng(seed)
+            factors = []
+            for d in dims:
+                z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                factors.append(z / np.linalg.norm(z))
+            return factors
+
+        for dims in ([2, 2, 2], [3, 2], [2, 3, 2], [4], [2] * 6):
+            for r in range(20):
+                seed = seed_sequence(5, r, 0)
+                for f, g in zip(_random_factors(dims, seed), per_site(dims, seed)):
+                    assert np.array_equal(f, g)
 
 
 # A serial copy of the one-restart-at-a-time optimizer that the batched
@@ -529,19 +661,22 @@ class TestBatchedAgainstSerial:
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
     def test_chunks_match_one_batch(self, monkeypatch, chunk, mixed):
+        # A chunk holds chunk * N * K amplitudes: K = 1 for the state, K = 2
+        # for the rank-2 density.
         shape = SystemShape([2, 3, 2])
         state = random_state(shape, 320)
         cfg = OptimizerConfig(restarts=7, seed=21)
-        rho = DensityMatrix(shape, np.outer(state.amps, state.amps.conj()))
-        size = shape.total**2 if mixed else shape.total
+        rho = random_rank_two_density(shape, 321)
+        size = shape.total * (2 if mixed else 1)
         run = (lambda: pmax_mixed(rho, cfg)) if mixed else (lambda: pmax_overlap(state, cfg))
         assert product_opt.CHUNK_AMPLITUDES >= cfg.restarts * size  # one batch
         whole = run()
         real, batches = product_opt._climb_rows, []
 
-        def counted(target, mixed, factors, restarts, dims, cfg):
+        def counted(target, factors, restarts, dims, cfg):
+            assert target.shape[-1] * shape.total == size
             batches.append(len(restarts))
-            return real(target, mixed, factors, restarts, dims, cfg)
+            return real(target, factors, restarts, dims, cfg)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk * size)
