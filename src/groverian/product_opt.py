@@ -119,7 +119,8 @@ def _join(climbs: list[_Climbs]) -> _Climbs:
 
 
 def _factor(matrix: np.ndarray) -> np.ndarray:
-    """Pivoted Cholesky factor: the (N, K) block B with B B^+ = matrix.
+    """Pivoted Cholesky factor B of B B^+ = matrix, as the (K, N) array of
+    its columns b_k.
 
     Each step pivots on the largest remaining diagonal entry and stops once
     that is at most N * eps * max diag (the ``matrix_rank`` convention), so
@@ -147,26 +148,27 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
         residual -= col.real**2 + col.imag**2
         residual[i] = 0.0
         k += 1
-    return np.ascontiguousarray(rows[:k].T)
+    return rows[:k]
 
 
 def _sweep_rows(target, factors):
     """One left-to-right sweep of exact single-site updates over R restarts.
 
-    ``target`` is the (d_1, ..., d_n, K) block of K columns b_k whose
+    ``target`` is the (K, d_1, ..., d_n) block of K columns b_k whose
     objective sum_k |<e|b_k>|^2 is maximized, shared by every row.
     ``factors[j]`` is the (R, d_j) stack of site-j factors, one row per
     restart, and is replaced in place.  The left environment starts as
     ``target`` and absorbs each updated factor, so site j works on an
-    (R, d_j, ..., d_n, K) tensor.  With one column the normalized
+    (R, K, d_j, ..., d_n) tensor.  With one column the normalized
     contraction is the new factor; with several, the top eigenvector of the
-    d_j x d_j Gram matrix of the (d_j, K) contraction.
+    d_j x d_j Gram matrix of the (K, d_j) contraction.  A row's contraction
+    vanishes when its norm is below CONTRACTION_EPS, whatever K is.
 
     Returns the (R, n) objectives after each site and the rows whose
     contraction vanished at some site; those rows hold finite values that
     mean nothing.
     """
-    rows, n, cols = len(factors[0]), len(factors), target.shape[-1]
+    rows, n, cols = len(factors[0]), len(factors), target.shape[0]
     objectives = np.empty((rows, n))
     degenerate = np.zeros(rows, dtype=bool)
     left = target
@@ -174,24 +176,22 @@ def _sweep_rows(target, factors):
         d = factors[j].shape[1]
         trailing = [f.shape[1] for f in factors[j + 1 :]]
         v = _contract_all_but(left, factors[j:], 0)
+        norm = np.linalg.norm(v, axis=(1, 2))
+        bad = norm < CONTRACTION_EPS
         if cols == 1:
-            v = v.reshape(rows, d)
-            norm = np.linalg.norm(v, axis=1)
-            bad = norm < CONTRACTION_EPS
-            e = v / np.where(bad, 1.0, norm)[:, None]
+            e = v[:, 0] / np.where(bad, 1.0, norm)[:, None]
             objectives[:, j] = norm * norm
         else:
-            gram = np.matmul(v, np.conj(v).transpose(0, 2, 1))
+            gram = np.matmul(v.transpose(0, 2, 1), np.conj(v))
             vals, vecs = np.linalg.eigh(gram)
-            bad = np.trace(gram, axis1=1, axis2=2).real < CONTRACTION_EPS
             e = np.ascontiguousarray(vecs[:, :, -1])
             objectives[:, j] = vals[:, -1]
         factors[j] = e
         degenerate |= bad
         if j + 1 == n:
             break
-        ket = np.matmul(np.conj(e)[:, None, :], left.reshape(-1, d, math.prod(trailing) * cols))
-        left = ket.reshape(rows, *trailing, cols)
+        ket = np.matmul(np.conj(e)[:, None, None, :], left.reshape(-1, cols, d, math.prod(trailing)))
+        left = ket.reshape(rows, cols, *trailing)
     return objectives, degenerate
 
 
@@ -251,13 +251,13 @@ def _climb_rows(target, factors, restarts, dims, cfg) -> _Climbs:
 
 
 def _optimize(target, shape, cfg, basis_floor_value, basis_floor_index):
-    """Batched restart schedule over the (d_1, ..., d_n, K) column block.
+    """Batched restart schedule over the (K, d_1, ..., d_n) column block.
 
     Restarts run in chunks whose left environments stay within
     ``CHUNK_AMPLITUDES``; returns every restart's climb, in restart order.
     """
     dims = shape.dims
-    chunk = max(1, CHUNK_AMPLITUDES // (shape.total * target.shape[-1]))
+    chunk = max(1, CHUNK_AMPLITUDES // (shape.total * len(target)))
     climbs = []
     for first in range(1, cfg.restarts + 1, chunk):
         restarts = range(first, min(first + chunk, cfg.restarts + 1))
@@ -310,7 +310,7 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     probs = state.probabilities()
     floor_index = int(np.argmax(probs))
     climbs = _optimize(
-        state.tensor()[..., None], state.shape, cfg, float(probs[floor_index]), floor_index
+        state.tensor()[None], state.shape, cfg, float(probs[floor_index]), floor_index
     )
     return _result(climbs, state.shape, lambda e: abs(complex(np.vdot(e, state.amps))) ** 2)
 
@@ -331,7 +331,7 @@ def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxRe
     diag = np.real(np.diagonal(matrix))
     floor_index = int(np.argmax(diag))
     factor = _factor(matrix)
-    target = factor.reshape(rho.shape.dims + (factor.shape[1],))
+    target = factor.reshape((len(factor),) + rho.shape.dims)
     climbs = _optimize(target, rho.shape, cfg, float(diag[floor_index]), floor_index)
     return _result(climbs, rho.shape, lambda e: float(np.real(np.vdot(e, matrix @ e))))
 

@@ -329,27 +329,20 @@ def _contract_all_but(tensor: np.ndarray, factors, skip_axis: int) -> np.ndarray
     """Contract conj(factors[j]) onto every site axis except skip_axis, per row.
 
     ``factors[j]`` is an (R, d_j) stack with one row per member of a batch,
-    and ``tensor`` is (R, d_1, ..., d_n, K), or (d_1, ..., d_n, K) shared by
-    every row, with a trailing axis of K columns that is carried through.
-    With one column the trailing sites are contracted one at a time, last
-    first, as batched matrix-vector products; with several, in one pass
-    through the product of their factors.  The leading sites follow, from
-    the first.  ``factors[skip_axis]`` sets only the row count.  Returns the
-    (R, d_skip, K) contractions.
+    and ``tensor`` is (R, K, d_1, ..., d_n), or (K, d_1, ..., d_n) shared by
+    every row, with a leading axis of K columns that is carried through.
+    Trailing sites are contracted one at a time, last first, as batched
+    matrix-vector products, then the leading sites from the first;
+    ``factors[skip_axis]`` sets only the row count.  Returns the
+    (R, K, d_skip) contractions.
     """
     t = tensor if tensor.ndim > len(factors) + 1 else tensor[None]
-    cols = t.shape[-1]
-    if cols == 1:
-        for f in factors[:skip_axis:-1]:
-            t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
-    elif skip_axis + 1 < len(factors):
-        w = np.conj(factors[skip_axis + 1])
-        for f in factors[skip_axis + 2 :]:
-            w = (w[:, :, None] * np.conj(f)[:, None, :]).reshape(len(w), -1)
-        t = np.matmul(w[:, None, None, :], t.reshape(len(t), -1, w.shape[1], cols))
+    cols = t.shape[1]
+    for f in factors[:skip_axis:-1]:
+        t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
     for f in factors[:skip_axis]:
-        t = np.matmul(np.conj(f)[:, None, :], t.reshape(len(t), f.shape[1], -1))
-    t = t.reshape(len(t), -1, cols)
+        t = np.matmul(np.conj(f)[:, None, None, :], t.reshape(len(t), cols, f.shape[1], -1))
+    t = t.reshape(len(t), cols, -1)
     rows = len(factors[skip_axis])
     return t if len(t) == rows else np.broadcast_to(t, (rows, *t.shape[1:]))
 
@@ -363,7 +356,7 @@ def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarr
     _check_same_shape(p, state)
     state.shape.check_site(skip)
     factors = [f[None] for f in p.factors]
-    return _contract_all_but(state.tensor()[..., None], factors, skip - 1)[0, :, 0]
+    return _contract_all_but(state.tensor()[None], factors, skip - 1)[0, 0]
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -361,7 +361,7 @@ def check_ascent(seed: int) -> list[CheckResult]:
         factors = [f[None] for f in start.factors]
         prev = -math.inf
         for _ in range(25):
-            objectives, degenerate = _sweep_rows(state.tensor()[..., None], factors)
+            objectives, degenerate = _sweep_rows(state.tensor()[None], factors)
             if degenerate[0]:
                 break
             for objective in objectives[0].tolist():

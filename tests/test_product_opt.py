@@ -174,7 +174,7 @@ class TestPmaxOverlap:
         state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         start = [uniform_factor(2)[None] for _ in range(2)]
-        climbs = _climb_rows(state.tensor()[..., None], start, [1], two_qubits.dims, cfg)
+        climbs = _climb_rows(state.tensor()[None], start, [1], two_qubits.dims, cfg)
         assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
         result = pmax_overlap(state, cfg)
         assert result.restarts_used == 2
@@ -407,7 +407,7 @@ def densities(shape, seed):
 def factored(rho):
     """rho's pivoted Cholesky factor as the optimizer's column block."""
     b = _factor(rho.entries)
-    return b.reshape(rho.shape.dims + (b.shape[1],))
+    return b.reshape((len(b),) + rho.shape.dims)
 
 
 def assert_same_sweep(fast_factors, fast_objectives, ref_factors, ref_objectives):
@@ -430,7 +430,7 @@ class TestSweepAgainstReference:
         state = random_state(shape, 200)
         starts = [random_product(shape, 201 + 10 * i) for i in range(3)]
         factors = stacked(starts)
-        objectives, degenerate = _sweep_rows(state.tensor()[..., None], factors)
+        objectives, degenerate = _sweep_rows(state.tensor()[None], factors)
         assert not degenerate.any()
         for i, start in enumerate(starts):
             ref_factors, ref_objectives = reference_pure_sweep(state, start.factors)
@@ -445,7 +445,7 @@ class TestSweepAgainstReference:
         starts = [random_product(shape, 203 + 10 * i) for i in range(3)]
         for rho, rank in densities(shape, 202):
             target = factored(rho)
-            assert target.shape[-1] == rank
+            assert len(target) == rank
             factors = stacked(starts)
             objectives, degenerate = _sweep_rows(target, factors)
             assert not degenerate.any()
@@ -469,43 +469,79 @@ class TestSweepAgainstReference:
         # grows), so the contraction is made to report row 1 of a three-row
         # batch degenerate at the middle site of the first sweep.
         state = random_state(three_qubits, 205)
-        dims = three_qubits.dims
-        cfg = OptimizerConfig(seed=9)
-        starts = stacked([random_product(three_qubits, 206 + i) for i in range(3)])
-        restarts = [4, 5, 6]
-        target = state.tensor()[..., None]
-        plain = _climb_rows(target, starts, restarts, dims, cfg)
-        reseed = [f[None] for f in _random_factors(dims, seed_sequence(9, 5, 1))]
-        reseeded = _climb_rows(target, reseed, [5], dims, cfg)
+        assert_middle_site_reseeds(state.tensor()[None], three_qubits, monkeypatch)
 
+    def test_degenerate_middle_site_reseeds_with_columns(self, three_qubits, monkeypatch):
+        # The same on a rank-2 density, whose site update is the Gram
+        # matrix's top eigenvector.
+        target = factored(random_rank_two_density(three_qubits, 207))
+        assert len(target) == 2
+        assert_middle_site_reseeds(target, three_qubits, monkeypatch)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_degeneracy_is_the_contraction_norm(self, three_qubits, monkeypatch, rank):
+        # One threshold for every K: a row is degenerate when the norm of its
+        # contraction is below CONTRACTION_EPS, not its square.
+        if rank == 1:
+            target = random_state(three_qubits, 208).tensor()[None]
+        else:
+            target = factored(random_rank_two_density(three_qubits, 208))
+        starts = stacked([random_product(three_qubits, 209 + i) for i in range(3)])
         real = product_opt._contract_all_but
-        calls = []
+        for scale, expected in ((1e-10, False), (1e-17, True)):
 
-        def vanishing(tensor, factors, skip_axis):
-            v = real(tensor, factors, skip_axis)
-            calls.append(len(factors))
-            if len(factors) == 2 and calls.count(2) == 1:
-                v = v.copy()
-                v[1] = 0.0
-            return v
+            def scaled(tensor, factors, skip_axis):
+                v = real(tensor, factors, skip_axis)
+                if len(factors) == 2:
+                    v = v.copy()
+                    v[1] *= scale / np.linalg.norm(v[1])
+                return v
 
-        monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            climbs = _climb_rows(target, starts, restarts, dims, cfg)
+            monkeypatch.setattr(product_opt, "_contract_all_but", scaled)
+            _, degenerate = _sweep_rows(target, [f.copy() for f in starts])
+            assert degenerate.tolist() == [False, expected, False]
 
-        assert calls[:3] == [3, 2, 1]
-        assert not climbs.degenerate.any()
-        assert climbs.sweeps[1] == reseeded.sweeps[0] + 1
-        assert climbs.objective[1] == reseeded.objective[0]
-        for f, g in zip(climbs.factors, reseeded.factors):
-            assert np.array_equal(f[1], g[0])
-        for i in (0, 2):  # the rows that did not vanish are unaffected
-            assert climbs.sweeps[i] == plain.sweeps[i]
-            assert climbs.objective[i] == plain.objective[i]
-            assert climbs.converged[i] == plain.converged[i]
-            for f, g in zip(climbs.factors, plain.factors):
-                assert np.array_equal(f[i], g[i])
+
+def assert_middle_site_reseeds(target, shape, monkeypatch):
+    """Row 1 of a three-row batch, made to vanish at the middle site of the
+    first sweep, climbs as a fresh restart from its reseed; rows 0 and 2 are
+    unaffected."""
+    dims = shape.dims
+    cfg = OptimizerConfig(seed=9)
+    starts = stacked([random_product(shape, 206 + i) for i in range(3)])
+    restarts = [4, 5, 6]
+    plain = _climb_rows(target, starts, restarts, dims, cfg)
+    reseed = [f[None] for f in _random_factors(dims, seed_sequence(9, 5, 1))]
+    reseeded = _climb_rows(target, reseed, [5], dims, cfg)
+
+    real = product_opt._contract_all_but
+    calls = []
+
+    def vanishing(tensor, factors, skip_axis):
+        v = real(tensor, factors, skip_axis)
+        calls.append(len(factors))
+        if len(factors) == 2 and calls.count(2) == 1:
+            v = v.copy()
+            v[1] = 0.0
+        return v
+
+    monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        climbs = _climb_rows(target, starts, restarts, dims, cfg)
+
+    assert calls[:3] == [3, 2, 1]
+    assert not climbs.degenerate.any()
+    assert climbs.sweeps[1] == reseeded.sweeps[0] + 1
+    assert climbs.objective[1] == reseeded.objective[0]
+    for f, g in zip(climbs.factors, reseeded.factors):
+        assert np.array_equal(f[1], g[0])
+    for i in (0, 2):  # the rows that did not vanish are unaffected
+        assert climbs.sweeps[i] == plain.sweeps[i]
+        assert climbs.objective[i] == plain.objective[i]
+        assert climbs.converged[i] == plain.converged[i]
+        for f, g in zip(climbs.factors, plain.factors):
+            assert np.array_equal(f[i], g[i])
 
 
 class TestFactor:
@@ -513,15 +549,15 @@ class TestFactor:
     def test_reconstructs_rho(self, dims):
         shape = SystemShape(dims)
         for rho, rank in densities(shape, 400):
-            b = _factor(rho.entries)
-            assert b.shape == (shape.total, rank)
-            assert np.abs(b @ b.conj().T - rho.entries).max() <= 1e-13
+            b = _factor(rho.entries)  # rows are the columns of B
+            assert b.shape == (rank, shape.total)
+            assert np.abs(b.T @ b.conj() - rho.entries).max() <= 1e-13
 
     def test_maximally_mixed_is_full_rank(self):
         rho = maximally_mixed([2, 2, 2])
         b = _factor(rho.entries)
         assert b.shape == (8, 8)
-        assert np.abs(b @ b.conj().T - rho.entries).max() <= 1e-13
+        assert np.abs(b.T @ b.conj() - rho.entries).max() <= 1e-13
 
     @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 3, 2], [2] * 4])
     def test_slightly_negative_eigenvalue(self, dims):
@@ -674,7 +710,7 @@ class TestBatchedAgainstSerial:
         real, batches = product_opt._climb_rows, []
 
         def counted(target, factors, restarts, dims, cfg):
-            assert target.shape[-1] * shape.total == size
+            assert len(target) * shape.total == size
             batches.append(len(restarts))
             return real(target, factors, restarts, dims, cfg)
 
