@@ -7,7 +7,7 @@ density matrix is factored once as rho = B B^+ by pivoted Cholesky, with K
 its numerical rank, in O(N * K^2) time and O(N * K) memory.  Holding all
 factors but one fixed, the optimal remaining factor is the normalized
 environment contraction for one column, or the top eigenvector of the
-d_j x d_j Gram matrix of the (d_j, K) contraction for several.  Each update
+d_j x d_j Gram matrix of the (K, d_j) contraction for several.  Each update
 is the exact single-site optimum, so the objective never decreases; random
 restarts guard against local maxima.
 
