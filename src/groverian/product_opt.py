@@ -18,7 +18,9 @@ stacked into an (R, d_j) array, and one sweep updates every restart still
 climbing with a few batched contractions per site.  A restart leaves the
 batch when it converges or runs out of sweeps.  Restarts run in chunks of
 at most CHUNK_AMPLITUDES / (N * K), and at least one, so one sweep costs
-O(chunk * N * K).  Pure and mixed input share one sweep engine.
+O(chunk * N * K).  Pure and mixed input share one sweep engine.  A chunk's
+starts are one batched draw; a vanished row is reseeded from the seed of
+its restart and attempt; the basis-floor climb is a one-hot start.
 
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
@@ -175,7 +177,7 @@ def _sweep_rows(target, factors):
     for j in range(n):
         d = factors[j].shape[1]
         trailing = [f.shape[1] for f in factors[j + 1 :]]
-        v = _contract_all_but(left, factors[j:], 0)
+        v = _contract_all_but(left, factors[j:])
         norm = np.linalg.norm(v, axis=(1, 2))
         bad = norm < CONTRACTION_EPS
         if cols == 1:
@@ -195,17 +197,22 @@ def _sweep_rows(target, factors):
     return objectives, degenerate
 
 
-def _climb_rows(target, factors, restarts, dims, cfg) -> _Climbs:
+def _starts(cfg, keys, dims) -> list[np.ndarray]:
+    """(R, d_j) random start stacks, one row per (restart, attempt) key."""
+    return _random_factors(dims, [seed_sequence(cfg.seed, r, a) for r, a in keys])
+
+
+def _climb_rows(target, factors, restarts, cfg) -> _Climbs:
     """Alternating sweeps from R starting points at once.
 
     ``factors`` holds the (R, d_j) starting stacks and ``restarts`` the
     restart index of each row.  A row leaves the batch when its last-site
     objective gains less than ``cfg.tol`` over the previous sweep, or when
     the sweep budget runs out.  A row whose contraction vanishes is reseeded
-    from ``seed_sequence(cfg.seed, restart, attempt)`` a bounded number of
-    times, and counts as degenerate when that fails or leaves no sweep.
+    from its restart's seed at the next attempt a bounded number of times,
+    and counts as degenerate when that fails or leaves no sweep.
     """
-    rows = len(restarts)
+    rows, dims = len(restarts), [f.shape[1] for f in factors]
     out = _Climbs(
         np.zeros(rows),
         [np.empty_like(f) for f in factors],
@@ -213,7 +220,7 @@ def _climb_rows(target, factors, restarts, dims, cfg) -> _Climbs:
         np.zeros(rows, dtype=bool),
         np.zeros(rows, dtype=bool),
     )
-    live = np.arange(rows)
+    live, restarts = np.arange(rows), np.asarray(restarts)
     current = [f.copy() for f in factors]
     prev = np.full(rows, -math.inf)
     attempt = np.zeros(rows, dtype=int)
@@ -236,12 +243,10 @@ def _climb_rows(target, factors, restarts, dims, cfg) -> _Climbs:
         out.degenerate[rows_done] = failed[done]
         for j, f in enumerate(current):
             out.factors[j][rows_done] = f[done]
-        for i in np.flatnonzero(bad & ~failed):
-            # Degenerate contraction: restart this row from a fresh seed.
-            seed = seed_sequence(cfg.seed, restarts[live[i]], int(attempt[i]))
-            reseed = _random_factors(dims, seed)
-            for f, g in zip(current, reseed):
-                f[i] = g
+        redo = np.flatnonzero(bad & ~failed)
+        if redo.size:  # degenerate contractions restart from fresh seeds
+            for f, g in zip(current, _starts(cfg, zip(restarts[live[redo]], attempt[redo]), dims)):
+                f[redo] = g
         keep = ~done
         if not keep.any():
             break
@@ -261,14 +266,11 @@ def _optimize(target, shape, cfg, basis_floor_value, basis_floor_index):
     climbs = []
     for first in range(1, cfg.restarts + 1, chunk):
         restarts = range(first, min(first + chunk, cfg.restarts + 1))
-        starts = [
-            [uniform_factor(d) for d in dims]
-            if r == 1
-            else _random_factors(dims, seed_sequence(cfg.seed, r, 0))
-            for r in restarts
-        ]
-        stacks = [np.array([s[j] for s in starts]) for j in range(len(dims))]
-        climbs.append(_climb_rows(target, stacks, restarts, dims, cfg))
+        stacks = _starts(cfg, [(r, 0) for r in restarts], dims)
+        if first == 1:
+            for f, d in zip(stacks, dims):
+                f[0] = uniform_factor(d)
+        climbs.append(_climb_rows(target, stacks, restarts, cfg))
 
     joined = _join(climbs)
     if joined.objective[joined.best()] < basis_floor_value - 1e-15:
@@ -276,10 +278,9 @@ def _optimize(target, shape, cfg, basis_floor_value, basis_floor_index):
         # product (a degenerate one reports 0.0, below any floor); climb once
         # from that basis state, which cannot descend below it or vanish on
         # nonzero input.  Keeps value >= max_x |amp_x|^2 unconditionally.
-        stacks = [np.zeros((1, d), dtype=np.complex128) for d in dims]
-        for f, x in zip(stacks, shape.digits_of(basis_floor_index)):
-            f[0, x] = 1.0
-        floor = _climb_rows(target, stacks, [cfg.restarts + 1], dims, cfg)
+        digits = shape.digits_of(basis_floor_index)
+        stacks = [np.eye(d, dtype=np.complex128)[[x]] for d, x in zip(dims, digits)]
+        floor = _climb_rows(target, stacks, [cfg.restarts + 1], cfg)
         joined = _join([joined, floor])
     return joined
 

@@ -325,25 +325,21 @@ def product_amps(factors) -> np.ndarray:
     return amps
 
 
-def _contract_all_but(tensor: np.ndarray, factors, skip_axis: int) -> np.ndarray:
-    """Contract conj(factors[j]) onto every site axis except skip_axis, per row.
+def _contract_all_but(tensor: np.ndarray, factors) -> np.ndarray:
+    """Contract conj(factors[j]) onto every site axis but the first, per row.
 
     ``factors[j]`` is an (R, d_j) stack with one row per member of a batch,
     and ``tensor`` is (R, K, d_1, ..., d_n), or (K, d_1, ..., d_n) shared by
     every row, with a leading axis of K columns that is carried through.
-    Trailing sites are contracted one at a time, last first, as batched
-    matrix-vector products, then the leading sites from the first;
-    ``factors[skip_axis]`` sets only the row count.  Returns the
-    (R, K, d_skip) contractions.
+    The sites after the first are contracted one at a time, last first, as
+    batched matrix-vector products; ``factors[0]`` sets only the row count.
+    Returns the (R, K, d_1) contractions.
     """
     t = tensor if tensor.ndim > len(factors) + 1 else tensor[None]
-    cols = t.shape[1]
-    for f in factors[:skip_axis:-1]:
+    cols, rows = t.shape[1], len(factors[0])
+    for f in factors[:0:-1]:
         t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
-    for f in factors[:skip_axis]:
-        t = np.matmul(np.conj(f)[:, None, None, :], t.reshape(len(t), cols, f.shape[1], -1))
     t = t.reshape(len(t), cols, -1)
-    rows = len(factors[skip_axis])
     return t if len(t) == rows else np.broadcast_to(t, (rows, *t.shape[1:]))
 
 
@@ -355,8 +351,9 @@ def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarr
     """
     _check_same_shape(p, state)
     state.shape.check_site(skip)
-    factors = [f[None] for f in p.factors]
-    return _contract_all_but(state.tensor()[None], factors, skip - 1)[0, 0]
+    order = [skip - 1] + [j for j in range(state.shape.n) if j != skip - 1]
+    factors = [p.factors[j][None] for j in order]
+    return _contract_all_but(state.tensor().transpose(order)[None], factors)[0, 0]
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -443,24 +440,28 @@ def random_state(shape: SystemShape, seed) -> StateVector:
     return StateVector(shape, _readonly(z))
 
 
-def _random_factors(dims, seed) -> list[np.ndarray]:
-    """One Haar-random unit vector per site dimension, drawn in site order.
+def _random_factors(dims, seeds) -> list[np.ndarray]:
+    """Haar-random unit vectors as (R, d_j) stacks, one row per seed.
 
-    One call draws every normal; site j reads d_j real parts, then d_j
-    imaginary parts, the same numbers as drawing them site by site.
+    A row draws its normals in one call; site j reads d_j real parts, then
+    d_j imaginary parts, as a site-by-site draw would.  Its squared norm is
+    summed as ``np.linalg.norm`` sums it, real parts then imaginary parts,
+    so each row is bit-equal to a one-seed, site-by-site draw.
     """
-    z = np.random.default_rng(seed).standard_normal(2 * sum(dims))
-    factors, start = [], 0
+    z = np.array([np.random.default_rng(s).standard_normal(2 * sum(dims)) for s in seeds])
+    stacks, start = [], 0
     for d in dims:
-        f = z[start : start + d] + 1j * z[start + d : start + 2 * d]
-        factors.append(f / np.linalg.norm(f))
+        f = z[:, start : start + d] + 1j * z[:, start + d : start + 2 * d]
+        re, im = f.real[:, None], f.imag[:, None]
+        sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+        stacks.append(f / np.sqrt(sq[:, 0]))
         start += 2 * d
-    return factors
+    return stacks
 
 
 def random_product(shape: SystemShape, seed) -> ProductState:
     """Product of independent Haar-random single-site states."""
-    return ProductState(shape, tuple(_random_factors(shape.dims, seed)))
+    return ProductState(shape, tuple(f[0] for f in _random_factors(shape.dims, [seed])))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from groverian import (
     DensityMatrix,
     NonFiniteResult,
+    OracleSpec,
     StateVector,
     SystemShape,
     bell,
@@ -22,7 +23,9 @@ from groverian import (
     load_density,
     load_state,
     maximally_mixed,
+    optimal_iterations,
     random_state,
+    run_grover,
     save_density,
     save_state,
     uniform_state,
@@ -378,6 +381,19 @@ class TestCliSweep:
         # lands to the optimal angle; the decreasing envelope is 1/N
         for total, value, reference, error in rows:
             assert error <= reference  # 1 - P(m) <= 1/N
+
+    def test_grover_success_runs_from_the_family_state(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--measure", "grover-success", "--family", "ghz", "--sites", "2:4"
+        )
+        assert code == 0
+        results = last_json(out)["results"]
+        assert results["columns"] == ["N", "value"]
+        for n, row in zip(range(2, 5), results["rows"], strict=True):
+            shape = SystemShape([2] * n)
+            oracle = OracleSpec(shape, (0,))
+            m = optimal_iterations(shape, oracle)
+            assert row == [2**n, run_grover(ghz(n), oracle, m).prob_curve[-1]]
 
     def test_pmax_gap_within_bound_to_1024(self, capsys):
         code, out, _ = run_cli(

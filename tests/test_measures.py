@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,11 +173,15 @@ class TestGroverianProductMixed:
             [np.eye(2)],  # trace 2
             [np.array([[0.5, 0.5], [-0.5, 0.5]])],  # not Hermitian
             [np.diag([1.5, -0.5])],  # negative eigenvalue
+            [np.array([[0.5, math.inf], [math.inf, 0.5]])],  # infinite entries
+            [np.array([[0.5, math.nan], [math.nan, 0.5]])],  # NaN entries
         ],
     )
     def test_invalid_density(self, bad):
-        with pytest.raises(InvalidDensity):
-            groverian_product_mixed(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDensity):
+                groverian_product_mixed(bad)
 
 
 class TestBuresDistance:

@@ -174,7 +174,7 @@ class TestPmaxOverlap:
         state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         start = [uniform_factor(2)[None] for _ in range(2)]
-        climbs = _climb_rows(state.tensor()[None], start, [1], two_qubits.dims, cfg)
+        climbs = _climb_rows(state.tensor()[None], start, [1], cfg)
         assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
         result = pmax_overlap(state, cfg)
         assert result.restarts_used == 2
@@ -478,6 +478,12 @@ class TestSweepAgainstReference:
         assert len(target) == 2
         assert_middle_site_reseeds(target, three_qubits, monkeypatch)
 
+    def test_two_rows_reseed_in_one_sweep(self, three_qubits, monkeypatch):
+        # Rows 0 and 2 vanish in the same sweep and are reseeded by one
+        # batched draw; each row equals its own one-row reseed.
+        state = random_state(three_qubits, 205)
+        assert_middle_site_reseeds(state.tensor()[None], three_qubits, monkeypatch, vanish=(0, 2))
+
     @pytest.mark.parametrize("rank", [1, 2])
     def test_degeneracy_is_the_contraction_norm(self, three_qubits, monkeypatch, rank):
         # One threshold for every K: a row is degenerate when the norm of its
@@ -490,8 +496,8 @@ class TestSweepAgainstReference:
         real = product_opt._contract_all_but
         for scale, expected in ((1e-10, False), (1e-17, True)):
 
-            def scaled(tensor, factors, skip_axis):
-                v = real(tensor, factors, skip_axis)
+            def scaled(tensor, factors):
+                v = real(tensor, factors)
                 if len(factors) == 2:
                     v = v.copy()
                     v[1] *= scale / np.linalg.norm(v[1])
@@ -502,41 +508,44 @@ class TestSweepAgainstReference:
             assert degenerate.tolist() == [False, expected, False]
 
 
-def assert_middle_site_reseeds(target, shape, monkeypatch):
-    """Row 1 of a three-row batch, made to vanish at the middle site of the
-    first sweep, climbs as a fresh restart from its reseed; rows 0 and 2 are
-    unaffected."""
+def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
+    """The rows ``vanish`` of a three-row batch, made to vanish at the middle
+    site of the first sweep, each climb as a fresh restart from its own
+    reseed; the other rows are unaffected."""
     dims = shape.dims
     cfg = OptimizerConfig(seed=9)
     starts = stacked([random_product(shape, 206 + i) for i in range(3)])
     restarts = [4, 5, 6]
-    plain = _climb_rows(target, starts, restarts, dims, cfg)
-    reseed = [f[None] for f in _random_factors(dims, seed_sequence(9, 5, 1))]
-    reseeded = _climb_rows(target, reseed, [5], dims, cfg)
+    plain = _climb_rows(target, starts, restarts, cfg)
+    reseeded = {}
+    for i in vanish:
+        reseed = _random_factors(dims, [seed_sequence(9, restarts[i], 1)])
+        reseeded[i] = _climb_rows(target, reseed, [restarts[i]], cfg)
 
     real = product_opt._contract_all_but
     calls = []
 
-    def vanishing(tensor, factors, skip_axis):
-        v = real(tensor, factors, skip_axis)
+    def vanishing(tensor, factors):
+        v = real(tensor, factors)
         calls.append(len(factors))
         if len(factors) == 2 and calls.count(2) == 1:
             v = v.copy()
-            v[1] = 0.0
+            v[list(vanish)] = 0.0
         return v
 
     monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        climbs = _climb_rows(target, starts, restarts, dims, cfg)
+        climbs = _climb_rows(target, starts, restarts, cfg)
 
     assert calls[:3] == [3, 2, 1]
     assert not climbs.degenerate.any()
-    assert climbs.sweeps[1] == reseeded.sweeps[0] + 1
-    assert climbs.objective[1] == reseeded.objective[0]
-    for f, g in zip(climbs.factors, reseeded.factors):
-        assert np.array_equal(f[1], g[0])
-    for i in (0, 2):  # the rows that did not vanish are unaffected
+    for i, reseed in reseeded.items():
+        assert climbs.sweeps[i] == reseed.sweeps[0] + 1
+        assert climbs.objective[i] == reseed.objective[0]
+        for f, g in zip(climbs.factors, reseed.factors):
+            assert np.array_equal(f[i], g[0])
+    for i in set(range(3)) - set(vanish):  # the rows that did not vanish are unaffected
         assert climbs.sweeps[i] == plain.sweeps[i]
         assert climbs.objective[i] == plain.objective[i]
         assert climbs.converged[i] == plain.converged[i]
@@ -584,11 +593,14 @@ class TestFactor:
                 factors.append(z / np.linalg.norm(z))
             return factors
 
-        for dims in ([2, 2, 2], [3, 2], [2, 3, 2], [4], [2] * 6):
-            for r in range(20):
-                seed = seed_sequence(5, r, 0)
-                for f, g in zip(_random_factors(dims, seed), per_site(dims, seed)):
-                    assert np.array_equal(f, g)
+        for dims in ([2, 2, 2], [3, 2], [2, 3, 2], [4], [2] * 6, [8, 8], [7, 5]):
+            for batch in (1, 2, 20):
+                seeds = [seed_sequence(5, r, 0) for r in range(batch)]
+                stacks = _random_factors(dims, seeds)
+                assert [f.shape for f in stacks] == [(batch, d) for d in dims]
+                for i, seed in enumerate(seeds):
+                    for f, g in zip(stacks, per_site(dims, seed)):
+                        assert np.array_equal(f[i], g)
 
 
 # A serial copy of the one-restart-at-a-time optimizer that the batched
@@ -620,6 +632,10 @@ def serial_mixed_site(left, factors, j):
     return e, float(vals[-1]), np.matmul(e, ket)
 
 
+def one_draw(dims, seed):
+    return [f[0] for f in _random_factors(dims, [seed])]
+
+
 def serial_climb(site, target, factors, dims, cfg, restart):
     """Returns (objective, sweeps, degenerate) of one restart."""
     factors = [f.copy() for f in factors]
@@ -637,7 +653,7 @@ def serial_climb(site, target, factors, dims, cfg, restart):
             attempt += 1
             if attempt > 3:
                 return 0.0, sweeps, True
-            factors = _random_factors(dims, seed_sequence(cfg.seed, restart, attempt))
+            factors = one_draw(dims, seed_sequence(cfg.seed, restart, attempt))
             prev = -math.inf
             continue
         if objectives[-1] - prev < cfg.tol:
@@ -656,7 +672,9 @@ def serial_optimize(target, mixed, shape, cfg):
         weights = np.abs(target.reshape(-1)) ** 2
     floor_index = int(np.argmax(weights))
     starts = [[uniform_factor(d) for d in dims]]
-    starts += [_random_factors(dims, seed_sequence(cfg.seed, r, 0)) for r in range(2, cfg.restarts + 1)]
+    starts += [
+        one_draw(dims, seed_sequence(cfg.seed, r, 0)) for r in range(2, cfg.restarts + 1)
+    ]
     per_restart, best = [], None
     for r, start in enumerate(starts, start=1):
         objective, _, degenerate = serial_climb(site, target, start, dims, cfg, r)
@@ -694,6 +712,28 @@ class TestBatchedAgainstSerial:
         assert result.restarts_used == used
         assert np.allclose(result.best_per_restart, per_restart, rtol=0, atol=1e-12)
 
+    def test_basis_floor_is_a_one_hot_start(self, monkeypatch):
+        # When every scheduled restart undershoots the best basis product,
+        # one more climb starts from that basis state's one-hot rows.
+        shape = SystemShape([2, 3, 2])
+        state = random_state(shape, 330)
+        real, starts = product_opt._climb_rows, []
+
+        def undershooting(target, factors, restarts, cfg):
+            starts.append([f.copy() for f in factors])
+            climbs = real(target, factors, restarts, cfg)
+            if len(starts) == 1:
+                climbs.objective[:] = 0.0
+            return climbs
+
+        monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
+        result = pmax_overlap(state, OptimizerConfig(restarts=3, seed=1))
+        digits = shape.digits_of(int(np.argmax(state.probabilities())))
+        assert len(starts) == 2 and result.restarts_used == 4
+        for f, d, x in zip(starts[1], shape.dims, digits):
+            assert np.array_equal(f, np.eye(d)[[x]])
+        assert result.value >= float(state.probabilities().max())
+
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
     def test_chunks_match_one_batch(self, monkeypatch, chunk, mixed):
@@ -709,10 +749,10 @@ class TestBatchedAgainstSerial:
         whole = run()
         real, batches = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, dims, cfg):
+        def counted(target, factors, restarts, cfg):
             assert len(target) * shape.total == size
             batches.append(len(restarts))
-            return real(target, factors, restarts, dims, cfg)
+            return real(target, factors, restarts, cfg)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk * size)

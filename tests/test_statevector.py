@@ -320,15 +320,16 @@ class TestPartialContract:
         assert np.allclose(v, [SQRT_HALF, 0], atol=1e-15)
 
     def test_identity_on_random_inputs(self):
-        shape = SystemShape([2, 3, 2])
-        for i in range(10):
-            state = random_state(shape, 100 + i)
-            p = random_product(shape, 200 + i)
-            full = inner(product_to_state(p), state)
-            for site in range(1, 4):
-                v = partial_contract(state, p, site)
-                contracted = complex(np.vdot(p.factors[site - 1], v))
-                assert abs(contracted - full) <= 1e-12
+        for shape in (SystemShape([2, 3, 2]), SystemShape([3, 2, 2])):
+            for i in range(10):
+                state = random_state(shape, 100 + i)
+                p = random_product(shape, 200 + i)
+                full = inner(product_to_state(p), state)
+                for site in range(1, 4):
+                    v = partial_contract(state, p, site)
+                    assert v.shape == (shape.site_dim(site),)
+                    contracted = complex(np.vdot(p.factors[site - 1], v))
+                    assert abs(contracted - full) <= 1e-12
 
     def test_bad_site(self, two_qubits):
         p = random_product(two_qubits, 0)
