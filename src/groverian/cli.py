@@ -3,8 +3,11 @@
 Every run prints one JSON document (the run report) with floats at 17
 significant digits; identical command lines with identical seeds produce
 byte-identical results records (the wall-clock ``duration_s`` field is the
-only exception).  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error, 3 numerical failure.
+only exception).  Each ``cmd_*`` returns its ``results`` record alone;
+``main`` owns the rest of the report (the command line, the seed and the
+flags the command accepts, the duration), writes it, and maps errors to
+exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -68,11 +71,16 @@ def resolve_density(spec: str) -> DensityMatrix:
     raise FileFormatError(f"{spec!r} is neither a known density family nor a file")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
-    parser.add_argument("--restarts", type=int, default=20)
-    parser.add_argument("--tol", type=float, default=1e-12)
-    parser.add_argument("--max-sweeps", type=int, default=1000)
+def _add_flags(
+    parser: argparse.ArgumentParser, *, seed: bool = False, optimizer: bool = False
+) -> None:
+    """The seed and optimizer flags go only to the commands that read them."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
+    if optimizer:
+        parser.add_argument("--restarts", type=int, default=20)
+        parser.add_argument("--tol", type=float, default=1e-12)
+        parser.add_argument("--max-sweeps", type=int, default=1000)
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", metavar="FILE", help="write the report here")
 
@@ -88,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pmax", help="maximal squared product overlap of a state")
     p.add_argument("--state", required=True, help="family spec or state file")
-    _add_common(p)
+    _add_flags(p, seed=True, optimizer=True)
 
     p = sub.add_parser("groverian", help="entanglement measure of a state")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="family spec or state file")
     group.add_argument("--mixed", help="density family spec or density file")
-    _add_common(p)
+    _add_flags(p, seed=True, optimizer=True)
 
     p = sub.add_parser("grover", help="run search iterations and report P(k)")
     p.add_argument("--state", required=True, help="initial state (family or file)")
@@ -106,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--iterations", default="auto", help="iteration count, or 'auto' (default)"
     )
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
         "--suite", choices=("all", "grover", "pmax", "measures"), default="all"
     )
-    _add_common(p)
+    _add_flags(p, seed=True)
 
     p = sub.add_parser("sweep", help="tabulate a measure over a family range")
     p.add_argument(
@@ -131,24 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="2:6",
         help="inclusive qubit-count range lo:hi (default 2:6)",
     )
-    _add_common(p)
+    _add_flags(p, seed=True, optimizer=True)
     return parser
-
-
-def _emit(report: dict, args, extra_lines: list[str] | None = None) -> None:
-    lines = list(extra_lines or [])
-    if args.output == "csv":
-        text = _to_csv(report["results"])
-    else:
-        text = canonical_json(report)
-    if args.out:
-        Path(args.out).write_text(
-            ("\n".join(lines) + "\n" if lines else "") + text + "\n", encoding="utf-8"
-        )
-    else:
-        for line in lines:
-            print(line)
-        print(text)
 
 
 def _to_csv(results: dict) -> str:
@@ -166,32 +158,16 @@ def _to_csv(results: dict) -> str:
     return "\n".join(out)
 
 
-def _report_skeleton(args, argv: list[str]) -> dict:
-    return {
-        "command": "groverian " + " ".join(argv),
-        "version": __version__,
-        "seed": args.seed,
-        "config": {
-            "restarts": args.restarts,
-            "tol": args.tol,
-            "max_sweeps": args.max_sweeps,
-            "output": args.output,
-        },
-        "results": {},
-    }
-
-
 def _factor_pairs(product) -> list:
     return [
         [[z.real, z.imag] for z in factor] for factor in product.factors
     ]
 
 
-def cmd_pmax(args, argv) -> int:
+def cmd_pmax(args) -> dict:
     state = resolve_state(args.state)
     result = pmax_overlap(state, args.cfg)
-    report = _report_skeleton(args, argv)
-    report["results"] = {
+    return {
         "dims": list(state.shape.dims),
         "value": result.value,
         "argmax_factors": _factor_pairs(result.argmax),
@@ -200,11 +176,9 @@ def cmd_pmax(args, argv) -> int:
         "converged": result.converged,
         "best_per_restart": list(result.best_per_restart),
     }
-    return _finish(report, args)
 
 
-def cmd_groverian(args, argv) -> int:
-    report = _report_skeleton(args, argv)
+def cmd_groverian(args) -> dict:
     if args.mixed:
         rho = resolve_density(args.mixed)
         measure = groverian_mixed(rho, args.cfg)
@@ -213,11 +187,10 @@ def cmd_groverian(args, argv) -> int:
         state = resolve_state(args.state)
         measure = groverian(state, args.cfg)
         dims = list(state.shape.dims)
-    report["results"] = {"dims": dims, **measure.as_record()}
-    return _finish(report, args)
+    return {"dims": dims, **measure.as_record()}
 
 
-def cmd_grover(args, argv) -> int:
+def cmd_grover(args) -> dict:
     state = resolve_state(args.state)
     shape = state.shape
     if args.marked is not None:
@@ -240,8 +213,7 @@ def cmd_grover(args, argv) -> int:
         if iterations < 0:
             raise FileFormatError("--iterations must be >= 0")
     run = run_grover(state, oracle, iterations)
-    report = _report_skeleton(args, argv)
-    report["results"] = {
+    return {
         "dims": list(shape.dims),
         "marked": list(oracle.marked),
         "iterations": run.iterations,
@@ -250,10 +222,9 @@ def cmd_grover(args, argv) -> int:
         "columns": ["k", "P"],
         "rows": [[k, p] for k, p in enumerate(run.prob_curve)],
     }
-    return _finish(report, args)
 
 
-def cmd_verify(args, argv) -> int:
+def cmd_verify(args) -> tuple[dict, list[str]]:
     results = run_suite(args.suite, args.seed)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
@@ -261,8 +232,7 @@ def cmd_verify(args, argv) -> int:
         f"{'PASS' if passed else 'FAIL'}  suite={args.suite} "
         f"checks={len(results)} failures={sum(not r.passed for r in results)}"
     )
-    report = _report_skeleton(args, argv)
-    report["results"] = {
+    return {
         "suite": args.suite,
         "passed": passed,
         "checks": [
@@ -275,12 +245,10 @@ def cmd_verify(args, argv) -> int:
             }
             for r in results
         ],
-    }
-    _finish(report, args, extra_lines=lines)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    }, lines
 
 
-def _sweep_rows(args, family: str) -> tuple[list[str], list[list]]:
+def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
     lo, _, hi = args.sites.partition(":")
     try:
         lo, hi = int(lo), int(hi or lo)
@@ -343,29 +311,20 @@ def _pmax_reference(family: str, n: int) -> float | None:
     return None
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args) -> dict:
     family = args.family or {
         "grover-success": "uniform",
         "pmax-gap": "random",
         "groverian": "ghz",
         "pmax": "ghz",
     }[args.measure]
-    columns, rows = _sweep_rows(args, family)
-    report = _report_skeleton(args, argv)
-    report["results"] = {
+    columns, rows = _sweep_table(args, family)
+    return {
         "measure": args.measure,
         "family": family,
         "columns": columns,
         "rows": rows,
     }
-    return _finish(report, args)
-
-
-def _finish(report: dict, args, extra_lines: list[str] | None = None) -> int:
-    # Wall clock sits outside the determinism surface; tests drop this key.
-    report["duration_s"] = time.perf_counter() - args.start_time
-    _emit(report, args, extra_lines)
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -384,12 +343,26 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    args.start_time = time.perf_counter()
+    start = time.perf_counter()
+    report = {"command": "groverian " + " ".join(argv), "version": __version__}
+    if "seed" in args:
+        report["seed"] = args.seed
+    report["config"] = {
+        key: getattr(args, key)
+        for key in ("restarts", "tol", "max_sweeps", "output")
+        if key in args
+    }
     try:
-        args.cfg = OptimizerConfig(  # every command's flags, checked once
-            restarts=args.restarts, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed
-        )
-        return COMMANDS[args.command](args, argv)
+        if "restarts" in args:
+            args.cfg = OptimizerConfig(
+                restarts=args.restarts, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed
+            )
+        outcome = COMMANDS[args.command](args)
+        results, lines = outcome if isinstance(outcome, tuple) else (outcome, [])
+        report["results"] = results
+        # Wall clock sits outside the determinism surface; tests drop this key.
+        report["duration_s"] = time.perf_counter() - start
+        text = _to_csv(results) if args.output == "csv" else canonical_json(report)
     except (TooLarge, NonFiniteResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -399,6 +372,16 @@ def main(argv: list[str] | None = None) -> int:
     except GroverianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    body = "".join(line + "\n" for line in lines) + text + "\n"
+    if not args.out:
+        sys.stdout.write(body)
+    else:
+        try:
+            Path(args.out).write_text(body, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_OK if results.get("passed", True) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

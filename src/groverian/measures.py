@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDensity, InvalidDistribution, OutOfRange, WrongShape
+from .errors import (
+    DimensionMismatch,
+    InvalidDensity,
+    InvalidDistribution,
+    OutOfRange,
+    WrongShape,
+)
 from .product_opt import (
     OptimizerConfig,
     PmaxResult,
@@ -96,6 +102,9 @@ def groverian_product_mixed(local_densities) -> float:
     """sqrt(1 - prod_j lambda_j) for a tensor product of per-site densities,
     lambda_j the largest eigenvalue of the j-th factor, each validated as the
     density matrix of one site."""
+    local_densities = list(local_densities)
+    if not local_densities:
+        raise DimensionMismatch("register needs at least one site")
     prod = 1.0
     for j, rho in enumerate(local_densities, start=1):
         m = np.asarray(rho, dtype=np.complex128)

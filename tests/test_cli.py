@@ -534,17 +534,71 @@ class TestCliErrors:
         assert peak < budget
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,refused",
         [
-            ["grover", "--state", "uniform:2,2", "--marked", "1", "--tol", "-1"],
-            ["grover", "--state", "uniform:2,2", "--marked", "1", "--tol", "nan"],
-            ["verify", "--suite", "grover", "--restarts", "0"],
+            (["pmax", "--state", "bell", "--tol", "-1"], False),
+            (["pmax", "--state", "bell", "--tol", "nan"], False),
+            (["pmax", "--state", "bell", "--restarts", "0"], False),
+            (["groverian", "--state", "bell", "--tol", "-1"], False),
+            (["groverian", "--mixed", "maximally-mixed:2,2", "--tol", "nan"], False),
+            (["groverian", "--state", "bell", "--restarts", "0"], False),
+            (["sweep", "--measure", "pmax", "--tol", "-1"], False),
+            (["sweep", "--measure", "pmax", "--tol", "nan"], False),
+            (["sweep", "--measure", "pmax", "--restarts", "0"], False),
+            (["grover", "--state", "uniform:2,2", "--marked", "1", "--tol", "-1"], True),
+            (["grover", "--state", "uniform:2,2", "--marked", "1", "--tol", "nan"], True),
+            (["grover", "--state", "uniform:2,2", "--marked", "1", "--restarts", "3"], True),
+            (["grover", "--state", "uniform:2,2", "--marked", "1", "--max-sweeps", "9"], True),
+            (["grover", "--state", "uniform:2,2", "--marked", "1", "--seed", "7"], True),
+            (["verify", "--suite", "grover", "--restarts", "0"], True),
+            (["verify", "--suite", "grover", "--tol", "1e-9"], True),
+            (["verify", "--suite", "grover", "--max-sweeps", "9"], True),
         ],
-        ids=["grover-tol-negative", "grover-tol-nan", "verify-restarts-0"],
+        ids=[
+            "pmax-tol-negative", "pmax-tol-nan", "pmax-restarts-0",
+            "groverian-tol-negative", "groverian-tol-nan", "groverian-restarts-0",
+            "sweep-tol-negative", "sweep-tol-nan", "sweep-restarts-0",
+            "grover-tol-negative", "grover-tol-nan", "grover-restarts",
+            "grover-max-sweeps", "grover-seed",
+            "verify-restarts-0", "verify-tol", "verify-max-sweeps",
+        ],
     )
-    def test_optimizer_flags_checked_for_every_command(self, capsys, argv):
+    def test_optimizer_flags_checked_for_every_command(self, capsys, argv, refused):
+        """Commands that read the optimizer flags validate them; the others
+        do not accept them at all."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        assert ("unrecognized arguments" in err) == refused
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv,seed,config",
+        [
+            (["pmax", "--state", "bell"], True, ["restarts", "tol", "max_sweeps", "output"]),
+            (["groverian", "--state", "bell"], True, ["restarts", "tol", "max_sweeps", "output"]),
+            (
+                ["sweep", "--measure", "pmax", "--sites", "2:2"],
+                True,
+                ["restarts", "tol", "max_sweeps", "output"],
+            ),
+            (["grover", "--state", "uniform:2,2", "--marked", "1"], False, ["output"]),
+            (["verify", "--suite", "grover"], True, ["output"]),
+        ],
+        ids=["pmax", "groverian", "sweep", "grover", "verify"],
+    )
+    def test_report_records_only_accepted_flags(self, capsys, argv, seed, config):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = last_json(out)
+        assert ("seed" in report) == seed
+        assert list(report["config"]) == config
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "pmax", "--state", "bell", "--out", str(path))
+        assert code == 2
+        assert f"error: cannot write report to {path}" in err
         assert "Traceback" not in err
         assert out == ""
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from groverian import (
     DensityMatrix,
+    DimensionMismatch,
     InvalidDensity,
     InvalidDistribution,
     OutOfRange,
@@ -182,6 +183,10 @@ class TestGroverianProductMixed:
             warnings.simplefilter("error")
             with pytest.raises(InvalidDensity):
                 groverian_product_mixed(bad)
+
+    def test_empty_register_refused(self):
+        with pytest.raises(DimensionMismatch, match="register needs at least one site"):
+            groverian_product_mixed([])
 
 
 class TestBuresDistance:
