@@ -13,13 +13,11 @@ and its documented failure to be an entanglement monotone.
 __version__ = "0.1.0"
 
 from .errors import (
-    BadSiteIndex,
     BadSplit,
     BadSubset,
     DimensionMismatch,
     GroverianError,
     InvalidDensity,
-    InvalidDistribution,
     NonFiniteResult,
     NotNormalized,
     OutOfRange,
@@ -47,12 +45,9 @@ from .grover import (
     oracle_phase,
     pmax_simulated,
     run_grover,
-    run_modified,
-    success_probability,
 )
 from .measures import (
     MeasureReport,
-    MonotoneVerdict,
     binary_entropy,
     bures_distance,
     entropy_check,
@@ -61,7 +56,6 @@ from .measures import (
     groverian_mixed,
     groverian_product_mixed,
     majorizes,
-    monotone_check_bipartite,
 )
 from .product_opt import (
     OptimizerConfig,
@@ -83,7 +77,6 @@ from .statevector import (
     fourier_gate,
     haar_unitary,
     inner,
-    partial_contract,
     product_to_state,
     random_local_layer,
     random_product,
@@ -91,6 +84,5 @@ from .statevector import (
     reduced_density,
     schmidt,
     schmidt_reconstruction_error,
-    uniform_product,
     uniform_state,
 )

@@ -187,7 +187,7 @@ def cmd_groverian(args) -> dict:
         state = resolve_state(args.state)
         measure = groverian(state, args.cfg)
         dims = list(state.shape.dims)
-    return {"dims": dims, **measure.as_record()}
+    return {"dims": dims, **dataclasses.asdict(measure)}
 
 
 def cmd_grover(args) -> dict:
@@ -372,15 +372,17 @@ def main(argv: list[str] | None = None) -> int:
     except GroverianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    body = "".join(line + "\n" for line in lines) + text + "\n"
-    if not args.out:
-        sys.stdout.write(body)
-    else:
+    # The report file holds only the report; the check lines go to stdout,
+    # and only once the file is written.
+    if args.out:
         try:
-            Path(args.out).write_text(body, encoding="utf-8")
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
+    else:
+        lines = [*lines, text]
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return EXIT_OK if results.get("passed", True) else EXIT_CHECK_FAILED
 
 

@@ -17,10 +17,6 @@ class ZeroVector(GroverianError):
     """Vector norm is numerically zero and cannot be normalized."""
 
 
-class BadSiteIndex(GroverianError):
-    """Site index outside 1..n."""
-
-
 class BadSplit(GroverianError):
     """Bipartition is empty, full, or references invalid sites."""
 
@@ -39,10 +35,6 @@ class TooLarge(GroverianError):
 
 class OutOfRange(GroverianError):
     """Scalar argument outside its admissible interval."""
-
-
-class InvalidDistribution(GroverianError):
-    """Vector is not a probability distribution."""
 
 
 class InvalidDensity(GroverianError):

@@ -2,7 +2,9 @@
 
 Family strings use colon syntax: ``bell``, ``ghz:3``, ``w:4``,
 ``uniform:2,3``, ``basis:2,2:1``, ``random:2,2,2:42``,
-``product-random:2,2:7``; density families: ``maximally-mixed:2,2``.
+``product-random:2,2:7``; density families: ``maximally-mixed:2,2`` and
+``pure:SPEC``, the rank-one density of the state family SPEC (for example
+``pure:random:2,3,2:5``).
 """
 
 from __future__ import annotations

@@ -93,10 +93,6 @@ def _reflect_uniform(amps: np.ndarray) -> None:
     amps -= 2.0 * mean
 
 
-def success_probability(oracle: OracleSpec, state: StateVector) -> float:
-    return float(np.sum(np.abs(state.amps[list(oracle.marked)]) ** 2))
-
-
 def oracle_phase(oracle: OracleSpec, state: StateVector) -> StateVector:
     """Negate the amplitude of every marked basis state."""
     _check_same_shape(oracle, state)
@@ -176,16 +172,6 @@ def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> Gro
     rest = np.sum(initial.amps) - np.sum(marked)
     curve, final, shift = _two_mode(marked, rest, initial.shape.total, iterations)
     return GroverRun(iterations, tuple(curve.tolist()), initial, oracle, final, shift)
-
-
-def run_modified(
-    initial: StateVector,
-    layer: LocalUnitaryLayer,
-    oracle: OracleSpec,
-    iterations: int,
-) -> GroverRun:
-    """Search preceded by a local-unitary preprocessing layer."""
-    return run_grover(apply_local(layer, initial), oracle, iterations)
 
 
 def _basis_completion(v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidDensity,
-    InvalidDistribution,
     OutOfRange,
     WrongShape,
 )
@@ -30,10 +29,6 @@ from .product_opt import (
     pmax_overlap,
 )
 from .statevector import DensityMatrix, StateVector, SystemShape, reduced_density
-
-PROBABILITY_SUM_TOL = 1e-9
-PROBABILITY_NEG_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MeasureReport:
@@ -51,17 +46,6 @@ class MeasureReport:
     restarts_used: int = 0
     sweeps: int = 0
     converged: bool = True
-
-    def as_record(self) -> dict:
-        return {
-            "pmax": self.pmax,
-            "groverian": self.groverian,
-            "vedral_e": self.vedral_e,
-            "method": self.method,
-            "restarts_used": self.restarts_used,
-            "sweeps": self.sweeps,
-            "converged": self.converged,
-        }
 
 
 def _report(pmax: float, method: str, opt: PmaxResult | None = None) -> MeasureReport:
@@ -143,27 +127,6 @@ def entropy_check(state: StateVector) -> tuple[float, float]:
     return entropy, binary_entropy(min(1.0, g.groverian**2))
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    """Outcome of a bipartite majorization monotonicity check."""
-
-    applicable: bool  # target spectrum majorizes source spectrum
-    monotone_ok: bool  # g_source >= g_target - 1e-12
-    g_source: float
-    g_target: float
-
-
-def _validated_spectrum(p, name: str) -> np.ndarray:
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidDistribution(f"{name} must be a nonempty vector")
-    if float(v.min()) < -PROBABILITY_NEG_TOL:
-        raise InvalidDistribution(f"{name} has a negative entry")
-    if abs(float(v.sum()) - 1.0) > PROBABILITY_SUM_TOL:
-        raise InvalidDistribution(f"{name} does not sum to 1")
-    return np.clip(v, 0.0, None)
-
-
 def majorizes(target, source) -> bool:
     """True when sorted partial sums of target dominate those of source."""
     t = np.sort(np.asarray(target, dtype=np.float64))[::-1]
@@ -174,31 +137,15 @@ def majorizes(target, source) -> bool:
     return bool(np.all(np.cumsum(t) >= np.cumsum(s)))
 
 
-def monotone_check_bipartite(source_p, target_p) -> MonotoneVerdict:
-    """Check the LOCC-monotonicity consequence on a pair of Schmidt spectra.
-
-    Majorization of the source spectrum by the target is the deterministic
-    LOCC-reachability condition for bipartite pure states; whenever it
-    holds, the measure computed from the closed form sqrt(1 - max p) must
-    not increase from source to target.
-    """
-    s = _validated_spectrum(source_p, "source")
-    t = _validated_spectrum(target_p, "target")
-    applicable = majorizes(t, s)
-    g_source = math.sqrt(max(0.0, 1.0 - float(s.max())))
-    g_target = math.sqrt(max(0.0, 1.0 - float(t.max())))
-    return MonotoneVerdict(
-        applicable=applicable,
-        monotone_ok=g_source >= g_target - 1e-12,
-        g_source=g_source,
-        g_target=g_target,
-    )
-
-
 def monotone_check_rows(source, target) -> tuple[np.ndarray, np.ndarray]:
-    """``monotone_check_bipartite`` over the rows of two (K, d) arrays of
-    spectra, unvalidated: whether each target majorizes its source, and
-    whether g_source >= g_target - 1e-12."""
+    """The LOCC-monotonicity consequence on the rows of two (K, d) arrays of
+    Schmidt spectra, unvalidated.
+
+    A target spectrum that majorizes its source is deterministically
+    LOCC-reachable from it, so the closed form g = sqrt(1 - max p) must not
+    increase from source to target.  Returns, per row, whether the target
+    majorizes the source and whether g_source >= g_target - 1e-12.
+    """
     s = np.sort(source, axis=1)[:, ::-1]
     t = np.sort(target, axis=1)[:, ::-1]
     applicable = np.all(np.cumsum(t, axis=1) >= np.cumsum(s, axis=1), axis=1)

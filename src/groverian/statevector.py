@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadSiteIndex,
     BadSplit,
     BadSubset,
     DimensionMismatch,
@@ -112,14 +111,6 @@ class SystemShape:
     @property
     def total(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64))
-
-    def site_dim(self, site: int) -> int:
-        self.check_site(site)
-        return self.dims[site - 1]
-
-    def check_site(self, site: int) -> None:
-        if not 1 <= site <= self.n:
-            raise BadSiteIndex(f"site {site} outside 1..{self.n}")
 
     def index_of(self, digits) -> int:
         """Basis index of per-site digits (x_1, ..., x_n), site 1 most significant."""
@@ -293,10 +284,6 @@ def uniform_factor(dim: int) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
-def uniform_product(shape: SystemShape) -> ProductState:
-    return ProductState(shape, tuple(uniform_factor(d) for d in shape.dims))
-
-
 def apply_local(layer: LocalUnitaryLayer, state: StateVector) -> StateVector:
     """Apply a product of per-site unitaries without forming the NxN matrix."""
     _check_same_shape(layer, state)
@@ -341,19 +328,6 @@ def _contract_all_but(tensor: np.ndarray, factors) -> np.ndarray:
         t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
     t = t.reshape(len(t), cols, -1)
     return t if len(t) == rows else np.broadcast_to(t, (rows, *t.shape[1:]))
-
-
-def partial_contract(state: StateVector, p: ProductState, skip: int) -> np.ndarray:
-    """Overlap of the state with the product of all factors except site ``skip``.
-
-    Returns v with v[k] = <e_1,...,e_{skip-1}, k, e_{skip+1},...,e_n | state>,
-    so <e_skip|v> equals the full product overlap <e_1..e_n|state>.
-    """
-    _check_same_shape(p, state)
-    state.shape.check_site(skip)
-    order = [skip - 1] + [j for j in range(state.shape.n) if j != skip - 1]
-    factors = [p.factors[j][None] for j in order]
-    return _contract_all_but(state.tensor().transpose(order)[None], factors)[0, 0]
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:

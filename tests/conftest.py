@@ -1,9 +1,10 @@
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from groverian import SystemShape, random_state
+from groverian import SystemShape
 
 
 @pytest.fixture
@@ -16,13 +17,16 @@ def three_qubits():
     return SystemShape([2, 2, 2])
 
 
-def seeded_states(dims, count, base_seed):
-    """Deterministic batch of Haar-random states for loop-style checks."""
-    shape = SystemShape(dims)
-    return [
-        random_state(shape, np.random.SeedSequence((base_seed, i)))
-        for i in range(count)
-    ]
+def dense_environment(state, factors, j):
+    """Site j's environment (0-based), written out densely and independent of
+    the optimizer's contraction: v[k] = <e_1..e_{j-1}, k, e_{j+1}..e_n|state>.
+
+    Site j moves to the front, the other axes are flattened, and the result
+    is multiplied by the kron of the other conjugated factors.
+    """
+    rows = np.moveaxis(state.tensor(), j, 0).reshape(state.shape.dims[j], -1)
+    others = [np.conj(f) for i, f in enumerate(factors) if i != j]
+    return rows @ reduce(np.kron, others, np.ones(1, dtype=complex))
 
 
 @pytest.fixture

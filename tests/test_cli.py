@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,6 +658,35 @@ class TestCliErrors:
         assert code == 0
         report = json.loads(path.read_text())
         assert report["results"]["value"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_verify_out_file_holds_only_the_report(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "grover", "--seed", "7", "--out", str(path)
+        )
+        assert code == 0
+        with path.open(encoding="utf-8") as f:
+            report = json.load(f)
+        checks = report["results"]["checks"]
+        lines = out.splitlines()
+        assert lines == [line for line in lines if line.startswith(("PASS  ", "FAIL  "))]
+        assert [line.split()[1] for line in lines[:-1]] == [c["name"] for c in checks]
+        assert lines[-1] == f"PASS  suite=grover checks={len(checks)} failures=0"
+
+
+def test_traced_benchmark_boundaries_exist():
+    # The benchmark's tracer wraps these functions by name and reports a
+    # missing one only when the benchmark runs; catch a rename here.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    contract_module, contract, binder = tracing.CONTRACT
+    names = tracing.BOUNDARIES + [(contract_module, contract), (binder, contract)]
+    for module_name, attr in names:
+        module = importlib.import_module(f"groverian.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    assert importlib.import_module("groverian.verify").SUITES["all"]
 
 
 def _is_finite_number(value):

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import dense_environment
 from groverian import (
     DensityMatrix,
     OptimizerConfig,
     OutOfRange,
-    ProductState,
     StateVector,
     SystemShape,
     TooLarge,
@@ -20,7 +20,6 @@ from groverian import (
     ghz,
     inner,
     maximally_mixed,
-    partial_contract,
     pmax_bipartite,
     pmax_grid_oracle,
     pmax_mixed,
@@ -349,11 +348,12 @@ SWEEP_DIMS = [[2, 2, 2], [3, 2], [2, 3, 2], [3, 3], [2] * 6]
 
 
 def reference_pure_sweep(state, factors):
-    """One sweep in which every site recontracts the full state tensor."""
+    """One sweep in which every site recontracts the full state tensor, with
+    the dense environment rather than the optimizer's contraction."""
     factors = list(factors)
     objectives = []
     for j in range(state.shape.n):
-        v = partial_contract(state, ProductState(state.shape, tuple(factors)), j + 1)
+        v = dense_environment(state, factors, j)
         nv = float(np.linalg.norm(v))
         factors[j] = v / nv
         objectives.append(nv * nv)

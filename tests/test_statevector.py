@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_environment
 from groverian import (
-    BadSiteIndex,
     BadSplit,
     BadSubset,
     DensityMatrix,
@@ -24,7 +24,6 @@ from groverian import (
     basis_state,
     fourier_gate,
     inner,
-    partial_contract,
     product_to_state,
     random_local_layer,
     random_product,
@@ -36,7 +35,7 @@ from groverian import (
 )
 from groverian.fileio import load_state, save_state
 from groverian.grover import OracleSpec, run_grover
-from groverian.statevector import haar_unitary
+from groverian.statevector import _contract_all_but, haar_unitary
 
 SQRT_HALF = math.sqrt(0.5)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -307,17 +306,27 @@ class TestProductToState:
         assert p.factors[0][1] == pytest.approx(1.0)
 
 
+def contract_site(state, factors, j):
+    """``_contract_all_but`` on one product and one column, with site j
+    (0-based) moved to the front: the environment of site j."""
+    order = [j] + [i for i in range(state.shape.n) if i != j]
+    tensor = state.tensor().transpose(order)[None]
+    return _contract_all_but(tensor, [np.asarray(factors[i])[None] for i in order])[0, 0]
+
+
 class TestPartialContract:
+    """The optimizer's contraction against the dense environment."""
+
     def test_basis_readout(self, two_qubits):
         state = basis_state(two_qubits, 1)  # |01>
-        p = ProductState(two_qubits, (np.array([1, 0]), np.array([1, 0])))
-        v = partial_contract(state, p, 2)
-        assert np.allclose(v, [0, 1], atol=1e-15)
+        factors = (np.array([1, 0]), np.array([1, 0]))
+        for v in (contract_site(state, factors, 1), dense_environment(state, factors, 1)):
+            assert np.allclose(v, [0, 1], atol=1e-15)
 
     def test_bell_contraction(self, two_qubits):
-        p = ProductState(two_qubits, (np.array([1, 0]), np.array([1, 0])))
-        v = partial_contract(bell_state(), p, 1)
-        assert np.allclose(v, [SQRT_HALF, 0], atol=1e-15)
+        state, factors = bell_state(), (np.array([1, 0]), np.array([1, 0]))
+        for v in (contract_site(state, factors, 0), dense_environment(state, factors, 0)):
+            assert np.allclose(v, [SQRT_HALF, 0], atol=1e-15)
 
     def test_identity_on_random_inputs(self):
         for shape in (SystemShape([2, 3, 2]), SystemShape([3, 2, 2])):
@@ -325,22 +334,29 @@ class TestPartialContract:
                 state = random_state(shape, 100 + i)
                 p = random_product(shape, 200 + i)
                 full = inner(product_to_state(p), state)
-                for site in range(1, 4):
-                    v = partial_contract(state, p, site)
-                    assert v.shape == (shape.site_dim(site),)
-                    contracted = complex(np.vdot(p.factors[site - 1], v))
+                for j in range(3):
+                    v = contract_site(state, p.factors, j)
+                    assert v.shape == (shape.dims[j],)
+                    assert np.abs(v - dense_environment(state, p.factors, j)).max() <= 1e-12
+                    contracted = complex(np.vdot(p.factors[j], v))
                     assert abs(contracted - full) <= 1e-12
 
-    def test_bad_site(self, two_qubits):
-        p = random_product(two_qubits, 0)
-        state = random_state(two_qubits, 0)
-        for site in (0, 3):
-            with pytest.raises(BadSiteIndex):
-                partial_contract(state, p, site)
-
-    def test_shape_mismatch(self, two_qubits, three_qubits):
-        with pytest.raises(DimensionMismatch):
-            partial_contract(random_state(three_qubits, 0), random_product(two_qubits, 0), 1)
+    @pytest.mark.parametrize("dims", [[2, 3, 2], [3, 2], [2] * 5], ids=str)
+    def test_rows_and_columns(self, dims):
+        # R = 3 rows of factors against blocks of K = 2 columns: one block
+        # shared by every row, then a block of its own for each row.
+        shape = SystemShape(dims)
+        blocks = [[random_state(shape, 300 + 10 * r + k) for k in range(2)] for r in range(3)]
+        products = [random_product(shape, 340 + r) for r in range(3)]
+        factors = [np.array(fs) for fs in zip(*(p.factors for p in products))]
+        per_row = np.array([[s.tensor() for s in block] for block in blocks])
+        for tensor, row_blocks in ((per_row[0], [blocks[0]] * 3), (per_row, blocks)):
+            v = _contract_all_but(tensor, factors)
+            assert v.shape == (3, 2, dims[0])
+            for r, p in enumerate(products):
+                for k, state in enumerate(row_blocks[r]):
+                    ref = dense_environment(state, p.factors, 0)
+                    assert np.abs(v[r, k] - ref).max() <= 1e-12
 
 
 class TestSchmidt:
