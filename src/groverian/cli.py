@@ -25,8 +25,8 @@ from .errors import (
     NonFiniteResult,
     TooLarge,
 )
-from .families import expand_density_family, expand_state_family, ghz, w_state
-from .fileio import FileFormatError, canonical_json, load_density, load_state
+from .families import expand_density_family, ghz, resolve_state, w_state
+from .fileio import FileFormatError, canonical_json, load_density
 from .grover import (
     OracleSpec,
     iteration_bound,
@@ -38,7 +38,6 @@ from .measures import groverian, groverian_mixed
 from .product_opt import OptimizerConfig, pmax_overlap
 from .statevector import (
     DensityMatrix,
-    StateVector,
     SystemShape,
     random_state,
     seed_sequence,
@@ -52,17 +51,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def resolve_state(spec: str) -> StateVector:
-    """A state spec is a named family first, a state file path second."""
-    state = expand_state_family(spec)
-    if state is not None:
-        return state
-    if Path(spec).exists():
-        return load_state(spec)
-    raise FileFormatError(f"{spec!r} is neither a known state family nor a file")
-
-
 def resolve_density(spec: str) -> DensityMatrix:
+    """A density spec is a named density family first, a density file second."""
     rho = expand_density_family(spec)
     if rho is not None:
         return rho

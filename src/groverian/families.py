@@ -2,18 +2,24 @@
 
 Family strings use colon syntax: ``bell``, ``ghz:3``, ``w:4``,
 ``uniform:2,3``, ``basis:2,2:1``, ``random:2,2,2:42``,
-``product-random:2,2:7``; density families: ``maximally-mixed:2,2`` and
-``pure:SPEC``, the rank-one density of the state family SPEC (for example
-``pure:random:2,3,2:5``).
+``product-random:2,2:7``; density families: ``maximally-mixed:2,2``,
+``pure:SPEC``, the rank-one density of the state spec SPEC (a family or a
+state file, for example ``pure:random:2,3,2:5``), and
+``random-rank:K:dims:seed``, B B^+ / ||B||_F^2 for a complex Gaussian
+N x K matrix B.  ``pure:`` and ``random-rank:`` densities are built from
+their factor in O(N * K); every density family refuses a register whose
+N x N entries would exceed the 2^30 cap, so ``entries`` can always be read.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, GroverianError
+from .fileio import FileFormatError, load_state
 from .statevector import (
     MAX_TOTAL_DIM,
     DensityMatrix,
@@ -101,13 +107,47 @@ def _state_family(spec: str):
     return None
 
 
-def expand_state_family(spec: str) -> StateVector | None:
-    """Expand a family string to a state, or None when it names no family."""
+def expand_state_family(spec: str, check=None) -> StateVector | None:
+    """Expand a family string to a state, or None when it names no family.
+    ``check(shape)``, when given, runs before the state is built."""
     try:
         family = _state_family(spec)
-        return None if family is None else family[1]()
+        if family is None:
+            return None
+        if check is not None:
+            check(family[0])
+        return family[1]()
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in state spec {spec!r}") from exc
+
+
+def resolve_state(spec: str, check=None) -> StateVector:
+    """A state spec is a named family first, a state file path second.
+    ``check(shape)``, when given, sees the shape before a family's state is
+    built, and a file's once it is read."""
+    state = expand_state_family(spec, check)
+    if state is not None:
+        return state
+    if not Path(spec).exists():
+        raise FileFormatError(f"{spec!r} is neither a known state family nor a file")
+    state = load_state(spec)
+    if check is not None:
+        check(state.shape)
+    return state
+
+
+def random_rank_density(shape: SystemShape, rank: int, seed) -> DensityMatrix:
+    """B B^+ / ||B||_F^2 for an N x ``rank`` matrix B of complex Gaussian
+    entries, built from its factor; the draw is the K x N real parts, then
+    the imaginary parts."""
+    if not 1 <= rank <= shape.total:
+        raise DimensionMismatch(f"rank must be in 1..{shape.total}, got {rank}")
+    rng = np.random.default_rng(seed)
+    b = np.empty((rank, shape.total), dtype=np.complex128)
+    b.real = rng.standard_normal(b.shape)
+    b.imag = rng.standard_normal(b.shape)
+    b /= np.linalg.norm(b)
+    return DensityMatrix.from_factor(shape, _readonly(b))
 
 
 def expand_density_family(spec: str) -> DensityMatrix | None:
@@ -117,12 +157,12 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
     try:
         if name == "maximally-mixed" and len(args) == 1:
             return maximally_mixed(_parse_dims(args[0]))
-        if name == "pure" and len(args) >= 1:
-            family = _state_family(rest)
-            if family is not None:
-                shape = _density_shape(family[0])  # refused before the state is built
-                amps = family[1]().amps
-                return DensityMatrix(shape, _readonly(np.outer(amps, amps.conj())))
+        if name == "pure" and args:
+            state = resolve_state(rest, _density_shape)
+            return DensityMatrix.from_factor(state.shape, state.amps[None])
+        if name == "random-rank" and len(args) == 3:
+            shape = _density_shape(SystemShape(_parse_dims(args[1])))
+            return random_rank_density(shape, int(args[0]), int(args[2]))
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc
     return None

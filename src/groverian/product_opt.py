@@ -3,8 +3,9 @@
 The maximizer is alternating single-site optimization (best rank-one tensor
 approximation by power-type iteration).  Both objectives are written over an
 N x K block of columns b_k: sum_k |<e|b_k>|^2.  A state is one column; a
-density matrix is factored once as rho = B B^+ by pivoted Cholesky, with K
-its numerical rank, in O(N * K^2) time and O(N * K) memory.  Holding all
+density matrix is the factor B of rho = B B^+ it holds from construction
+(``DensityMatrix``: pivoted Cholesky of given entries, K the numerical rank,
+or a factor built directly), so no call factors it again.  Holding all
 factors but one fixed, the optimal remaining factor is the normalized
 environment contraction for one column, or the top eigenvector of the
 d_j x d_j Gram matrix of the (K, d_j) contraction for several.  Each update
@@ -118,39 +119,6 @@ def _join(climbs: list[_Climbs]) -> _Climbs:
         np.concatenate([c.converged for c in climbs]),
         np.concatenate([c.degenerate for c in climbs]),
     )
-
-
-def _factor(matrix: np.ndarray) -> np.ndarray:
-    """Pivoted Cholesky factor B of B B^+ = matrix, as the (K, N) array of
-    its columns b_k.
-
-    Each step pivots on the largest remaining diagonal entry and stops once
-    that is at most N * eps * max diag (the ``matrix_rank`` convention), so
-    K is the numerical rank of a positive semidefinite input.  Column i of
-    the Hermitian matrix is read as the conjugate of its contiguous row i.
-    O(N * K^2) time; only the K columns used are stored.
-    """
-    n = len(matrix)
-    residual = np.real(np.diagonal(matrix)).copy()
-    stop = n * np.finfo(float).eps * residual.max()
-    rows = np.empty((min(n, 8), n), dtype=np.complex128)  # row k is column k of B
-    k = 0
-    while k < n:
-        i = int(np.argmax(residual))
-        pivot = residual[i]
-        if not pivot > stop:
-            break
-        if k == len(rows):
-            grown = np.empty((min(n, 2 * k), n), dtype=np.complex128)
-            grown[:k] = rows
-            rows = grown
-        col = np.conj(matrix[i]) - np.conj(rows[:k, i]) @ rows[:k]
-        col /= math.sqrt(pivot)
-        rows[k] = col
-        residual -= col.real**2 + col.imag**2
-        residual[i] = 0.0
-        k += 1
-    return rows[:k]
 
 
 def _sweep_rows(target, factors):
@@ -319,22 +287,23 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
 def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxResult:
     """Maximize <e_1,...,e_n|rho|e_1,...,e_n> over product states.
 
-    rho is factored once as B B^+ by pivoted Cholesky (B is N x K, K the
-    numerical rank; O(N * K^2) time), and the restarts climb
-    sum_k |<e|b_k>|^2 in the sweep engine of ``pmax_overlap`` at
-    O(chunk * N * K) per sweep.  For K > 1 the single-site update is the
-    top eigenvector of a d_j x d_j Gram matrix; within a degenerate top
+    rho is held as its factor B (N x K, factored once at construction), and
+    the restarts climb sum_k |<e|b_k>|^2 in the sweep engine of
+    ``pmax_overlap`` at O(chunk * N * K) per sweep; the basis floor is the
+    diagonal sum_k |b_k|^2.  For K > 1 the single-site update is the top
+    eigenvector of a d_j x d_j Gram matrix; within a degenerate top
     eigenspace the eigensolver's vector is kept as returned (canonical
-    phase applied).  ``value`` is recomputed from rho itself.
+    phase applied).  ``value`` is recomputed as <e|rho|e> of rho as it was
+    given (``DensityMatrix.expectation``), so for a one-row factor equal to
+    a state the result is that of ``pmax_overlap`` on the state.
     """
     cfg = cfg or OptimizerConfig()
-    matrix = rho.entries
-    diag = np.real(np.diagonal(matrix))
+    factor = rho.factor
+    diag = (np.abs(factor) ** 2).sum(axis=0)
     floor_index = int(np.argmax(diag))
-    factor = _factor(matrix)
     target = factor.reshape((len(factor),) + rho.shape.dims)
     climbs = _optimize(target, rho.shape, cfg, float(diag[floor_index]), floor_index)
-    return _result(climbs, rho.shape, lambda e: float(np.real(np.vdot(e, matrix @ e))))
+    return _result(climbs, rho.shape, rho.expectation)
 
 
 def pmax_bipartite(state: StateVector, split) -> float:

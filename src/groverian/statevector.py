@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,10 @@ DENSITY_TOL = 1e-10
 # input may ask for: 2^30 complex amplitudes are 16 GiB.  Checked before
 # allocation, so an oversize request is a usage error, not a memory fault.
 MAX_TOTAL_DIM = 2**30
+
+# Passes over a density matrix's entries run in square tiles of at most this
+# many entries (1 MiB of complex128), so validation needs no N x N temporary.
+TILE_ENTRIES = 2**16
 
 
 def seed_sequence(seed: int, *keys: int) -> np.random.SeedSequence:
@@ -217,32 +222,154 @@ class LocalUnitaryLayer:
         return LocalUnitaryLayer(self.shape, tuple(g.conj().T for g in self.gates))
 
 
-@dataclass(frozen=True, eq=False)
+def _tiles(total: int) -> list[slice]:
+    """Runs of consecutive indices covering 0..N-1; any two cut an N x N
+    matrix into a tile of at most TILE_ENTRIES entries."""
+    step = math.isqrt(TILE_ENTRIES)
+    return [slice(i, i + step) for i in range(0, total, step)]
+
+
+def _factor(matrix: np.ndarray) -> np.ndarray:
+    """Pivoted Cholesky factor B of B B^+ = matrix, as the (K, N) array of
+    its columns b_k.
+
+    Each step pivots on the largest remaining diagonal entry and stops once
+    that is at most N * eps * max diag (the ``matrix_rank`` convention), so
+    K is the numerical rank of a positive semidefinite input.  Column i of
+    the Hermitian matrix is read as the conjugate of its contiguous row i.
+    O(N * K^2) time; only the K columns used are stored.
+    """
+    n = len(matrix)
+    residual = np.real(np.diagonal(matrix)).copy()
+    stop = n * np.finfo(float).eps * residual.max()
+    rows = np.empty((min(n, 8), n), dtype=np.complex128)  # row k is column k of B
+    k = 0
+    while k < n:
+        i = int(np.argmax(residual))
+        pivot = residual[i]
+        if not pivot > stop:
+            break
+        if k == len(rows):
+            grown = np.empty((min(n, 2 * k), n), dtype=np.complex128)
+            grown[:k] = rows
+            rows = grown
+        col = np.conj(matrix[i]) - np.conj(rows[:k, i]) @ rows[:k]
+        col /= math.sqrt(pivot)
+        rows[k] = col
+        residual -= col.real**2 + col.imag**2
+        residual[i] = 0.0
+        k += 1
+    return rows[:k]
+
+
+def _psd_within(m: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether H + tol * I is positive semidefinite, H the Hermitian part of
+    ``m``, certified in the basis [Q, Q_perp] that the factor ``b`` sets:
+    Q an orthonormal basis of the range of B (B = QT, B B^+ ~ H).
+
+    B^+ vanishes on the complement, so with R = H - B B^+ the blocks of H
+    are Q^+ H Q = T T^+ + Q^+ R Q, C = Q^+ H Q_perp = Q^+ R Q_perp and
+    Z = Q_perp^+ R Q_perp.  When ||Z||_F = r22 < tol, Z + tol I >= (tol -
+    r22) I, and H + tol I >= 0 follows from the K x K Schur complement
+    Q^+ H Q + tol I - C C^+ / (tol - r22) having a Cholesky factor, where
+    C C^+ = (Q^+ R)(Q^+ R)^+ - (Q^+ R Q)(Q^+ R Q)^+.  The factor stops at
+    the numerical rank, so Z holds only what lies below its stop and the
+    noise its pivots did not take up; the range is tested exactly.  R is
+    formed tile by tile; O(N^2 * K + K^3) time.
+    """
+    q, t = np.linalg.qr(b.T)
+    rr, c = 0.0, np.zeros_like(b)  # ||R||_F^2 and Q^+ R
+    tiles = _tiles(len(m))
+    for i in tiles:
+        for j in tiles:
+            r = (m[i, j] + np.conj(m[j, i]).T) / 2 - b[:, i].T @ np.conj(b[:, j])
+            rr += float(np.vdot(r, r).real)
+            c[:, j] += np.conj(q[i]).T @ r
+    cq = c @ q
+    gram, inner = c @ np.conj(c).T, cq @ np.conj(cq).T
+    r22_sq = rr - 2.0 * np.trace(gram).real + np.trace(inner).real
+    gap = tol - math.sqrt(max(0.0, r22_sq))
+    if not gap > 0.0:
+        return False
+    schur = t @ np.conj(t).T + cq - (gram - inner) / gap
+    schur = (schur + np.conj(schur).T) / 2 + tol * np.eye(len(t))
+    try:
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on the register."""
+    """Hermitian, unit-trace, positive-semidefinite operator on the register,
+    held as a factor: the (K, N) rows b_k of rho = sum_k |b_k><b_k| = B B^+.
+
+    ``DensityMatrix(shape, entries)`` validates an N x N matrix and keeps its
+    pivoted Cholesky factor, K the numerical rank.  It is accepted as
+    positive semidefinite when that factor certifies H + DENSITY_TOL * I >= 0
+    for the Hermitian part H of the entries (``_psd_within``), so no matrix
+    with an eigenvalue below -DENSITY_TOL passes.  Every pass over the
+    entries runs tile by tile, with no N x N temporary.  ``from_factor``
+    takes a factor that is valid by construction, in O(K * N), and builds
+    ``entries`` only when they are read.
+    """
 
     shape: SystemShape
-    entries: np.ndarray
+    factor: np.ndarray
+    _given: np.ndarray | None = field(repr=False)  # validated entries; None from a factor
 
-    def __post_init__(self):
-        total = self.shape.total
-        m = np.ascontiguousarray(self.entries, dtype=np.complex128)
+    def __init__(self, shape: SystemShape, entries):
+        total = shape.total
+        m = np.ascontiguousarray(entries, dtype=np.complex128)
         if m.shape != (total, total):
             raise DimensionMismatch(f"density matrix must be {total}x{total}")
-        if not np.isfinite(m).all():
-            raise InvalidDensity("density matrix has a non-finite entry")
-        if not np.abs(m - m.conj().T).max() <= DENSITY_TOL:
+        skew, tiles = 0.0, _tiles(total)
+        for k, i in enumerate(tiles):
+            for j in tiles[k:]:
+                upper, lower = m[i, j], m[j, i]
+                if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+                    raise InvalidDensity("density matrix has a non-finite entry")
+                skew = max(skew, float(np.abs(upper - np.conj(lower).T).max()))
+        if not skew <= DENSITY_TOL:
             raise InvalidDensity("matrix is not Hermitian")
         trace = complex(np.trace(m))
         if not (abs(trace.real - 1.0) <= DENSITY_TOL and abs(trace.imag) <= DENSITY_TOL):
             raise InvalidDensity("trace differs from 1")
-        if not float(np.linalg.eigvalsh(m).min()) >= -DENSITY_TOL:
+        b = _factor(m)
+        if not _psd_within(m, b, DENSITY_TOL):
             raise InvalidDensity("matrix has a negative eigenvalue")
-        object.__setattr__(self, "entries", _private(m, self.entries))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "factor", _readonly(b))
+        object.__setattr__(self, "_given", _private(m, entries))
 
-    def tensor(self) -> np.ndarray:
-        """Entries reshaped to (d_1..d_n, d_1..d_n), ket axes then bra axes."""
-        return self.entries.reshape(self.shape.dims + self.shape.dims)
+    @classmethod
+    def from_factor(cls, shape: SystemShape, factor) -> "DensityMatrix":
+        """The density B B^+ of a (K, N) factor whose rows b_k already make a
+        unit-trace operator, with no check beyond the shape; O(K * N)."""
+        b = np.ascontiguousarray(factor, dtype=np.complex128)
+        if b.ndim != 2 or b.shape[1] != shape.total:
+            raise DimensionMismatch(f"density factor must have {shape.total} columns")
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "shape", shape)
+        object.__setattr__(rho, "factor", _private(b, factor))
+        object.__setattr__(rho, "_given", None)
+        return rho
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The N x N matrix: as given, or B B^+ built on first read."""
+        if self._given is not None:
+            return self._given
+        b = self.factor
+        return _readonly(b.T @ np.conj(b))
+
+    def expectation(self, e: np.ndarray) -> float:
+        """<e|rho|e> for joint amplitudes e, from the entries when they were
+        given and as sum_k |<b_k|e>|^2 when rho was built from a factor."""
+        if self._given is not None:
+            return float(np.real(np.vdot(e, self._given @ e)))
+        return sum(abs(complex(np.vdot(e, b))) ** 2 for b in self.factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +517,8 @@ def schmidt_reconstruction_error(state: StateVector, dec: SchmidtDecomposition) 
 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Partial trace onto the given 1-based sites (ascending order)."""
+    """Partial trace onto the given 1-based sites (ascending order): M M^+
+    for the split matrix M, built from its factor (one row per column of M)."""
     keep = tuple(sorted(int(s) for s in keep))
     if len(set(keep)) != len(keep) or not keep:
         raise BadSubset(f"invalid site subset {keep}")
@@ -399,9 +527,8 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     if len(keep) == state.shape.n:
         raise BadSubset("subset must be proper; use an outer product instead")
     m, left, _right = split_matrix(state, keep)
-    rho = m @ m.conj().T
     kept_shape = SystemShape([state.shape.dims[s - 1] for s in left])
-    return DensityMatrix(kept_shape, _readonly(rho))
+    return DensityMatrix.from_factor(kept_shape, m.T)
 
 
 def random_state(shape: SystemShape, seed) -> StateVector:

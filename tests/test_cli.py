@@ -35,7 +35,7 @@ from groverian import (
 )
 from groverian import cli
 from groverian.cli import main
-from groverian.families import expand_state_family
+from groverian.families import expand_density_family, expand_state_family
 from groverian.fileio import FileFormatError, format_float
 
 SQRT_HALF = math.sqrt(0.5)
@@ -96,6 +96,15 @@ class TestFamilies:
     def test_maximally_mixed(self):
         rho = maximally_mixed([2, 2])
         assert np.allclose(rho.entries, np.eye(4) / 4)
+
+    def test_random_rank(self):
+        rho = expand_density_family("random-rank:3:2,3,2:4")
+        again = expand_density_family("random-rank:3:2,3,2:4")
+        assert rho.shape.dims == (2, 3, 2)
+        assert np.array_equal(rho.factor, again.factor)
+        assert np.linalg.matrix_rank(rho.entries) == 3
+        assert abs(np.trace(rho.entries) - 1.0) <= 1e-14
+        DensityMatrix(rho.shape, rho.entries)  # its entries pass validation
 
 
 class TestStateFiles:
@@ -263,10 +272,47 @@ class TestCliMixedFactored:
         mixed = last_json(out)["results"]["pmax"]
         save_state(state, tmp_path / "state.json")
         state_file = str(tmp_path / "state.json")
+        pmax = []
         for argv in (["--mixed", "pure:random:2,3,2:8"], ["--state", state_file]):
             code, out, err = run_cli(capsys, "groverian", *argv)
             assert code == 0, err
-            assert abs(last_json(out)["results"]["pmax"] - mixed) <= 1e-12
+            pmax.append(last_json(out)["results"]["pmax"])
+            assert abs(pmax[-1] - mixed) <= 1e-12
+        # pure:SPEC holds the state as a one-row factor: the same climb and
+        # the same recomputed value as --state SPEC, bit for bit.
+        for spec in ("random:2,2,2,2,2,2,2,2,2:11", "ghz:4", "w:5", "product-random:2,3:4"):
+            for argv in (["--mixed", f"pure:{spec}"], ["--state", spec]):
+                code, out, err = run_cli(capsys, "groverian", *argv, "--restarts", "5")
+                assert code == 0, err
+                pmax.append(last_json(out)["results"]["pmax"])
+        assert pmax[::2] == pmax[1::2]
+
+
+class TestCliPureSpec:
+    """``--mixed pure:SPEC`` holds the state as the density's one-row factor."""
+
+    def test_state_file(self, capsys, tmp_path):
+        save_state(bell(), tmp_path / "bell.json")
+        results = []
+        for spec in ("pure:bell", f"pure:{tmp_path / 'bell.json'}"):
+            code, out, err = run_cli(capsys, "groverian", "--mixed", spec)
+            assert code == 0, err
+            results.append(last_json(out)["results"])
+        assert results[0] == results[1]
+
+    def test_builds_no_density_matrix(self, capsys):
+        # The 2^11 x 2^11 entries would take 64 MiB.
+        spec = "pure:random:" + ",".join(["2"] * 11) + ":3"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "groverian", "--mixed", spec, "--restarts", "1", "--max-sweeps", "1"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 8 * 2**20
 
 
 class TestVanishingUniformStart:
@@ -534,6 +580,30 @@ class TestCliErrors:
         assert "Traceback" not in err
         assert out == ""
         assert peak < budget
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("random-rank:0:2,2:1", "rank must be in 1..4"),
+            ("random-rank:5:2,2:1", "rank must be in 1..4"),
+            ("random-rank:x:2,2:1", "bad arguments"),
+            ("random-rank:1:" + ",".join(["2"] * 16) + ":1", "cap of 2^30"),
+            ("pure:missing.json", "neither a known state family nor a file"),
+        ],
+        ids=["rank-0", "rank-above-N", "rank-not-a-number", "2^32-entries", "missing-file"],
+    )
+    def test_bad_density_spec(self, capsys, spec, message):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "groverian", "--mixed", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "argv,refused",

@@ -30,10 +30,10 @@ from groverian import (
     random_state,
     w_state,
 )
-from groverian import product_opt
+from groverian import product_opt, statevector
+from groverian.families import random_rank_density
 from groverian.product_opt import (
     _climb_rows,
-    _factor,
     _grid_candidates,
     _grid_max_three_site,
     _grid_max_two_site,
@@ -41,6 +41,7 @@ from groverian.product_opt import (
     _top_sigma_sq_2x2,
 )
 from groverian.statevector import (
+    _factor,
     _random_factors,
     canonical_phase,
     haar_unitary,
@@ -342,6 +343,28 @@ class TestPmaxMixed:
         e = product_amps(result.argmax.factors)
         recomputed = float(np.real(np.vdot(e, rho.entries @ e)))
         assert abs(recomputed - result.value) <= 1e-12
+
+    def test_reads_the_factor_held_by_rho(self, monkeypatch):
+        rho = random_full_rank_density(SystemShape([2, 3]), 7)
+        expected = pmax_mixed(rho, OptimizerConfig(restarts=3, seed=1))
+
+        def refactor(matrix):
+            raise AssertionError("pmax_mixed factored rho again")
+
+        monkeypatch.setattr(statevector, "_factor", refactor)
+        result = pmax_mixed(rho, OptimizerConfig(restarts=3, seed=1))
+        assert result.best_per_restart == expected.best_per_restart
+
+    @pytest.mark.parametrize("rank,dims", [(1, [2, 3, 2]), (2, [2, 2, 2]), (3, [2] * 5), (9, [3, 3])])
+    def test_random_rank_matches_its_entries(self, rank, dims):
+        # The family's Gaussian factor and the pivoted Cholesky factor of its
+        # entries describe one operator, so the optimizer agrees on both.
+        rho = random_rank_density(SystemShape(dims), rank, 13)
+        assert rho.factor.shape == (rank, rho.shape.total)
+        refactored = DensityMatrix(rho.shape, rho.entries)
+        assert len(refactored.factor) == rank
+        cfg = OptimizerConfig(restarts=4, seed=2)
+        assert abs(pmax_mixed(rho, cfg).value - pmax_mixed(refactored, cfg).value) <= 1e-12
 
 
 SWEEP_DIMS = [[2, 2, 2], [3, 2], [2, 3, 2], [3, 3], [2] * 6]

@@ -33,9 +33,10 @@ from groverian import (
     schmidt_reconstruction_error,
     uniform_state,
 )
+from groverian import statevector
 from groverian.fileio import load_state, save_state
 from groverian.grover import OracleSpec, run_grover
-from groverian.statevector import _contract_all_but, haar_unitary
+from groverian.statevector import DENSITY_TOL, _contract_all_but, haar_unitary, split_matrix
 
 SQRT_HALF = math.sqrt(0.5)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -439,6 +440,183 @@ class TestDensityMatrix:
         neg = np.diag([0.7, 0.5, -0.1, -0.1])
         with pytest.raises(InvalidDensity):
             DensityMatrix(two_qubits, neg)
+
+
+def eigvalsh_accepts(m):
+    """The PSD decision that factoring replaces: no eigenvalue below -tol."""
+    return bool(np.linalg.eigvalsh(m).min() >= -DENSITY_TOL)
+
+
+def factoring_accepts(m):
+    try:
+        DensityMatrix(SystemShape([len(m)]), m)
+    except InvalidDensity:
+        return False
+    return True
+
+
+def rotated(spectrum, seed):
+    u = haar_unitary(len(spectrum), np.random.default_rng(seed))
+    return (u * spectrum) @ u.conj().T
+
+
+def psd_cases():
+    """Matrices at N <= 64 on both sides of the PSD boundary: full-rank,
+    rank-deficient and product densities, lambda_min at -10 tol and -0.1 tol,
+    and a spread of tiny eigenvalues that the factor's stop rule leaves in
+    its residual."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (2, 3, 4, 8, 16, 27, 64):
+        for i in range(4):
+            seed = 100 * n + i
+            k = int(rng.integers(1, n))
+            low = np.zeros(n)
+            low[:k] = rng.random(k)
+            low /= low.sum()
+            tiny = low.copy()
+            tiny[k:] = 10 ** rng.uniform(-14, -12, n - k)
+            spectra = {"full-rank": rng.random(n), "rank-deficient": low, "tiny-spread": tiny}
+            for scale in (10, 0.1):
+                negative = low.copy()
+                negative[[0, -1]] += [scale * DENSITY_TOL, -scale * DENSITY_TOL]
+                spectra[f"lambda-min=-{scale}tol"] = negative
+                mixed = negative.copy()  # tiny pivots next to the negative direction
+                mixed[k:-1] = tiny[k:-1]
+                spectra[f"tiny-spread,lambda-min=-{scale}tol"] = mixed
+            for name, spectrum in spectra.items():
+                cases.append((f"{name}/{n}/{i}", rotated(spectrum / spectrum.sum(), seed)))
+    for dims in ([2, 2], [2, 2, 2], [3, 3], [2] * 6):
+        for i in range(3):
+            joint = np.ones((1, 1))
+            for j, d in enumerate(dims):
+                spectrum = rng.random(d)
+                spectrum[: i % 2] = 0.0  # a pure factor on every other product
+                joint = np.kron(joint, rotated(spectrum / spectrum.sum(), 10 * i + j))
+            cases.append((f"product/{dims}/{i}", joint))
+    return cases
+
+
+class TestPsdByFactoring:
+    """``DensityMatrix`` decides PSD from its pivoted Cholesky factor; the
+    decision must equal the eigenvalue test it replaced."""
+
+    @pytest.mark.parametrize("tile_entries", [None, 16], ids=["one-tile", "4x4-tiles"])
+    def test_decisions_match_eigvalsh(self, monkeypatch, tile_entries):
+        if tile_entries:  # cut every matrix into many tiles, some partial
+            monkeypatch.setattr(statevector, "TILE_ENTRIES", tile_entries)
+        cases = psd_cases()
+        decisions = {name: eigvalsh_accepts(m) for name, m in cases}
+        assert any(decisions.values()) and not all(decisions.values())
+        for name, m in cases:
+            assert factoring_accepts(m) == decisions[name], name
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("noise", [1e-12, 1e-11, 3e-11])
+    def test_never_accepts_what_eigvalsh_refuses(self, n, noise):
+        # Hermitian noise on a low-rank density puts eigenvalues on both
+        # sides of -tol; factoring may refuse near the boundary, never accept
+        # below it.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m = v @ v.conj().T + noise * (e + e.conj().T)
+            m /= np.trace(m).real
+            if factoring_accepts(m):
+                assert eigvalsh_accepts(m)
+
+    def test_certificate_holds_for_any_factor(self):
+        # _psd_within is sound for any factor of full row rank, also one
+        # that leaves a coupling between its range and the complement in the
+        # residual: H = [[1, c], [c, -d]] with b = e_1 has lambda_min below
+        # -tol although d < tol and Q^+ H Q > 0.
+        c, d = 1e-5, 0.5 * DENSITY_TOL
+        h = np.array([[1.0, c], [c, -d]], dtype=complex)
+        assert not eigvalsh_accepts(h)
+        assert not statevector._psd_within(h, np.array([[1.0, 0.0]], dtype=complex), DENSITY_TOL)
+        rng = np.random.default_rng(7)
+        for n in (4, 8, 16):
+            for _ in range(50):
+                v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+                spectrum = np.zeros(n)
+                spectrum[:2] = 1.0
+                spectrum[-1] = -rng.uniform(0.2, 2) * DENSITY_TOL
+                u = haar_unitary(n, rng)
+                h = (u * spectrum) @ u.conj().T
+                b = u[:, :2].T + rng.uniform(1e-7, 1e-4) * v.T  # rows near the range
+                if statevector._psd_within(h, b, DENSITY_TOL):
+                    assert eigvalsh_accepts(h)
+
+    def test_skew_within_tolerance_is_not_negativity(self):
+        # The PSD check reads the Hermitian part, as eigvalsh reads one
+        # triangle; an anti-Hermitian part below the Hermitian tolerance
+        # does not count against it.
+        rng = np.random.default_rng(3)
+        m = rotated(np.array([0.6, 0.4] + [0.0] * 62), 11)
+        x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        m = m + 2e-12 * (x - x.conj().T)  # skew up to 2.2e-11
+        assert eigvalsh_accepts(m) and factoring_accepts(m)
+
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            ((0, 13), 0.25j, "not Hermitian"),
+            ((13, 0), 0.25j, "not Hermitian"),
+            ((5, 6), 0.25j, "not Hermitian"),
+            ((15, 15), math.nan, "non-finite"),
+            ((2, 14), math.inf, "non-finite"),
+        ],
+    )
+    def test_tiled_checks_cover_every_entry(self, monkeypatch, where, value, message):
+        monkeypatch.setattr(statevector, "TILE_ENTRIES", 16)  # 4 x 4 tiles
+        m = np.eye(16, dtype=complex) / 16
+        m[where] = value
+        with pytest.raises(InvalidDensity, match=message):
+            DensityMatrix(SystemShape([2] * 4), m)
+
+    def test_keeps_the_factor_of_the_entries(self):
+        m = rotated(np.array([0.5, 0.3, 0.2, 0, 0, 0, 0, 0]), 5)
+        rho = DensityMatrix(SystemShape([2, 2, 2]), m)
+        assert rho.factor.shape == (3, 8)
+        assert not rho.factor.flags.writeable
+        assert np.abs(rho.factor.T @ rho.factor.conj() - m).max() <= 1e-15
+        assert rho.entries is rho.entries and np.array_equal(rho.entries, m)
+
+
+class TestFactorFirstDensity:
+    def test_entries_are_the_outer_product(self):
+        state = random_state(SystemShape([2, 3, 2]), 5)
+        rho = DensityMatrix.from_factor(state.shape, state.amps[None])
+        outer = np.outer(state.amps, state.amps.conj())
+        # One rounding of each product, which BLAS may fuse.
+        assert np.all(np.abs(rho.entries - outer) <= 2 * np.finfo(float).eps * np.abs(outer))
+        assert not rho.entries.flags.writeable
+
+    def test_writable_factor_is_copied(self):
+        b = np.array([[SQRT_HALF, SQRT_HALF]], dtype=complex)
+        rho = DensityMatrix.from_factor(SystemShape([2]), b)
+        b[0, 0] = 0.0
+        assert rho.factor[0, 0] == SQRT_HALF and b.flags.writeable
+
+    def test_factor_width_checked(self):
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix.from_factor(SystemShape([2, 2]), np.ones((1, 2)) / 2)
+
+    def test_reduced_density_entries_are_m_m_dagger(self):
+        state = random_state(SystemShape([2, 3, 2]), 9)
+        m, _, _ = split_matrix(state, [1, 3])
+        rho = reduced_density(state, [1, 3])
+        assert np.array_equal(rho.entries, m @ m.conj().T)
+
+    def test_expectation_reads_the_form_given(self):
+        state = random_state(SystemShape([2, 2]), 3)
+        e = random_state(SystemShape([2, 2]), 4).amps
+        amps = state.amps
+        given = DensityMatrix(state.shape, np.outer(amps, amps.conj()))
+        factored = DensityMatrix.from_factor(state.shape, amps[None])
+        assert given.expectation(e) == float(np.real(np.vdot(e, given.entries @ e)))
+        assert factored.expectation(e) == abs(complex(np.vdot(e, amps))) ** 2
 
 
 class TestRandomGeneration:
