@@ -43,10 +43,6 @@ DENSITY_TOL = 1e-10
 # allocation, so an oversize request is a usage error, not a memory fault.
 MAX_TOTAL_DIM = 2**30
 
-# Passes over a density matrix's entries run in square tiles of at most this
-# many entries (1 MiB of complex128), so validation needs no N x N temporary.
-TILE_ENTRIES = 2**16
-
 
 def seed_sequence(seed: int, *keys: int) -> np.random.SeedSequence:
     """Seed sequence for one derived stream: a user seed (wrapped to 64 bits,
@@ -222,13 +218,6 @@ class LocalUnitaryLayer:
         return LocalUnitaryLayer(self.shape, tuple(g.conj().T for g in self.gates))
 
 
-def _tiles(total: int) -> list[slice]:
-    """Runs of consecutive indices covering 0..N-1; any two cut an N x N
-    matrix into a tile of at most TILE_ENTRIES entries."""
-    step = math.isqrt(TILE_ENTRIES)
-    return [slice(i, i + step) for i in range(0, total, step)]
-
-
 def _factor(matrix: np.ndarray) -> np.ndarray:
     """Pivoted Cholesky factor B of B B^+ = matrix, as the (K, N) array of
     its columns b_k.
@@ -262,44 +251,6 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
     return rows[:k]
 
 
-def _psd_within(m: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Whether H + tol * I is positive semidefinite, H the Hermitian part of
-    ``m``, certified in the basis [Q, Q_perp] that the factor ``b`` sets:
-    Q an orthonormal basis of the range of B (B = QT, B B^+ ~ H).
-
-    B^+ vanishes on the complement, so with R = H - B B^+ the blocks of H
-    are Q^+ H Q = T T^+ + Q^+ R Q, C = Q^+ H Q_perp = Q^+ R Q_perp and
-    Z = Q_perp^+ R Q_perp.  When ||Z||_F = r22 < tol, Z + tol I >= (tol -
-    r22) I, and H + tol I >= 0 follows from the K x K Schur complement
-    Q^+ H Q + tol I - C C^+ / (tol - r22) having a Cholesky factor, where
-    C C^+ = (Q^+ R)(Q^+ R)^+ - (Q^+ R Q)(Q^+ R Q)^+.  The factor stops at
-    the numerical rank, so Z holds only what lies below its stop and the
-    noise its pivots did not take up; the range is tested exactly.  R is
-    formed tile by tile; O(N^2 * K + K^3) time.
-    """
-    q, t = np.linalg.qr(b.T)
-    rr, c = 0.0, np.zeros_like(b)  # ||R||_F^2 and Q^+ R
-    tiles = _tiles(len(m))
-    for i in tiles:
-        for j in tiles:
-            r = (m[i, j] + np.conj(m[j, i]).T) / 2 - b[:, i].T @ np.conj(b[:, j])
-            rr += float(np.vdot(r, r).real)
-            c[:, j] += np.conj(q[i]).T @ r
-    cq = c @ q
-    gram, inner = c @ np.conj(c).T, cq @ np.conj(cq).T
-    r22_sq = rr - 2.0 * np.trace(gram).real + np.trace(inner).real
-    gap = tol - math.sqrt(max(0.0, r22_sq))
-    if not gap > 0.0:
-        return False
-    schur = t @ np.conj(t).T + cq - (gram - inner) / gap
-    schur = (schur + np.conj(schur).T) / 2 + tol * np.eye(len(t))
-    try:
-        np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on the register,
@@ -307,12 +258,11 @@ class DensityMatrix:
 
     ``DensityMatrix(shape, entries)`` validates an N x N matrix and keeps its
     pivoted Cholesky factor, K the numerical rank.  It is accepted as
-    positive semidefinite when that factor certifies H + DENSITY_TOL * I >= 0
-    for the Hermitian part H of the entries (``_psd_within``), so no matrix
-    with an eigenvalue below -DENSITY_TOL passes.  Every pass over the
-    entries runs tile by tile, with no N x N temporary.  ``from_factor``
-    takes a factor that is valid by construction, in O(K * N), and builds
-    ``entries`` only when they are read.
+    positive semidefinite when H + DENSITY_TOL * I has a Cholesky factor, H
+    the Hermitian part of the entries, so no matrix with an eigenvalue below
+    -DENSITY_TOL (less one rounding of the factorization) passes; O(N^3 / 3).
+    ``from_factor`` takes a factor that makes a unit-trace operator, in
+    O(K * N), and builds ``entries`` only when they are read.
     """
 
     shape: SystemShape
@@ -324,32 +274,36 @@ class DensityMatrix:
         m = np.ascontiguousarray(entries, dtype=np.complex128)
         if m.shape != (total, total):
             raise DimensionMismatch(f"density matrix must be {total}x{total}")
-        skew, tiles = 0.0, _tiles(total)
-        for k, i in enumerate(tiles):
-            for j in tiles[k:]:
-                upper, lower = m[i, j], m[j, i]
-                if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-                    raise InvalidDensity("density matrix has a non-finite entry")
-                skew = max(skew, float(np.abs(upper - np.conj(lower).T).max()))
-        if not skew <= DENSITY_TOL:
+        if not np.isfinite(m).all():
+            raise InvalidDensity("density matrix has a non-finite entry")
+        if not np.abs(m - m.conj().T).max() <= DENSITY_TOL:
             raise InvalidDensity("matrix is not Hermitian")
         trace = complex(np.trace(m))
         if not (abs(trace.real - 1.0) <= DENSITY_TOL and abs(trace.imag) <= DENSITY_TOL):
             raise InvalidDensity("trace differs from 1")
+        shifted = (m + m.conj().T) / 2
+        shifted[np.diag_indices(total)] += DENSITY_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise InvalidDensity("matrix has a negative eigenvalue") from None
         b = _factor(m)
-        if not _psd_within(m, b, DENSITY_TOL):
-            raise InvalidDensity("matrix has a negative eigenvalue")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "factor", _readonly(b))
         object.__setattr__(self, "_given", _private(m, entries))
 
     @classmethod
     def from_factor(cls, shape: SystemShape, factor) -> "DensityMatrix":
-        """The density B B^+ of a (K, N) factor whose rows b_k already make a
-        unit-trace operator, with no check beyond the shape; O(K * N)."""
+        """The density B B^+ of a (K, N) factor, which is positive
+        semidefinite by construction; only its shape, finiteness and unit
+        trace sum_k |b_k|^2 are checked, in O(K * N)."""
         b = np.ascontiguousarray(factor, dtype=np.complex128)
         if b.ndim != 2 or b.shape[1] != shape.total:
             raise DimensionMismatch(f"density factor must have {shape.total} columns")
+        if not np.isfinite(b).all():
+            raise InvalidDensity("density factor has a non-finite entry")
+        if not abs(float(np.vdot(b, b).real) - 1.0) <= DENSITY_TOL:
+            raise InvalidDensity("trace differs from 1")
         rho = object.__new__(cls)
         object.__setattr__(rho, "shape", shape)
         object.__setattr__(rho, "factor", _private(b, factor))
@@ -517,8 +471,7 @@ def schmidt_reconstruction_error(state: StateVector, dec: SchmidtDecomposition) 
 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Partial trace onto the given 1-based sites (ascending order): M M^+
-    for the split matrix M, built from its factor (one row per column of M)."""
+    """Partial trace onto the given 1-based sites (ascending order)."""
     keep = tuple(sorted(int(s) for s in keep))
     if len(set(keep)) != len(keep) or not keep:
         raise BadSubset(f"invalid site subset {keep}")
@@ -527,8 +480,9 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     if len(keep) == state.shape.n:
         raise BadSubset("subset must be proper; use an outer product instead")
     m, left, _right = split_matrix(state, keep)
+    rho = m @ m.conj().T
     kept_shape = SystemShape([state.shape.dims[s - 1] for s in left])
-    return DensityMatrix.from_factor(kept_shape, m.T)
+    return DensityMatrix(kept_shape, _readonly(rho))
 
 
 def random_state(shape: SystemShape, seed) -> StateVector:

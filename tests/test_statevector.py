@@ -33,7 +33,6 @@ from groverian import (
     schmidt_reconstruction_error,
     uniform_state,
 )
-from groverian import statevector
 from groverian.fileio import load_state, save_state
 from groverian.grover import OracleSpec, run_grover
 from groverian.statevector import DENSITY_TOL, _contract_all_but, haar_unitary, split_matrix
@@ -501,10 +500,7 @@ class TestPsdByFactoring:
     """``DensityMatrix`` decides PSD from its pivoted Cholesky factor; the
     decision must equal the eigenvalue test it replaced."""
 
-    @pytest.mark.parametrize("tile_entries", [None, 16], ids=["one-tile", "4x4-tiles"])
-    def test_decisions_match_eigvalsh(self, monkeypatch, tile_entries):
-        if tile_entries:  # cut every matrix into many tiles, some partial
-            monkeypatch.setattr(statevector, "TILE_ENTRIES", tile_entries)
+    def test_decisions_match_eigvalsh(self):
         cases = psd_cases()
         decisions = {name: eigvalsh_accepts(m) for name, m in cases}
         assert any(decisions.values()) and not all(decisions.values())
@@ -526,28 +522,6 @@ class TestPsdByFactoring:
             if factoring_accepts(m):
                 assert eigvalsh_accepts(m)
 
-    def test_certificate_holds_for_any_factor(self):
-        # _psd_within is sound for any factor of full row rank, also one
-        # that leaves a coupling between its range and the complement in the
-        # residual: H = [[1, c], [c, -d]] with b = e_1 has lambda_min below
-        # -tol although d < tol and Q^+ H Q > 0.
-        c, d = 1e-5, 0.5 * DENSITY_TOL
-        h = np.array([[1.0, c], [c, -d]], dtype=complex)
-        assert not eigvalsh_accepts(h)
-        assert not statevector._psd_within(h, np.array([[1.0, 0.0]], dtype=complex), DENSITY_TOL)
-        rng = np.random.default_rng(7)
-        for n in (4, 8, 16):
-            for _ in range(50):
-                v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-                spectrum = np.zeros(n)
-                spectrum[:2] = 1.0
-                spectrum[-1] = -rng.uniform(0.2, 2) * DENSITY_TOL
-                u = haar_unitary(n, rng)
-                h = (u * spectrum) @ u.conj().T
-                b = u[:, :2].T + rng.uniform(1e-7, 1e-4) * v.T  # rows near the range
-                if statevector._psd_within(h, b, DENSITY_TOL):
-                    assert eigvalsh_accepts(h)
-
     def test_skew_within_tolerance_is_not_negativity(self):
         # The PSD check reads the Hermitian part, as eigvalsh reads one
         # triangle; an anti-Hermitian part below the Hermitian tolerance
@@ -568,8 +542,7 @@ class TestPsdByFactoring:
             ((2, 14), math.inf, "non-finite"),
         ],
     )
-    def test_tiled_checks_cover_every_entry(self, monkeypatch, where, value, message):
-        monkeypatch.setattr(statevector, "TILE_ENTRIES", 16)  # 4 x 4 tiles
+    def test_checks_cover_every_entry(self, where, value, message):
         m = np.eye(16, dtype=complex) / 16
         m[where] = value
         with pytest.raises(InvalidDensity, match=message):
@@ -603,11 +576,30 @@ class TestFactorFirstDensity:
         with pytest.raises(DimensionMismatch):
             DensityMatrix.from_factor(SystemShape([2, 2]), np.ones((1, 2)) / 2)
 
+    @pytest.mark.parametrize(
+        "factor,message",
+        [
+            ([[1.0, math.nan]], "non-finite"),
+            ([[SQRT_HALF, math.inf]], "non-finite"),
+            ([[1.0, 1.0]], "trace"),
+            ([[0.5, 0.5], [0.5, 0.4]], "trace"),
+        ],
+    )
+    def test_factor_checked(self, factor, message):
+        with pytest.raises(InvalidDensity, match=message):
+            DensityMatrix.from_factor(SystemShape([2]), np.array(factor, dtype=complex))
+
     def test_reduced_density_entries_are_m_m_dagger(self):
         state = random_state(SystemShape([2, 3, 2]), 9)
         m, _, _ = split_matrix(state, [1, 3])
         rho = reduced_density(state, [1, 3])
         assert np.array_equal(rho.entries, m @ m.conj().T)
+
+    def test_reduced_density_factor_is_no_wider_than_kept_sites(self):
+        # Two kept qubits of ten: the factor has at most 4 rows, not one per
+        # traced-out basis state.
+        rho = reduced_density(random_state(SystemShape([2] * 10), 1), [2, 7])
+        assert len(rho.factor) <= rho.shape.total == 4
 
     def test_expectation_reads_the_form_given(self):
         state = random_state(SystemShape([2, 2]), 3)
