@@ -25,8 +25,8 @@ from .errors import (
     NonFiniteResult,
     TooLarge,
 )
-from .families import expand_density_family, ghz, resolve_state, w_state
-from .fileio import FileFormatError, canonical_json, load_density
+from .families import ghz, resolve_density, resolve_state, w_state
+from .fileio import FileFormatError, canonical_json
 from .grover import (
     OracleSpec,
     iteration_bound,
@@ -37,7 +37,6 @@ from .grover import (
 from .measures import groverian, groverian_mixed
 from .product_opt import OptimizerConfig, pmax_overlap
 from .statevector import (
-    DensityMatrix,
     SystemShape,
     random_state,
     seed_sequence,
@@ -51,16 +50,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def resolve_density(spec: str) -> DensityMatrix:
-    """A density spec is a named density family first, a density file second."""
-    rho = expand_density_family(spec)
-    if rho is not None:
-        return rho
-    if Path(spec).exists():
-        return load_density(spec)
-    raise FileFormatError(f"{spec!r} is neither a known density family nor a file")
-
-
 def _add_flags(
     parser: argparse.ArgumentParser, *, seed: bool = False, optimizer: bool = False
 ) -> None:
@@ -68,9 +57,9 @@ def _add_flags(
     if seed:
         parser.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
     if optimizer:
-        parser.add_argument("--restarts", type=int, default=20)
-        parser.add_argument("--tol", type=float, default=1e-12)
-        parser.add_argument("--max-sweeps", type=int, default=1000)
+        parser.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+        parser.add_argument("--tol", type=float, default=OptimizerConfig.tol)
+        parser.add_argument("--max-sweeps", type=int, default=OptimizerConfig.max_sweeps)
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", metavar="FILE", help="write the report here")
 

@@ -9,6 +9,8 @@ state file, for example ``pure:random:2,3,2:5``), and
 N x K matrix B.  ``pure:`` and ``random-rank:`` densities are built from
 their factor in O(N * K); every density family refuses a register whose
 N x N entries would exceed the 2^30 cap, so ``entries`` can always be read.
+``resolve_state`` and ``resolve_density`` read a spec as a family first and
+a file second.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, GroverianError
-from .fileio import FileFormatError, load_state
+from .fileio import FileFormatError, load_density, load_state
 from .statevector import (
     MAX_TOTAL_DIM,
     DensityMatrix,
@@ -166,3 +168,13 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc
     return None
+
+
+def resolve_density(spec: str) -> DensityMatrix:
+    """A density spec is a named density family first, a density file second."""
+    rho = expand_density_family(spec)
+    if rho is not None:
+        return rho
+    if not Path(spec).exists():
+        raise FileFormatError(f"{spec!r} is neither a known density family nor a file")
+    return load_density(spec)

@@ -2,8 +2,12 @@
 
 State file: ``{"dims": [d1, ..., dn], "amps": [[re, im], ...]}`` with N
 amplitude pairs in big-endian index order.  Density file: ``{"dims": [...],
-"rho": [[re, im], ...]}`` with N^2 row-major entry pairs.  Writers emit
-every float with 17 significant digits so files round-trip bit exactly.
+"rho": [[re, im], ...]}`` with N^2 row-major entry pairs.  A reader turns
+the pairs into numbers with one ``np.array(pairs, dtype=np.float64)`` and
+views the (count, 2) result as complex128; an entry is whatever ``float``
+accepts (a number, a numeric string or a boolean).  ``null`` reads as NaN,
+which the state and density constructors refuse.  Writers emit every float
+with 17 significant digits so files round-trip bit exactly.
 """
 
 from __future__ import annotations
@@ -88,19 +92,16 @@ def _load_json(path) -> dict:
 
 
 def _parse_pairs(raw, count: int, path, key: str) -> np.ndarray:
+    message = f"{path}: '{key}' must hold {count} [re, im] pairs of numbers"
     if not isinstance(raw, list) or len(raw) != count:
-        raise FileFormatError(f"{path}: '{key}' must hold {count} [re, im] pairs")
-    out = np.empty(count, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FileFormatError(f"{path}: '{key}' entry {i} is not an [re, im] pair")
-        try:
-            out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(
-                f"{path}: '{key}' entry {i} is not a pair of numbers"
-            ) from exc
-    return out
+        raise FileFormatError(message)
+    try:
+        pairs = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(message) from exc
+    if pairs.shape != (count, 2):
+        raise FileFormatError(message)
+    return pairs.view(np.complex128).reshape(count)
 
 
 def _parse_dims(doc, path) -> SystemShape:

@@ -223,14 +223,18 @@ def _climb_rows(target, factors, restarts, cfg) -> _Climbs:
     return out
 
 
-def _optimize(target, shape, cfg, basis_floor_value, basis_floor_index):
-    """Batched restart schedule over the (K, d_1, ..., d_n) column block.
+def _optimize(factor, shape, cfg):
+    """Batched restart schedule over the (K, N) column block ``factor``.
 
     Restarts run in chunks whose left environments stay within
     ``CHUNK_AMPLITUDES``; returns every restart's climb, in restart order.
+    The basis floor is the largest diagonal entry sum_k |b_k|^2.
     """
     dims = shape.dims
-    chunk = max(1, CHUNK_AMPLITUDES // (shape.total * len(target)))
+    target = factor.reshape((len(factor),) + dims)
+    diag = (np.abs(factor) ** 2).sum(axis=0)
+    floor_index = int(np.argmax(diag))
+    chunk = max(1, CHUNK_AMPLITUDES // factor.size)
     climbs = []
     for first in range(1, cfg.restarts + 1, chunk):
         restarts = range(first, min(first + chunk, cfg.restarts + 1))
@@ -241,12 +245,12 @@ def _optimize(target, shape, cfg, basis_floor_value, basis_floor_index):
         climbs.append(_climb_rows(target, stacks, restarts, cfg))
 
     joined = _join(climbs)
-    if joined.objective[joined.best()] < basis_floor_value - 1e-15:
+    if joined.objective[joined.best()] < diag[floor_index] - 1e-15:
         # Every scheduled restart undershot the best computational-basis
         # product (a degenerate one reports 0.0, below any floor); climb once
         # from that basis state, which cannot descend below it or vanish on
-        # nonzero input.  Keeps value >= max_x |amp_x|^2 unconditionally.
-        digits = shape.digits_of(basis_floor_index)
+        # nonzero input.  Keeps value >= max_x diag_x unconditionally.
+        digits = shape.digits_of(floor_index)
         stacks = [np.eye(d, dtype=np.complex128)[[x]] for d, x in zip(dims, digits)]
         floor = _climb_rows(target, stacks, [cfg.restarts + 1], cfg)
         joined = _join([joined, floor])
@@ -276,11 +280,7 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     ``cfg.seed``.  Ties across restarts resolve to the lowest restart index.
     """
     cfg = cfg or OptimizerConfig()
-    probs = state.probabilities()
-    floor_index = int(np.argmax(probs))
-    climbs = _optimize(
-        state.tensor()[None], state.shape, cfg, float(probs[floor_index]), floor_index
-    )
+    climbs = _optimize(state.amps[None], state.shape, cfg)
     return _result(climbs, state.shape, lambda e: abs(complex(np.vdot(e, state.amps))) ** 2)
 
 
@@ -298,11 +298,7 @@ def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxRe
     a state the result is that of ``pmax_overlap`` on the state.
     """
     cfg = cfg or OptimizerConfig()
-    factor = rho.factor
-    diag = (np.abs(factor) ** 2).sum(axis=0)
-    floor_index = int(np.argmax(diag))
-    target = factor.reshape((len(factor),) + rho.shape.dims)
-    climbs = _optimize(target, rho.shape, cfg, float(diag[floor_index]), floor_index)
+    climbs = _optimize(rho.factor, rho.shape, cfg)
     return _result(climbs, rho.shape, rho.expectation)
 
 

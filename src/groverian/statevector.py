@@ -113,12 +113,8 @@ class SystemShape:
     def total(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64))
 
-    def index_of(self, digits) -> int:
-        """Basis index of per-site digits (x_1, ..., x_n), site 1 most significant."""
-        return int(np.ravel_multi_index(tuple(digits), self.dims))
-
     def digits_of(self, index: int) -> tuple[int, ...]:
-        """Per-site digits of a basis index, inverse of index_of."""
+        """Per-site digits (x_1, ..., x_n) of a basis index, site 1 most significant."""
         return tuple(int(d) for d in np.unravel_index(index, self.dims))
 
 
@@ -148,10 +144,6 @@ class StateVector:
         if abs(norm - 1.0) > NORM_DRIFT_TOL:
             amps = amps / norm
         object.__setattr__(self, "amps", _private(amps, self.amps))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per site (read-only view)."""

@@ -505,19 +505,14 @@ def _majorizing_pairs(rng: np.random.Generator, outcomes: int, count: int) -> np
     majorizes the source, as a (count, 2, outcomes) array.
 
     Pairs are drawn in blocks, which give the same numbers as drawing a
-    source and then a target per pair; the generator is left where that
-    pair-by-pair loop would have stopped.
+    source and then a target per pair.
     """
     alpha = np.ones(outcomes)
     found = []
     while count > 0:
-        state = rng.bit_generator.state
         pairs = rng.dirichlet(alpha, size=(4 * count, 2))
         hits = np.flatnonzero(monotone_check_rows(pairs[:, 0], pairs[:, 1])[0])[:count]
         found.append(pairs[hits])
-        if len(hits) == count:
-            rng.bit_generator.state = state
-            rng.dirichlet(alpha, size=(hits[-1] + 1, 2))
         count -= len(hits)
     return np.concatenate(found)
 

@@ -33,10 +33,10 @@ from groverian import (
     uniform_state,
     w_state,
 )
-from groverian import cli
+from groverian import OptimizerConfig, cli
 from groverian.cli import main
-from groverian.families import expand_density_family, expand_state_family
-from groverian.fileio import FileFormatError, format_float
+from groverian.families import expand_density_family, expand_state_family, resolve_density
+from groverian.fileio import FileFormatError, _parse_pairs, format_float
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -83,7 +83,7 @@ class TestFamilies:
         state = expand_state_family(spec)
         assert state is not None
         assert state.shape.dims == dims
-        assert abs(state.norm - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12
 
     def test_unknown_family_returns_none(self):
         assert expand_state_family("nope:2,2") is None
@@ -152,6 +152,82 @@ class TestStateFiles:
     def test_missing_file(self):
         with pytest.raises(FileFormatError):
             load_state("/definitely/not/here.json")
+
+
+def per_pair_reference(raw, count):
+    """The reader's former per-pair loop, kept as the slow reference."""
+    assert isinstance(raw, list) and len(raw) == count
+    out = np.empty(count, dtype=np.complex128)
+    for i, pair in enumerate(raw):
+        assert isinstance(pair, list) and len(pair) == 2
+        out[i] = complex(float(pair[0]), float(pair[1]))
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+# Valid dims-[2] documents, one kind of entry each; "rho" is row-major.
+READER_CASES = {
+    "signed-zero": (
+        [[-0.0, -0.0], [1.0, -0.0]],
+        [[1.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]],
+    ),
+    "subnormal": (
+        [[5e-324, -2.225073858507201e-308], [1.0, 1e-310]],
+        [[1.0, 0.0], [5e-324, 1e-310], [5e-324, -1e-310], [0.0, 0.0]],
+    ),
+    "17-digit": (
+        [[0.70710678118654746, -0.0], [0.0, 0.70710678118654757]],
+        [
+            [0.33333333333333331, 0.0],
+            [0.12345678901234567, -0.29999999999999999],
+            [0.12345678901234567, 0.29999999999999999],
+            [0.66666666666666674, 0.0],
+        ],
+    ),
+    "integer": ([[0, 1], [0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]]),
+    "numeric-string": (
+        [["0.6", "-0.0"], ["0", "8e-1"]],
+        [["0.5", "0"], ["0.25", "-0.25"], ["0.25", "0.25"], ["0.5", "-0.0"]],
+    ),
+    "boolean": (
+        [[False, True], [False, False]],
+        [[True, False], [False, False], [False, False], [False, False]],
+    ),
+    "mixed-kinds": (
+        [[0, "0.6"], [False, 0.8]],
+        [["1", 0], [False, -0.0], [0, False], [0.0, "-0"]],
+    ),
+}
+
+
+class TestReaderAgainstPerPairLoop:
+    """One float64 conversion viewed as complex reads every pair exactly as
+    ``complex(float(re), float(im))`` did."""
+
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_load_state(self, tmp_path, case):
+        amps = READER_CASES[case][0]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2], "amps": amps}))
+        expected = StateVector(SystemShape([2]), per_pair_reference(amps, 2))
+        assert same_bits(load_state(path).amps, expected.amps)
+
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_load_density(self, tmp_path, case):
+        rho = READER_CASES[case][1]
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dims": [2], "rho": rho}))
+        expected = DensityMatrix(SystemShape([2]), per_pair_reference(rho, 4).reshape(2, 2))
+        assert same_bits(load_density(path).entries, expected.entries)
+
+    def test_parse_pairs_on_every_kind_at_once(self):
+        raw = [pair for amps, rho in READER_CASES.values() for pair in amps + rho]
+        raw += [[2**53 + 1, -(2**63) - 1], [2**64 + 1, 10**30], [" 1.5 ", "1_0"], ["nan", "-inf"]]
+        got = _parse_pairs(raw, len(raw), "x.json", "amps")
+        assert same_bits(got, per_pair_reference(raw, len(raw)))
 
 
 class TestCanonicalJson:
@@ -694,6 +770,39 @@ class TestCliErrors:
         assert "null" not in out
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,key", [("--state", "amps"), ("--mixed", "rho")])
+    @pytest.mark.parametrize("defect", [
+        "null", "ragged-pair", "three-element-pair", "nested-list", "object",
+        "non-numeric-string", "huge-integer",
+    ])
+    def test_named_bad_entries(self, capsys, tmp_path, flag, key, defect):
+        if key == "amps":
+            pairs = [[0.6, 0.0], [0.0, 0.8]]
+        else:
+            pairs = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        if defect == "null":
+            pairs[1][0] = None
+        elif defect == "ragged-pair":
+            pairs[1] = [0.0]
+        elif defect == "three-element-pair":
+            pairs[1] = [0.0, 0.0, 0.0]
+        elif defect == "nested-list":
+            pairs = [[pair] for pair in pairs]
+        elif defect == "object":
+            pairs[1] = {"re": 0.0, "im": 0.0}
+        elif defect == "non-numeric-string":
+            pairs[1][0] = "x"
+        else:
+            pairs[1][0] = 10**400
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"dims": [2], key: pairs}))
+        code, out, err = run_cli(capsys, "groverian", flag, str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "null" not in out
+        if defect != "null":  # null reads as NaN, which the constructors refuse
+            assert f"{path}: '{key}' must hold {len(pairs)} [re, im] pairs" in err
+
     def test_infinite_density_entry(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
         path.write_text(
@@ -742,6 +851,28 @@ class TestCliErrors:
         assert lines == [line for line in lines if line.startswith(("PASS  ", "FAIL  "))]
         assert [line.split()[1] for line in lines[:-1]] == [c["name"] for c in checks]
         assert lines[-1] == f"PASS  suite=grover checks={len(checks)} failures=0"
+
+
+def test_parser_defaults_are_the_optimizer_defaults():
+    cfg = OptimizerConfig()
+    parser = cli.build_parser()
+    for argv in (
+        ["pmax", "--state", "bell"],
+        ["groverian", "--state", "bell"],
+        ["sweep", "--measure", "pmax"],
+    ):
+        args = parser.parse_args(argv)
+        assert (args.restarts, args.tol, args.max_sweeps) == (cfg.restarts, cfg.tol, cfg.max_sweeps)
+
+
+def test_resolve_density_reads_a_family_then_a_file(tmp_path):
+    rho = resolve_density("random-rank:2:2,2:3")
+    assert np.array_equal(rho.factor, expand_density_family("random-rank:2:2,2:3").factor)
+    path = tmp_path / "rho.json"
+    save_density(rho, path)
+    assert np.array_equal(resolve_density(str(path)).entries, rho.entries)
+    with pytest.raises(FileFormatError, match="neither a known density family nor a file"):
+        resolve_density(str(tmp_path / "missing.json"))
 
 
 def test_traced_benchmark_boundaries_exist():

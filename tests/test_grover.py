@@ -94,7 +94,7 @@ class TestDiffusion:
         shape = SystemShape([3, 2, 2])
         for i in range(5):
             out = diffusion(random_state(shape, i))
-            assert abs(out.norm - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
 
     def test_matches_fourier_composition(self):
         shape = SystemShape([3, 4])

@@ -757,6 +757,30 @@ class TestBatchedAgainstSerial:
             assert np.array_equal(f, np.eye(d)[[x]])
         assert result.value >= float(state.probabilities().max())
 
+    def test_mixed_basis_floor_is_the_largest_diagonal_entry(self, monkeypatch):
+        # A Gaussian factor is not pivoted, so its first row's largest entry
+        # need not sit at rho's largest diagonal entry.
+        shape = SystemShape([2, 3, 2])
+        rho = random_rank_density(shape, 3, 331)
+        diag = np.real(np.diagonal(rho.entries))
+        assert np.argmax(np.abs(rho.factor[0])) != np.argmax(diag)
+        real, starts = product_opt._climb_rows, []
+
+        def undershooting(target, factors, restarts, cfg):
+            starts.append([f.copy() for f in factors])
+            climbs = real(target, factors, restarts, cfg)
+            if len(starts) == 1:
+                climbs.objective[:] = 0.0
+            return climbs
+
+        monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
+        result = pmax_mixed(rho, OptimizerConfig(restarts=3, seed=1))
+        digits = shape.digits_of(int(np.argmax(diag)))
+        assert len(starts) == 2 and result.restarts_used == 4
+        for f, d, x in zip(starts[1], shape.dims, digits):
+            assert np.array_equal(f, np.eye(d)[[x]])
+        assert result.value >= diag.max() - 1e-15
+
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
     def test_chunks_match_one_batch(self, monkeypatch, chunk, mixed):

@@ -63,7 +63,7 @@ class TestSystemShape:
     def test_big_endian_indexing(self):
         shape = SystemShape([2, 3])
         # site 1 is most significant: (x1, x2) -> 3*x1 + x2
-        assert shape.index_of((1, 2)) == 5
+        assert np.ravel_multi_index((1, 2), shape.dims) == 5
         assert shape.digits_of(5) == (1, 2)
 
     @given(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=6))
@@ -71,7 +71,7 @@ class TestSystemShape:
     def test_index_roundtrip(self, dims):
         shape = SystemShape(dims)
         for x in (0, shape.total // 2, shape.total - 1):
-            assert shape.index_of(shape.digits_of(x)) == x
+            assert np.ravel_multi_index(shape.digits_of(x), shape.dims) == x
 
 
 class TestMakeState:
@@ -82,7 +82,7 @@ class TestMakeState:
         assert np.array_equal(state.amps, np.array([1, 0], dtype=complex))
 
     def test_bell_norm(self):
-        assert abs(bell_state().norm - 1.0) < 1e-15
+        assert abs(np.linalg.norm(bell_state().amps) - 1.0) < 1e-15
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
@@ -98,7 +98,7 @@ class TestMakeState:
 
     def test_renormalizes_within_window(self):
         state = StateVector(SystemShape([2]), [1 + 5e-9, 0])
-        assert abs(state.norm - 1.0) < 1e-15
+        assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-15
 
     def test_keeps_input_within_drift(self):
         amps = np.array([1 + 1e-13, 0], dtype=complex)
@@ -248,7 +248,7 @@ class TestApplyLocal:
         for i in range(5):
             state = random_state(shape, 10 + i)
             layer = random_local_layer(shape, 20 + i)
-            assert abs(apply_local(layer, state).norm - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(apply_local(layer, state).amps) - 1.0) <= 1e-12
 
     def test_shape_mismatch(self, two_qubits, three_qubits):
         layer = LocalUnitaryLayer(two_qubits, (HADAMARD, HADAMARD))
@@ -637,7 +637,7 @@ class TestRandomGeneration:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_norms(self, two_qubits):
-        assert abs(random_state(two_qubits, 1).norm - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(random_state(two_qubits, 1).amps) - 1.0) <= 1e-12
         for f in random_product(two_qubits, 1).factors:
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
 
