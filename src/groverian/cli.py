@@ -42,7 +42,7 @@ from .statevector import (
     seed_sequence,
     uniform_state,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite", choices=("all", "grover", "pmax", "measures"), default="all"
-    )
+    p.add_argument("--suite", choices=tuple(SUITES), default="all")
     _add_flags(p, seed=True)
 
     p = sub.add_parser("sweep", help="tabulate a measure over a family range")
@@ -178,8 +176,8 @@ def cmd_grover(args) -> dict:
         except ValueError:
             raise FileFormatError(f"bad --marked list {args.marked!r}")
     else:
-        if args.marked_count < 1:
-            raise FileFormatError("--marked-count must be >= 1")
+        if not 1 <= args.marked_count <= shape.total:
+            raise FileFormatError(f"--marked-count must lie in 1..{shape.total}")
         marked = list(range(args.marked_count))
     oracle = OracleSpec(shape, marked)
     if args.iterations == "auto":
@@ -214,16 +212,7 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
     return {
         "suite": args.suite,
         "passed": passed,
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "observed": r.observed,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [dataclasses.asdict(r) for r in results],
     }, lines
 
 
@@ -263,7 +252,7 @@ def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
             error = None if reference is None else 1.0 - value
         elif measure == "pmax-gap":
             best = pmax_overlap(state, cfg)
-            value = abs(pmax_simulated(state, best) - best.value)
+            value = abs(pmax_simulated(state.shape, best.value) - best.value)
             reference = 5.0 / math.sqrt(total)
             error = value - reference  # negative when within the bound
         else:

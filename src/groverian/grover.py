@@ -13,9 +13,10 @@ sum L of the unmarked ones by one small linear map (Biham, Biham, Biron,
 Grassl and Lidar, PRA 60, 2742 (1999)): with mean = (L - sum_j k_j)/N,
 k_j -> -k_j - 2 mean and L -> L - 2(N-r) mean; each unmarked amplitude only
 loses 2 mean.  ``run_grover`` and ``optimal_iterations`` run this map; with
-one marked position s it does not depend on s, so ``pmax_simulated``
-averages over every target in O(N + m).  ``oracle_phase`` and ``diffusion``
-are the dense reference.
+one marked position s it does not depend on s, so the success averaged over
+every target after the best local preprocessing is an exact affine function
+of P_max (``pmax_simulated``), found from the uniform start's curve alone in
+O(sqrt(N)).  ``oracle_phase`` and ``diffusion`` are the dense reference.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .product_opt import PmaxResult
 from .statevector import (
     LocalUnitaryLayer,
     StateVector,
     SystemShape,
     _check_same_shape,
     _readonly,
-    apply_local,
     fourier_gate,
 )
 
@@ -143,6 +142,15 @@ def _two_mode(marked_amps, rest_sum, total: int, iterations: int):
     return curve, k, 2.0 * mean_sum
 
 
+def _uniform_curve(total: int, r: int):
+    """P(k) from the uniform state up to the iteration bound, and the
+    optimal count m; O(sqrt(rN)) with nothing N-sized."""
+    amp = 1.0 / math.sqrt(total)
+    bound = iteration_bound(total, r)
+    curve = _two_mode(np.full(r, amp), (total - r) * amp, total, bound)[0]
+    return curve, int(np.argmax(curve >= curve.max() - 1e-12))
+
+
 def optimal_iterations(shape: SystemShape, oracle: OracleSpec) -> int:
     """Iteration count maximizing success probability from the uniform state.
 
@@ -151,11 +159,7 @@ def optimal_iterations(shape: SystemShape, oracle: OracleSpec) -> int:
     nothing N-sized.  Returns the smallest k whose P(k) is within 1e-12 of
     the maximum, so exact ties (P(k) = 1/2 for all k when r = N/2) give 0.
     """
-    total, r = shape.total, oracle.count
-    amp = 1.0 / math.sqrt(total)
-    bound = iteration_bound(total, r)
-    curve = _two_mode(np.full(r, amp), (total - r) * amp, total, bound)[0]
-    return int(np.argmax(curve >= curve.max() - 1e-12))
+    return _uniform_curve(shape.total, oracle.count)[1]
 
 
 def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> GroverRun:
@@ -174,47 +178,18 @@ def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> Gro
     return GroverRun(iterations, tuple(curve.tolist()), initial, oracle, final, shift)
 
 
-def _basis_completion(v: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is exactly v."""
-    d = v.size
-    pivot = int(np.argmax(np.abs(v)))
-    # [v, e_j for j != pivot] is always full rank (det = +/- v[pivot] != 0)
-    cols = np.zeros((d, d), dtype=np.complex128)
-    cols[:, 0] = v
-    k = 1
-    for j in range(d):
-        if j != pivot:
-            cols[j, k] = 1.0
-            k += 1
-    q, _ = np.linalg.qr(cols)
-    # QR returns the first column as v up to a unit phase; undo it.
-    q[:, 0] *= complex(np.vdot(q[:, 0], v))
-    return q
-
-
-def alignment_layer(product, shape: SystemShape) -> LocalUnitaryLayer:
-    """Per-site unitaries mapping each given factor to the uniform site state."""
-    gates = []
-    for factor, d in zip(product.factors, shape.dims):
-        gates.append(fourier_gate(d) @ _basis_completion(factor).conj().T)
-    return LocalUnitaryLayer(shape, tuple(gates))
-
-
-def pmax_simulated(initial: StateVector, best: PmaxResult) -> float:
+def pmax_simulated(shape: SystemShape, pmax: float) -> float:
     """Best achievable search success probability, averaged over the target.
 
-    The preprocessing layer rotates each factor of the maximizing product
-    state ``best.argmax`` onto the uniform site state.  For every single
-    marked position s the prepared amplitudes p start the two-mode map at
-    (p_s, sum(p) - p_s), so the final marked amplitude is
-    a p_s + b (sum(p) - p_s) with one (a, b) for all s; the mean of its
-    squared modulus over s is the target average, in O(N + m).
+    A local layer rotating the maximizing product state onto the uniform
+    state prepares amplitudes p with |sum(p)|^2 = N pmax.  For one marked
+    position s the two-mode map sends (p_s, sum(p) - p_s) to a final marked
+    amplitude a p_s + b (sum(p) - p_s), with one (a, b) for all s, so the
+    mean of its squared modulus over s is affine in pmax.  Unitarity
+    (|a|^2 + (N-1)|b|^2 = 1) fixes the value 1/N at pmax = 1/N, and a product
+    input is the uniform start, whose success P_N fixes the value at 1:
+    f(pmax) = 1/N + (pmax - 1/N)(P_N - 1/N)/(1 - 1/N), in O(sqrt(N)).
     """
-    shape, total = initial.shape, initial.shape.total
-    prepared = apply_local(alignment_layer(best.argmax, shape), initial).amps
-    iterations = optimal_iterations(shape, OracleSpec(shape, (0,)))
-    # (a, b): the final marked amplitude from (k, L) = (1, 0) and (0, 1)
-    a = _two_mode([1.0], 0.0, total, iterations)[1][0]
-    b = _two_mode([0.0], 1.0, total, iterations)[1][0]
-    final = a * prepared + b * (np.sum(prepared) - prepared)
-    return float(np.mean(np.abs(final) ** 2))
+    curve, m = _uniform_curve(shape.total, 1)
+    floor = 1.0 / shape.total
+    return float(floor + (pmax - floor) * (curve[m] - floor) / (1.0 - floor))

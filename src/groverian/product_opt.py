@@ -1,13 +1,13 @@
 """Maximal squared overlap between a state and the set of product states.
 
 The maximizer is alternating single-site optimization (best rank-one tensor
-approximation by power-type iteration).  Both objectives are written over an
-N x K block of columns b_k: sum_k |<e|b_k>|^2.  A state is one column; a
-density matrix is the factor B of rho = B B^+ it holds from construction
+approximation by power-type iteration).  Both objectives are written over a
+(K, N) block of rows b_k: sum_k |<e|b_k>|^2.  A state is one row; a density
+matrix is the factor of rho = sum_k |b_k><b_k| it holds from construction
 (``DensityMatrix``: pivoted Cholesky of given entries, K the numerical rank,
 or a factor built directly), so no call factors it again.  Holding all
 factors but one fixed, the optimal remaining factor is the normalized
-environment contraction for one column, or the top eigenvector of the
+environment contraction for one row, or the top eigenvector of the
 d_j x d_j Gram matrix of the (K, d_j) contraction for several.  Each update
 is the exact single-site optimum, so the objective never decreases; random
 restarts guard against local maxima.
@@ -287,12 +287,12 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
 def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxResult:
     """Maximize <e_1,...,e_n|rho|e_1,...,e_n> over product states.
 
-    rho is held as its factor B (N x K, factored once at construction), and
-    the restarts climb sum_k |<e|b_k>|^2 in the sweep engine of
-    ``pmax_overlap`` at O(chunk * N * K) per sweep; the basis floor is the
-    diagonal sum_k |b_k|^2.  For K > 1 the single-site update is the top
-    eigenvector of a d_j x d_j Gram matrix; within a degenerate top
-    eigenspace the eigensolver's vector is kept as returned (canonical
+    rho is held as its factor, the (K, N) rows b_k (factored once at
+    construction), and the restarts climb sum_k |<e|b_k>|^2 in the sweep
+    engine of ``pmax_overlap`` at O(chunk * N * K) per sweep; the basis
+    floor is the diagonal sum_k |b_k|^2.  For K > 1 the single-site update
+    is the top eigenvector of a d_j x d_j Gram matrix; within a degenerate
+    top eigenspace the eigensolver's vector is kept as returned (canonical
     phase applied).  ``value`` is recomputed as <e|rho|e> of rho as it was
     given (``DensityMatrix.expectation``), so for a one-row factor equal to
     a state the result is that of ``pmax_overlap`` on the state.

@@ -136,10 +136,14 @@ class StateVector:
             raise DimensionMismatch(
                 f"expected {self.shape.total} amplitudes, got {amps.size}"
             )
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowed norm is refused below
+            norm = float(np.linalg.norm(amps))
         if norm < ZERO_NORM_TOL:
             raise ZeroVector("state vector has zero norm")
         if not abs(norm - 1.0) <= CONSTRUCT_TOL:
+            # a finite norm needs no scan; an overflowed one may hold no inf
+            if not math.isfinite(norm) and not np.isfinite(amps).all():
+                raise NotNormalized("state has a non-finite amplitude")
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-8")
         if abs(norm - 1.0) > NORM_DRIFT_TOL:
             amps = amps / norm

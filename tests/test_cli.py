@@ -468,6 +468,7 @@ class TestCliGrover:
             capsys, "grover", "--state", "uniform:2,2", "--marked-count", "5"
         )
         assert code == 2
+        assert "--marked-count must lie in 1..4" in err
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -635,16 +636,32 @@ class TestCliErrors:
         assert run_cli(capsys, "pmax")[0] == 2
 
     @pytest.mark.parametrize(
-        "argv,budget",
+        "argv,budget,message",
         [
-            (["pmax", "--state", "uniform:" + ",".join(["2"] * 40)], 2**20),
-            (["groverian", "--mixed", "maximally-mixed:" + ",".join(["2"] * 16)], 2**20),
-            (["groverian", "--mixed", "pure:uniform:" + ",".join(["2"] * 16)], 2**20),
-            (["sweep", "--measure", "grover-success", "--sites", "2:40"], 2**20),
+            (["pmax", "--state", "uniform:" + ",".join(["2"] * 40)], 2**20, "cap of 2^30"),
+            (
+                ["groverian", "--mixed", "maximally-mixed:" + ",".join(["2"] * 16)],
+                2**20,
+                "cap of 2^30",
+            ),
+            (
+                ["groverian", "--mixed", "pure:uniform:" + ",".join(["2"] * 16)],
+                2**20,
+                "cap of 2^30",
+            ),
+            (["sweep", "--measure", "grover-success", "--sites", "2:40"], 2**20, "cap of 2^30"),
+            (
+                ["grover", "--state", "bell", "--marked-count", "99999999999"],
+                2**20,
+                "--marked-count must lie in 1..4",
+            ),
         ],
-        ids=["state-2^40", "density-2^32", "pure-density-2^32", "sweep-2^40"],
+        ids=[
+            "state-2^40", "density-2^32", "pure-density-2^32", "sweep-2^40",
+            "marked-count-above-N",
+        ],
     )
-    def test_oversize_input_refused_before_allocation(self, capsys, argv, budget):
+    def test_oversize_input_refused_before_allocation(self, capsys, argv, budget, message):
         tracemalloc.start()
         try:
             code, out, err = run_cli(capsys, *argv)
@@ -652,7 +669,7 @@ class TestCliErrors:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "cap of 2^30" in err
+        assert message in err
         assert "Traceback" not in err
         assert out == ""
         assert peak < budget
@@ -802,6 +819,26 @@ class TestCliErrors:
         assert "null" not in out
         if defect != "null":  # null reads as NaN, which the constructors refuse
             assert f"{path}: '{key}' must hold {len(pairs)} [re, im] pairs" in err
+
+    @pytest.mark.parametrize(
+        "amps,message",
+        [
+            ("[[null, 0], [0, 0]]", "state has a non-finite amplitude"),
+            ("[[1e400, 0], [0, 0]]", "state has a non-finite amplitude"),
+            ("[[1e300, 0], [1e300, 0]]", "state norm inf deviates from 1"),
+        ],
+        ids=["null", "overflowing-literal", "overflowing-norm"],
+    )
+    def test_non_finite_amplitude_named(self, capsys, tmp_path, amps, message):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2], "amps": ' + amps + "}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "pmax", "--state", str(path))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_infinite_density_entry(self, capsys, tmp_path):
         path = tmp_path / "rho.json"

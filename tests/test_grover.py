@@ -16,6 +16,7 @@ from groverian import (
     bell,
     diffusion,
     diffusion_layer,
+    fourier_gate,
     grover_iterate,
     inner,
     iteration_bound,
@@ -338,10 +339,35 @@ class TestRunModified:
             assert abs(run.prob_curve[-1] - 1.0) <= 1e-12
 
 
-def enumerated_average(state, best):
-    """The target average by one dense search per marked position."""
-    from groverian.grover import alignment_layer
+def _basis_completion(v: np.ndarray) -> np.ndarray:
+    """Unitary whose first column is exactly v."""
+    d = v.size
+    pivot = int(np.argmax(np.abs(v)))
+    # [v, e_j for j != pivot] is always full rank (det = +/- v[pivot] != 0)
+    cols = np.zeros((d, d), dtype=np.complex128)
+    cols[:, 0] = v
+    k = 1
+    for j in range(d):
+        if j != pivot:
+            cols[j, k] = 1.0
+            k += 1
+    q, _ = np.linalg.qr(cols)
+    # QR returns the first column as v up to a unit phase; undo it.
+    q[:, 0] *= complex(np.vdot(q[:, 0], v))
+    return q
 
+
+def alignment_layer(product, shape: SystemShape) -> LocalUnitaryLayer:
+    """Per-site unitaries mapping each given factor to the uniform site state."""
+    gates = []
+    for factor, d in zip(product.factors, shape.dims):
+        gates.append(fourier_gate(d) @ _basis_completion(factor).conj().T)
+    return LocalUnitaryLayer(shape, tuple(gates))
+
+
+def enumerated_average(state, best):
+    """The target average by one dense search per marked position, after
+    the local layer that rotates ``best.argmax`` onto the uniform state."""
     shape = state.shape
     prepared = apply_local(alignment_layer(best.argmax, shape), state)
     m = optimal_iterations(shape, OracleSpec(shape, (0,)))
@@ -351,29 +377,59 @@ def enumerated_average(state, best):
     return total / shape.total
 
 
+def uniform_success(shape):
+    """P(m) of plain search from the uniform state, m the optimal count."""
+    oracle = OracleSpec(shape, (0,))
+    run = run_grover(uniform_state(shape), oracle, optimal_iterations(shape, oracle))
+    return run.prob_curve[-1]
+
+
 class TestPmaxSimulated:
     def test_uniform_input(self, two_qubits):
         state = uniform_state(two_qubits)
-        assert pmax_simulated(state, pmax_overlap(state)) >= 1.0 - 1.0 / 4
+        value = pmax_simulated(two_qubits, pmax_overlap(state).value)
+        assert value >= 1.0 - 1.0 / 4
 
     def test_product_input(self, three_qubits):
         from groverian import product_to_state, random_product
 
         state = product_to_state(random_product(three_qubits, 5))
-        assert pmax_simulated(state, pmax_overlap(state)) >= 1.0 - 5.0 / math.sqrt(8)
+        value = pmax_simulated(three_qubits, pmax_overlap(state).value)
+        assert value >= 1.0 - 5.0 / math.sqrt(8)
 
     def test_bell_input(self, two_qubits):
-        value = pmax_simulated(bell(), pmax_overlap(bell()))
+        value = pmax_simulated(two_qubits, pmax_overlap(bell()).value)
         assert abs(value - 0.5) <= 5.0 / math.sqrt(4)
 
     def test_cap(self):
         # no size cap: beyond N = 256 the uniform input gives plain search
         shape = SystemShape([2] * 10)
         state = uniform_state(shape)
-        oracle = OracleSpec(shape, (0,))
-        plain = run_grover(state, oracle, optimal_iterations(shape, oracle))
-        value = pmax_simulated(state, pmax_overlap(state, OptimizerConfig(restarts=1)))
-        assert abs(value - plain.prob_curve[-1]) <= 1e-12
+        best = pmax_overlap(state, OptimizerConfig(restarts=1))
+        assert abs(pmax_simulated(shape, best.value) - uniform_success(shape)) <= 1e-12
+
+    def test_law_on_every_size(self):
+        """f(1/N) = 1/N, f(1) = P_N, a slope in [0, 1], and
+        |f(P) - P| <= 1 - P_N <= 1/N, for odd and even N alike."""
+        for total in range(2, 4097):
+            shape = SystemShape([total])
+            floor = 1.0 / total
+            top = pmax_simulated(shape, 1.0)
+            assert abs(pmax_simulated(shape, floor) - floor) <= 1e-15
+            assert abs(top - uniform_success(shape)) <= 1e-13
+            assert -1e-15 <= (top - floor) / (1.0 - floor) <= 1.0
+            assert 1.0 - top <= floor + 1e-15
+            mid = 0.5 * (floor + 1.0)
+            assert abs(pmax_simulated(shape, mid) - mid) <= 1.0 - top + 1e-15
+
+    @pytest.mark.parametrize(
+        "dims,flat", [([2, 2, 2], [8]), ([2, 3], [6]), ([3, 2, 2], [12])], ids=str
+    )
+    def test_law_depends_only_on_total(self, dims, flat):
+        for p in np.linspace(1.0 / np.prod(flat), 1.0, 7):
+            assert pmax_simulated(SystemShape(dims), p) == pmax_simulated(
+                SystemShape(flat), p
+            )
 
     @pytest.mark.parametrize(
         "dims",
@@ -392,7 +448,8 @@ class TestPmaxSimulated:
         else:
             state = basis_state(shape, shape.total - 1)
         best = pmax_overlap(state, OptimizerConfig(restarts=3))
-        assert abs(pmax_simulated(state, best) - enumerated_average(state, best)) <= 1e-12
+        expect = enumerated_average(state, best)
+        assert abs(pmax_simulated(shape, best.value) - expect) <= 1e-12
 
     def test_one_optimizer_run_per_state(self, optimizer_calls):
         from groverian.verify import check_average_vs_overlap
