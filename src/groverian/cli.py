@@ -20,11 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    GroverianError,
-    NonFiniteResult,
-    TooLarge,
-)
+from .errors import GroverianError, NonFiniteResult, TooLarge
 from .families import ghz, resolve_density, resolve_state, w_state
 from .fileio import FileFormatError, canonical_json
 from .grover import (
@@ -36,12 +32,7 @@ from .grover import (
 )
 from .measures import groverian, groverian_mixed
 from .product_opt import OptimizerConfig, pmax_overlap
-from .statevector import (
-    SystemShape,
-    random_state,
-    seed_sequence,
-    uniform_state,
-)
+from .statevector import qubit_shape, random_state, seed_sequence, uniform_state
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -187,8 +178,6 @@ def cmd_grover(args) -> dict:
             iterations = int(args.iterations)
         except ValueError:
             raise FileFormatError(f"bad --iterations value {args.iterations!r}")
-        if iterations < 0:
-            raise FileFormatError("--iterations must be >= 0")
     run = run_grover(state, oracle, iterations)
     return {
         "dims": list(shape.dims),
@@ -224,19 +213,18 @@ def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
         raise FileFormatError(f"bad --sites range {args.sites!r}")
     if lo < 2 or hi < lo:
         raise FileFormatError("--sites range must satisfy 2 <= lo <= hi")
-    SystemShape([2] * hi)  # an oversize range fails before the first row
+    qubit_shape(hi)  # an oversize range fails before the first row
 
     measure = args.measure
 
     def family_state(n, index):
-        shape = SystemShape([2] * n)
         if family == "ghz":
             return ghz(n)
         if family == "w":
             return w_state(n)
         if family == "uniform":
-            return uniform_state(shape)
-        return random_state(shape, seed_sequence(args.seed, 77, index))
+            return uniform_state(qubit_shape(n))
+        return random_state(qubit_shape(n), seed_sequence(args.seed, 77, index))
 
     rows = []
     for index, n in enumerate(range(lo, hi + 1)):

@@ -29,6 +29,7 @@ from .statevector import (
     SystemShape,
     basis_state,
     product_to_state,
+    qubit_shape,
     random_product,
     _readonly,
     random_state,
@@ -44,7 +45,7 @@ def ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise DimensionMismatch("ghz needs at least 2 sites")
-    shape = SystemShape([2] * n)
+    shape = qubit_shape(n)
     amps = np.zeros(shape.total, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(shape, _readonly(amps))
@@ -54,7 +55,7 @@ def w_state(n: int) -> StateVector:
     """Equal superposition of the n weight-one bit strings."""
     if n < 2:
         raise DimensionMismatch("w needs at least 2 sites")
-    shape = SystemShape([2] * n)
+    shape = qubit_shape(n)
     amps = np.zeros(shape.total, dtype=np.complex128)
     for j in range(n):
         amps[1 << j] = 1.0 / math.sqrt(n)
@@ -95,7 +96,7 @@ def _state_family(spec: str):
         return SystemShape([2, 2]), bell
     if name in ("ghz", "w") and len(args) == 1:
         n, family = int(args[0]), ghz if name == "ghz" else w_state
-        return SystemShape([2] * n), lambda: family(n)
+        return qubit_shape(n), lambda: family(n)
     if name == "uniform" and len(args) == 1:
         shape = SystemShape(_parse_dims(args[0]))
         return shape, lambda: uniform_state(shape)

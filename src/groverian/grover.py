@@ -8,20 +8,21 @@ discrete Fourier gate is the canonical choice, reducing to the Hadamard for
 qubits); the rank-one form used here is that composition evaluated exactly,
 global sign included.
 
-With r marked positions the iterate moves the marked amplitudes k_j and the
-sum L of the unmarked ones by one small linear map (Biham, Biham, Biron,
-Grassl and Lidar, PRA 60, 2742 (1999)): with mean = (L - sum_j k_j)/N,
-k_j -> -k_j - 2 mean and L -> L - 2(N-r) mean; each unmarked amplitude only
-loses 2 mean.  ``run_grover`` and ``optimal_iterations`` run this map; with
-one marked position s it does not depend on s, so the success averaged over
-every target after the best local preprocessing is an exact affine function
-of P_max (``pmax_simulated``), found from the uniform start's curve alone in
-O(sqrt(N)).  ``oracle_phase`` and ``diffusion`` are the dense reference.
+With r marked positions the iterate is a two-mode map (Biham, Biham, Biron,
+Grassl and Lidar, PRA 60, 2742 (1999)) on the sums K and L of the marked and
+unmarked amplitudes: mean = (L - K)/N, K -> -K - 2r mean, L -> L - 2(N-r) mean,
+as each marked k_j -> -k_j - 2 mean and each unmarked amplitude loses 2 mean.
+So k_j - K/r only flips sign, and P = |K|^2/r + D with D = sum_j |k_j - K/r|^2
+fixed at the start.  With one marked position s the map does not depend on s,
+so the target-averaged success after the best local preprocessing is an exact
+affine function of P_max (``pmax_simulated``), found from the uniform start's
+curve in O(sqrt(N)); ``oracle_phase`` and ``diffusion`` are the dense reference.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .statevector import (
+    MAX_TOTAL_DIM,
     LocalUnitaryLayer,
     StateVector,
     SystemShape,
@@ -52,9 +54,7 @@ class OracleSpec:
         if len(set(marked)) != len(marked):
             raise DimensionMismatch("duplicate marked indices")
         if marked[0] < 0 or marked[-1] >= shape.total:
-            raise DimensionMismatch(
-                f"marked indices must lie in 0..{shape.total - 1}"
-            )
+            raise DimensionMismatch(f"marked indices must lie in 0..{shape.total - 1}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "marked", marked)
 
@@ -126,38 +126,37 @@ def iteration_bound(total: int, r: int) -> int:
     return math.ceil(math.pi / 4.0 * math.sqrt(total / r))
 
 
-def _two_mode(marked_amps, rest_sum, total: int, iterations: int):
-    """P(k) for k = 0..iterations, the final marked amplitudes, and the shift
-    2 sum_t mean_t every unmarked amplitude has lost; O(r) per step."""
-    k, rest = np.array(marked_amps), rest_sum
-    unmarked = total - k.size
-    curve = np.empty(iterations + 1)
-    curve[0] = np.vdot(k, k).real
+def _two_mode(k_sum: complex, rest: complex, spread: float, r: int, total: int, iterations: int):
+    """P(k) for k = 0..iterations, the final K, and the shift 2 sum_t mean_t
+    every unmarked amplitude has lost; O(1) per step on Python scalars."""
+    unmarked = total - r
+    curve = array("d", [0.0]) * (iterations + 1)
+    curve[0] = (k_sum.real * k_sum.real + k_sum.imag * k_sum.imag) / r + spread
     mean_sum = 0.0
     for t in range(1, iterations + 1):
-        mean = (rest - k.sum()) / total  # the oracle negates k, then reflect
-        k, rest = -k - 2.0 * mean, rest - 2.0 * unmarked * mean
+        mean = (rest - k_sum) / total  # the oracle negates K, then reflect
+        k_sum, rest = -k_sum - 2.0 * r * mean, rest - 2.0 * unmarked * mean
         mean_sum += mean
-        curve[t] = np.vdot(k, k).real
-    return curve, k, 2.0 * mean_sum
+        curve[t] = (k_sum.real * k_sum.real + k_sum.imag * k_sum.imag) / r + spread
+    return curve, k_sum, 2.0 * mean_sum
 
 
 def _uniform_curve(total: int, r: int):
     """P(k) from the uniform state up to the iteration bound, and the
-    optimal count m; O(sqrt(rN)) with nothing N-sized."""
+    optimal count m; O(sqrt(N/r)) with nothing N- or r-sized."""
     amp = 1.0 / math.sqrt(total)
-    bound = iteration_bound(total, r)
-    curve = _two_mode(np.full(r, amp), (total - r) * amp, total, bound)[0]
-    return curve, int(np.argmax(curve >= curve.max() - 1e-12))
+    curve = _two_mode(r * amp, (total - r) * amp, 0.0, r, total, iteration_bound(total, r))[0]
+    p = np.frombuffer(curve)
+    return curve, int(np.argmax(p >= p.max() - 1e-12))
 
 
 def optimal_iterations(shape: SystemShape, oracle: OracleSpec) -> int:
     """Iteration count maximizing success probability from the uniform state.
 
-    Runs the two-mode map from marked amplitudes 1/sqrt(N) and unmarked sum
-    (N - r)/sqrt(N) up to the ceil(pi/4 sqrt(N/r)) bound: O(sqrt(rN)), with
-    nothing N-sized.  Returns the smallest k whose P(k) is within 1e-12 of
-    the maximum, so exact ties (P(k) = 1/2 for all k when r = N/2) give 0.
+    Runs the two-mode map from K = r/sqrt(N), L = (N - r)/sqrt(N), D = 0 up
+    to the ceil(pi/4 sqrt(N/r)) bound: O(sqrt(N/r)), with nothing N- or
+    r-sized.  Returns the smallest k whose P(k) is within 1e-12 of the
+    maximum, so exact ties (P(k) = 1/2 for all k when r = N/2) give 0.
     """
     return _uniform_curve(shape.total, oracle.count)[1]
 
@@ -165,17 +164,24 @@ def optimal_iterations(shape: SystemShape, oracle: OracleSpec) -> int:
 def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> GroverRun:
     """Apply the iterate ``iterations`` times, recording P(k) at every step.
 
-    One pass over the amplitudes gives the unmarked sum; the steps then run
-    the two-mode map, O(N + r m) for r marked indices and m iterations.  The
-    N-sized final state is built only when ``final_state`` is first read.
+    One pass over the amplitudes gives K, L and D; the steps then run the
+    two-mode map on scalars, O(N + r + m) for r marked indices and m
+    iterations.  The N-sized final state is built only when ``final_state``
+    is first read.
     """
     _check_same_shape(oracle, initial)
-    if iterations < 0:
-        raise DimensionMismatch("iteration count must be >= 0")
+    if not 0 <= iterations < MAX_TOTAL_DIM:  # the curve holds m + 1 entries
+        raise DimensionMismatch(f"iteration count {iterations} outside 0..2^30 - 1 (cap of 2^30)")
+    r = oracle.count
     marked = initial.amps[list(oracle.marked)]
-    rest = np.sum(initial.amps) - np.sum(marked)
-    curve, final, shift = _two_mode(marked, rest, initial.shape.total, iterations)
-    return GroverRun(iterations, tuple(curve.tolist()), initial, oracle, final, shift)
+    k_sum = np.sum(marked)
+    deviation = marked - k_sum / r
+    curve, k_final, shift = _two_mode(
+        complex(k_sum), complex(np.sum(initial.amps) - k_sum),
+        float(np.vdot(deviation, deviation).real), r, initial.shape.total, iterations,
+    )
+    final_marked = (deviation if iterations % 2 == 0 else -deviation) + k_final / r
+    return GroverRun(iterations, tuple(curve), initial, oracle, final_marked, shift)
 
 
 def pmax_simulated(shape: SystemShape, pmax: float) -> float:

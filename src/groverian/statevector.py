@@ -118,6 +118,13 @@ class SystemShape:
         return tuple(int(d) for d in np.unravel_index(index, self.dims))
 
 
+def qubit_shape(n: int) -> SystemShape:
+    """n qubits, refused before their dims are built when 2^n passes the cap."""
+    if n > math.log2(MAX_TOTAL_DIM):
+        raise DimensionMismatch(f"{n} qubits exceed the cap of 2^30 amplitudes")
+    return SystemShape([2] * n)
+
+
 def _check_same_shape(a, b) -> None:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape.dims} vs {b.shape.dims}")

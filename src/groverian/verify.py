@@ -49,6 +49,7 @@ from .statevector import (
     basis_state,
     inner,
     product_to_state,
+    qubit_shape,
     random_local_layer,
     random_product,
     random_state,
@@ -88,10 +89,6 @@ def _cfg(seed: int, check_id: int, index: int) -> OptimizerConfig:
     return OptimizerConfig(seed=int(entropy.generate_state(1, np.uint64)[0]))
 
 
-def _qubit_shape(n: int) -> SystemShape:
-    return SystemShape([2] * n)
-
-
 def _phase_free_residual(target_amp: complex) -> float:
     """min over global phase of || e^{ia} psi - |s> || given <s|psi>."""
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(target_amp)))
@@ -106,7 +103,7 @@ def check_sine_formula(seed: int) -> list[CheckResult]:
     worst_curve = 0.0
     worst_peak_deficit = -1.0
     for n in (4, 6, 8, 10):
-        shape = _qubit_shape(n)
+        shape = qubit_shape(n)
         total = shape.total
         oracle = OracleSpec(shape, (1,))
         bound = iteration_bound(total, 1)
@@ -135,7 +132,7 @@ def check_sine_formula(seed: int) -> list[CheckResult]:
 
 def check_exact_n4(seed: int) -> list[CheckResult]:
     """One iteration on N=4 finds any single marked state with certainty."""
-    shape = _qubit_shape(2)
+    shape = qubit_shape(2)
     worst = 0.0
     for s in range(4):
         run = run_grover(uniform_state(shape), OracleSpec(shape, (s,)), 1)
@@ -148,7 +145,7 @@ def check_target_residual(seed: int) -> list[CheckResult]:
     (global phase factored out; the layered composition flips sign on odd m)."""
     worst_excess = -1.0
     for n in (4, 6, 8, 10):
-        shape = _qubit_shape(n)
+        shape = qubit_shape(n)
         total = shape.total
         m = optimal_iterations(shape, OracleSpec(shape, (0,)))
         if total <= 64:
@@ -195,7 +192,7 @@ def check_qudit_pair(seed: int) -> list[CheckResult]:
 
 def check_marked_symmetry(seed: int) -> list[CheckResult]:
     """The success curve does not depend on which singleton is marked."""
-    shape = _qubit_shape(4)
+    shape = qubit_shape(4)
     bound = iteration_bound(16, 1)
     reference = run_grover(uniform_state(shape), OracleSpec(shape, (0,)), bound)
     worst = 0.0
@@ -212,10 +209,10 @@ def check_iteration_bound(seed: int) -> list[CheckResult]:
     """Selected iteration count never exceeds ceil(pi/4 sqrt(N/r))."""
     worst = -math.inf
     cases = [
-        (_qubit_shape(2), (0, 1, 2, 3)),
-        (_qubit_shape(4), (3,)),
-        (_qubit_shape(4), (1, 6)),
-        (_qubit_shape(6), (0, 7, 21)),
+        (qubit_shape(2), (0, 1, 2, 3)),
+        (qubit_shape(4), (3,)),
+        (qubit_shape(4), (1, 6)),
+        (qubit_shape(6), (0, 7, 21)),
         (SystemShape([3, 3]), (2,)),
         (SystemShape([3, 3]), (0, 4, 8)),
     ]
@@ -249,7 +246,7 @@ def check_unitarity_drift(seed: int) -> list[CheckResult]:
     Runs the dense in-place step behind oracle_phase and diffusion (run_grover
     takes the two-mode map instead) on a bare array: a constructed
     StateVector would renormalize drift beyond 1e-12 and hide it."""
-    amps = random_state(_qubit_shape(6), seed_sequence(seed, 22, 0)).amps.copy()
+    amps = random_state(qubit_shape(6), seed_sequence(seed, 22, 0)).amps.copy()
     worst = 0.0
     for _ in range(100):
         _flip_marked(amps, [17])
@@ -260,7 +257,7 @@ def check_unitarity_drift(seed: int) -> list[CheckResult]:
 
 def check_invariant_complement(seed: int) -> list[CheckResult]:
     """A state orthogonal to both the uniform and marked states is frozen."""
-    shape = _qubit_shape(2)
+    shape = qubit_shape(2)
     amps = np.zeros(4, dtype=np.complex128)
     amps[1] = SQRT_HALF
     amps[2] = -SQRT_HALF
@@ -280,12 +277,12 @@ def check_invariant_complement(seed: int) -> list[CheckResult]:
 
 def check_named_pmax(seed: int) -> list[CheckResult]:
     """Optimizer reproduces closed-form overlaps for the standard families."""
-    shape3 = _qubit_shape(3)
+    shape3 = qubit_shape(3)
     cases = [
         ("bell", bell(), 0.5),
         ("ghz3", ghz(3), 0.5),
         ("w3", w_state(3), 4.0 / 9.0),
-        ("basis", basis_state(_qubit_shape(4), 5), 1.0),
+        ("basis", basis_state(qubit_shape(4), 5), 1.0),
         ("product", product_to_state(random_product(shape3, seed_sequence(seed, 30, 0))), 1.0),
     ]
     worst = 0.0
@@ -302,7 +299,7 @@ def check_average_vs_overlap(seed: int) -> list[CheckResult]:
     worst_excess = -math.inf
     worst_gap = 0.0
     for n, count in ((2, 50), (3, 50)):
-        shape = _qubit_shape(n)
+        shape = qubit_shape(n)
         bound = 5.0 / math.sqrt(shape.total)
         for i in range(count):
             state = random_state(shape, seed_sequence(seed, 31, 100 * n + i))
@@ -338,7 +335,7 @@ def check_grid_agreement(seed: int) -> list[CheckResult]:
     """Optimizer dominates the exact grid value and stays within its coarseness."""
     worst_under = -math.inf  # grid - overlap must stay <= 1e-9
     worst_over = -math.inf  # overlap - grid must stay <= 5e-3
-    shape = _qubit_shape(3)
+    shape = qubit_shape(3)
     for i in range(50):
         state = random_state(shape, seed_sequence(seed, 33, i))
         value = pmax_overlap(state, _cfg(seed, 33, i)).value
@@ -407,7 +404,7 @@ def check_feasibility(seed: int) -> list[CheckResult]:
 
 def check_pmax_lu_invariance(seed: int) -> list[CheckResult]:
     """The product-overlap maximum is invariant under local unitaries."""
-    shape = _qubit_shape(3)
+    shape = qubit_shape(3)
     worst = 0.0
     for i in range(20):
         state = random_state(shape, seed_sequence(seed, 37, 2 * i))
@@ -422,11 +419,11 @@ def check_pmax_lu_invariance(seed: int) -> list[CheckResult]:
 def check_grid_known_values(seed: int) -> list[CheckResult]:
     """Grid oracle sanity: Bell value, pole exactness, refinement monotonicity."""
     bell_err = abs(pmax_grid_oracle(bell(), 64) - 0.5)
-    pole = pmax_grid_oracle(basis_state(_qubit_shape(3), 0), 64)
+    pole = pmax_grid_oracle(basis_state(qubit_shape(3), 0), 64)
     pole_err = abs(pole - 1.0)
     worst_refine = -math.inf
     for i in range(5):
-        state = random_state(_qubit_shape(3), seed_sequence(seed, 38, i))
+        state = random_state(qubit_shape(3), seed_sequence(seed, 38, i))
         worst_refine = max(
             worst_refine,
             pmax_grid_oracle(state, 64) - pmax_grid_oracle(state, 128),
@@ -460,7 +457,7 @@ def check_named_measures(seed: int) -> list[CheckResult]:
         worst = max(worst, abs(report.groverian - expect))
         names.append(f"{report.groverian:.7f}")
         unconverged += not report.converged
-    product = product_to_state(random_product(_qubit_shape(3), seed_sequence(seed, 40, 9)))
+    product = product_to_state(random_product(qubit_shape(3), seed_sequence(seed, 40, 9)))
     prod_report = groverian(product, _cfg(seed, 40, 10))
     unconverged += not prod_report.converged
     worst = max(worst, prod_report.groverian)
@@ -478,7 +475,7 @@ def check_named_measures(seed: int) -> list[CheckResult]:
 
 def check_measure_lu_invariance(seed: int) -> list[CheckResult]:
     """|G(L psi) - G(psi)| <= 1e-8 over 100 random state/layer pairs."""
-    shape = _qubit_shape(3)
+    shape = qubit_shape(3)
     worst = 0.0
     unconverged = 0
     for i in range(100):
@@ -542,7 +539,7 @@ def check_entropy_relation(seed: int) -> list[CheckResult]:
     """Reduced-state entropy equals h(G^2) for two-qubit pure states."""
     worst = 0.0
     for i in range(100):
-        state = random_state(_qubit_shape(2), seed_sequence(seed, 43, i))
+        state = random_state(qubit_shape(2), seed_sequence(seed, 43, i))
         s, h_g2 = entropy_check(state)
         worst = max(worst, abs(s - h_g2))
     return [CheckResult("measures/entropy-relation", worst <= 1e-9, worst, 1e-9)]
@@ -550,7 +547,7 @@ def check_entropy_relation(seed: int) -> list[CheckResult]:
 
 def check_mixed_extension(seed: int) -> list[CheckResult]:
     """Linear extension values: maximally mixed pair, and product densities."""
-    mm = DensityMatrix(_qubit_shape(2), np.eye(4) / 4.0)
+    mm = DensityMatrix(qubit_shape(2), np.eye(4) / 4.0)
     g_mm = groverian_mixed(mm, _cfg(seed, 44, 0)).groverian
     mm_err = abs(g_mm - G_MAX_N4)
 
@@ -566,7 +563,7 @@ def check_mixed_extension(seed: int) -> list[CheckResult]:
         joint = locals_[0]
         for m in locals_[1:]:
             joint = np.kron(joint, m)
-        rho = DensityMatrix(_qubit_shape(n_sites), joint)
+        rho = DensityMatrix(qubit_shape(n_sites), joint)
         expected = groverian_product_mixed(locals_)
         got = groverian_mixed(rho, _cfg(seed, 44, i + 2)).groverian
         worst = max(worst, abs(got - expected))
@@ -587,10 +584,10 @@ def check_definitional_identities(seed: int) -> list[CheckResult]:
     worst = 0.0
     reports = [groverian_bipartite(bell(), [1])]
     for i in range(10):
-        state = random_state(_qubit_shape(2), seed_sequence(seed, 45, i))
+        state = random_state(qubit_shape(2), seed_sequence(seed, 45, i))
         reports.append(groverian_bipartite(state, [1]))
     for i in range(5):
-        state = random_state(_qubit_shape(3), seed_sequence(seed, 45, 100 + i))
+        state = random_state(qubit_shape(3), seed_sequence(seed, 45, 100 + i))
         reports.append(groverian(state, _cfg(seed, 45, i)))
     for rep in reports:
         worst = max(worst, abs(rep.groverian**2 + rep.pmax - 1.0))
@@ -602,7 +599,7 @@ def check_vedral_rank_order(seed: int) -> list[CheckResult]:
     """Ranking states by G equals ranking by the 2-2 sqrt(pmax) measure."""
     gs, es = [], []
     for i in range(20):
-        state = random_state(_qubit_shape(3), seed_sequence(seed, 46, i))
+        state = random_state(qubit_shape(3), seed_sequence(seed, 46, i))
         rep = groverian(state, _cfg(seed, 46, i))
         gs.append(rep.groverian)
         es.append(rep.vedral_e)

@@ -655,10 +655,24 @@ class TestCliErrors:
                 2**20,
                 "--marked-count must lie in 1..4",
             ),
+            (
+                ["grover", "--state", "bell", "--marked", "0", "--iterations", str(10**20)],
+                2**20,
+                "cap of 2^30",
+            ),
+            (
+                ["grover", "--state", "bell", "--marked", "0", "--iterations", "-1"],
+                2**20,
+                "iteration count -1",
+            ),
+            (["pmax", "--state", f"ghz:{10**20}"], 2**20, "cap of 2^30"),
+            (["pmax", "--state", f"w:{10**20}"], 2**20, "cap of 2^30"),
+            (["sweep", "--measure", "pmax", "--sites", f"2:{10**20}"], 2**20, "cap of 2^30"),
         ],
         ids=[
             "state-2^40", "density-2^32", "pure-density-2^32", "sweep-2^40",
-            "marked-count-above-N",
+            "marked-count-above-N", "iterations-10^20", "iterations-negative",
+            "ghz-10^20-sites", "w-10^20-sites", "sweep-10^20-sites",
         ],
     )
     def test_oversize_input_refused_before_allocation(self, capsys, argv, budget, message):

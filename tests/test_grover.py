@@ -214,14 +214,16 @@ class TestOptimalIterations:
 
     def test_no_allocation_grows_with_n(self):
         shape = SystemShape([2] * 28)
-        tracemalloc.start()
-        try:
-            m = optimal_iterations(shape, OracleSpec(shape, (0,)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m == iteration_bound(shape.total, 1) - 1  # floor(pi/4 sqrt N)
-        assert peak < 2**20
+        for r in (1, 2**16):
+            oracle = OracleSpec(shape, range(r))
+            tracemalloc.start()
+            try:
+                m = optimal_iterations(shape, oracle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m == iteration_bound(shape.total, r) - 1  # floor(pi/4 sqrt(N/r))
+            assert peak < 2**20
 
     @pytest.mark.parametrize(
         "dims,marked",
@@ -305,8 +307,9 @@ class TestRunGrover:
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in run.prob_curve)
 
     def test_negative_iterations_rejected(self, two_qubits):
-        with pytest.raises(DimensionMismatch):
-            run_grover(uniform_state(two_qubits), OracleSpec(two_qubits, [0]), -1)
+        for iterations in (-1, 2**30 + 1):
+            with pytest.raises(DimensionMismatch, match="cap of 2\\^30"):
+                run_grover(uniform_state(two_qubits), OracleSpec(two_qubits, [0]), iterations)
 
 
 def assert_matches_reference(state, oracle, steps):
