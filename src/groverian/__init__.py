@@ -64,6 +64,7 @@ from .product_opt import (
     pmax_grid_oracle,
     pmax_mixed,
     pmax_overlap,
+    pmax_overlap_many,
 )
 from .statevector import (
     DensityMatrix,

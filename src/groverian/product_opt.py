@@ -14,14 +14,19 @@ restarts guard against local maxima.
 
 A sweep visits sites 1..n in order and carries the left environment (the
 target with the already-updated factors contracted in) from site to site.
-Restarts climb together: each site's factors for a batch of restarts are
-stacked into an (R, d_j) array, and one sweep updates every restart still
-climbing with a few batched contractions per site.  A restart leaves the
-batch when it converges or runs out of sweeps.  Restarts run in chunks of
-at most CHUNK_AMPLITUDES / (N * K), and at least one, so one sweep costs
-O(chunk * N * K).  Pure and mixed input share one sweep engine.  A chunk's
-starts are one batched draw; a vanished row is reseeded from the seed of
-its restart and attempt; the basis-floor climb is a one-hot start.
+Restarts climb together: each site's factors for a batch of rows are
+stacked into an (R, d_j) array, and one sweep updates every row still
+climbing with a few batched contractions per site.  The target is shared
+by every row, or is an (R, K, d_1, ..., d_n) stack with one block per row,
+which lets ``pmax_overlap_many`` stack the restarts of many inputs of equal
+dims and K into one batch.  A row leaves the batch when it converges or
+runs out of sweeps.  Rows run in chunks of at most CHUNK_AMPLITUDES /
+(N * K), and at least one, so one sweep costs O(chunk * N * K).  Pure and
+mixed input share one sweep engine, and ``pmax_overlap`` and
+``pmax_mixed`` are its one-input calls.  A chunk's starts are one batched
+draw; a vanished row is reseeded from (its input's seed, its restart, the
+attempt); the basis-floor climb is a one-hot start.  At most MAX_RESTARTS
+restarts are accepted.
 
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, TooLarge, WrongShape
+from .errors import DimensionMismatch, OutOfRange, TooLarge, WrongShape
 from .statevector import (
     DensityMatrix,
     ProductState,
@@ -57,6 +62,10 @@ CONTRACTION_EPS = 1e-14
 # inputs run one restart at a time.
 CHUNK_AMPLITUDES = 2**16
 
+# The restart schedule, and the report that lists every restart, grow with
+# the count: 2^20 restarts of a two-qubit state take about half a minute.
+MAX_RESTARTS = 2**20
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -70,6 +79,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise OutOfRange("restarts must be >= 1")
+        if self.restarts > MAX_RESTARTS:
+            raise OutOfRange(f"restarts must be <= 2^20, got {self.restarts}")
         if not 0 < self.tol < math.inf:
             raise OutOfRange("tol must be finite and > 0")
         if self.max_sweeps < 1:
@@ -101,44 +112,47 @@ class _Climbs:
     A degenerate restart has objective 0.0 and is never chosen as best."""
 
     objective: np.ndarray
-    factors: list[np.ndarray]  # (R, d_j) final factors per site
     sweeps: np.ndarray
     converged: np.ndarray
     degenerate: np.ndarray
+    factors: list[np.ndarray]  # (R, d_j) final factors per site, the last field
 
     def best(self) -> int:
         """The first row of largest objective among non-degenerate rows."""
         return int(np.argmax(np.where(self.degenerate, -math.inf, self.objective)))
 
+    def __getitem__(self, rows: slice) -> _Climbs:
+        *arrays, factors = vars(self).values()
+        return _Climbs(*(a[rows] for a in arrays), [f[rows] for f in factors])
+
 
 def _join(climbs: list[_Climbs]) -> _Climbs:
-    return _Climbs(
-        np.concatenate([c.objective for c in climbs]),
-        [np.concatenate(fs) for fs in zip(*(c.factors for c in climbs))],
-        np.concatenate([c.sweeps for c in climbs]),
-        np.concatenate([c.converged for c in climbs]),
-        np.concatenate([c.degenerate for c in climbs]),
-    )
+    *arrays, factors = zip(*(vars(c).values() for c in climbs))
+    return _Climbs(*map(np.concatenate, arrays), [np.concatenate(fs) for fs in zip(*factors)])
 
 
 def _sweep_rows(target, factors):
-    """One left-to-right sweep of exact single-site updates over R restarts.
+    """One left-to-right sweep of exact single-site updates over R rows.
 
     ``target`` is the (K, d_1, ..., d_n) block of K columns b_k whose
-    objective sum_k |<e|b_k>|^2 is maximized, shared by every row.
-    ``factors[j]`` is the (R, d_j) stack of site-j factors, one row per
-    restart, and is replaced in place.  The left environment starts as
-    ``target`` and absorbs each updated factor, so site j works on an
-    (R, K, d_j, ..., d_n) tensor.  With one column the normalized
-    contraction is the new factor; with several, the top eigenvector of the
-    d_j x d_j Gram matrix of the (K, d_j) contraction.  A row's contraction
-    vanishes when its norm is below CONTRACTION_EPS, whatever K is.
+    objective sum_k |<e|b_k>|^2 is maximized, shared by every row, or an
+    (R, K, d_1, ..., d_n) stack of such blocks, one per row; K is read from
+    axis -(n + 1) either way.  ``factors[j]`` is the (R, d_j) stack of
+    site-j factors, one row per restart, and is replaced in place.  The
+    left environment starts as ``target`` and absorbs each updated factor,
+    so site j works on an (R, K, d_j, ..., d_n) tensor.  With one column
+    the normalized contraction is the new factor; with several, the top
+    eigenvector of the d_j x d_j Gram matrix of the (K, d_j) contraction.
+    A row's contraction vanishes when its norm is below CONTRACTION_EPS,
+    whatever K is.  Every row's arithmetic is the same whether its target
+    is shared or its own, and whatever the other rows are.
 
     Returns the (R, n) objectives after each site and the rows whose
     contraction vanished at some site; those rows hold finite values that
     mean nothing.
     """
-    rows, n, cols = len(factors[0]), len(factors), target.shape[0]
+    rows, n = len(factors[0]), len(factors)
+    cols = target.shape[-(n + 1)]
     objectives = np.empty((rows, n))
     degenerate = np.zeros(rows, dtype=bool)
     left = target
@@ -165,39 +179,45 @@ def _sweep_rows(target, factors):
     return objectives, degenerate
 
 
-def _starts(cfg, keys, dims) -> list[np.ndarray]:
-    """(R, d_j) random start stacks, one row per (restart, attempt) key."""
-    return _random_factors(dims, [seed_sequence(cfg.seed, r, a) for r, a in keys])
+def _starts(keys, dims) -> list[np.ndarray]:
+    """(R, d_j) random start stacks, one row per (seed, restart, attempt) key."""
+    return _random_factors(dims, (seed_sequence(s, r, a) for s, r, a in keys))
 
 
-def _climb_rows(target, factors, restarts, cfg) -> _Climbs:
+def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
     """Alternating sweeps from R starting points at once.
 
-    ``factors`` holds the (R, d_j) starting stacks and ``restarts`` the
-    restart index of each row.  A row leaves the batch when its last-site
-    objective gains less than ``cfg.tol`` over the previous sweep, or when
-    the sweep budget runs out.  A row whose contraction vanishes is reseeded
-    from its restart's seed at the next attempt a bounded number of times,
-    and counts as degenerate when that fails or leaves no sweep.
+    ``target`` is shared by every row or holds one block per row, as in
+    ``_sweep_rows``.  ``factors`` holds the (R, d_j) starting stacks,
+    ``restarts`` the restart index of each row and ``cfgs`` the config of
+    each row's input.  A row leaves the batch, with its factors and its
+    block of a per-row target, when its last-site objective gains less than
+    its ``tol`` over the previous sweep, or when its sweep budget runs out.
+    A row whose contraction vanishes is reseeded from the key (its config's
+    seed, its restart, the next attempt) a bounded number of times, and
+    counts as degenerate when that fails or leaves no sweep.
     """
     rows, dims = len(restarts), [f.shape[1] for f in factors]
     out = _Climbs(
         np.zeros(rows),
-        [np.empty_like(f) for f in factors],
         np.zeros(rows, dtype=int),
         np.zeros(rows, dtype=bool),
         np.zeros(rows, dtype=bool),
+        [np.empty_like(f) for f in factors],
     )
     live, restarts = np.arange(rows), np.asarray(restarts)
+    tol = np.array([c.tol for c in cfgs])
+    budget = np.array([c.max_sweeps for c in cfgs])
+    per_row = target.ndim > len(dims) + 1
     current = [f.copy() for f in factors]
     prev = np.full(rows, -math.inf)
     attempt = np.zeros(rows, dtype=int)
-    for sweep in range(1, cfg.max_sweeps + 1):
+    for sweep in range(1, int(budget.max()) + 1):
         objectives, bad = _sweep_rows(target, current)
         obj = objectives[:, -1]
-        converged = ~bad & (obj - prev < cfg.tol)
-        last = sweep == cfg.max_sweeps
-        if not (last or bad.any() or converged.any()):
+        converged = ~bad & (obj - prev < tol)
+        last = sweep == budget
+        if not (last | bad | converged).any():
             prev = obj
             continue
         attempt += bad
@@ -213,63 +233,113 @@ def _climb_rows(target, factors, restarts, cfg) -> _Climbs:
             out.factors[j][rows_done] = f[done]
         redo = np.flatnonzero(bad & ~failed)
         if redo.size:  # degenerate contractions restart from fresh seeds
-            for f, g in zip(current, _starts(cfg, zip(restarts[live[redo]], attempt[redo]), dims)):
+            keys = [(cfgs[i].seed, restarts[i], a) for i, a in zip(live[redo], attempt[redo])]
+            for f, g in zip(current, _starts(keys, dims)):
                 f[redo] = g
         keep = ~done
         if not keep.any():
             break
         live, prev, attempt = live[keep], prev[keep], attempt[keep]
+        tol, budget = tol[keep], budget[keep]
         current = [f[keep] for f in current]
+        if per_row:
+            target = target[keep]
     return out
 
 
-def _optimize(factor, shape, cfg):
-    """Batched restart schedule over the (K, N) column block ``factor``.
-
-    Restarts run in chunks whose left environments stay within
-    ``CHUNK_AMPLITUDES``; returns every restart's climb, in restart order.
-    The basis floor is the largest diagonal entry sum_k |b_k|^2.
+def _climb_all(targets, cfgs, spans, starts) -> dict[int, list[_Climbs]]:
+    """Climb restarts a..a+c-1 of each input i, ``spans[i] = (a, c)``, with
+    the inputs of one target shape (dims and K) stacked as rows of a batch,
+    in chunks of at most CHUNK_AMPLITUDES // (K * N) rows and at least one.
+    A chunk of one input's rows climbs on its shared target, so no restart
+    copies it; a chunk spanning inputs, on the per-row stack of targets.
+    ``starts(inputs, restarts, dims)`` gives a chunk's (R, d_j) starts.
+    Returns each input's climbs, chunk by chunk.
     """
-    dims = shape.dims
-    target = factor.reshape((len(factor),) + dims)
-    diag = (np.abs(factor) ** 2).sum(axis=0)
-    floor_index = int(np.argmax(diag))
-    chunk = max(1, CHUNK_AMPLITUDES // factor.size)
-    climbs = []
-    for first in range(1, cfg.restarts + 1, chunk):
-        restarts = range(first, min(first + chunk, cfg.restarts + 1))
-        stacks = _starts(cfg, [(r, 0) for r in restarts], dims)
-        if first == 1:
-            for f, d in zip(stacks, dims):
-                f[0] = uniform_factor(d)
-        climbs.append(_climb_rows(target, stacks, restarts, cfg))
+    found: dict[int, list[_Climbs]] = {i: [] for i in spans}
+    groups: dict[tuple, list[int]] = {}
+    for i in spans:
+        groups.setdefault(targets[i].shape, []).append(i)
+    for shape, members in groups.items():
+        inputs = np.repeat(members, [spans[i][1] for i in members])
+        restarts = np.concatenate([np.arange(a, a + c) for a, c in map(spans.get, members)])
+        chunk = max(1, CHUNK_AMPLITUDES // math.prod(shape))
+        for at in range(0, len(inputs), chunk):
+            ins, rs = inputs[at : at + chunk], restarts[at : at + chunk]
+            target = targets[ins[0]] if ins[0] == ins[-1] else np.stack([targets[i] for i in ins])
+            climbs = _climb_rows(target, starts(ins, rs, shape[1:]), rs, [cfgs[i] for i in ins])
+            edges = [0, *(np.flatnonzero(np.diff(ins)) + 1), len(ins)]
+            for a, b in zip(edges, edges[1:]):
+                found[int(ins[a])].append(climbs[a:b])
+    return found
 
-    joined = _join(climbs)
-    if joined.objective[joined.best()] < diag[floor_index] - 1e-15:
-        # Every scheduled restart undershot the best computational-basis
-        # product (a degenerate one reports 0.0, below any floor); climb once
-        # from that basis state, which cannot descend below it or vanish on
-        # nonzero input.  Keeps value >= max_x diag_x unconditionally.
-        digits = shape.digits_of(floor_index)
-        stacks = [np.eye(d, dtype=np.complex128)[[x]] for d, x in zip(dims, digits)]
-        floor = _climb_rows(target, stacks, [cfg.restarts + 1], cfg)
-        joined = _join([joined, floor])
+
+def _optimize(blocks, shapes, cfgs) -> list[_Climbs]:
+    """Batched restart schedule over the (K, N) column blocks of the inputs:
+    restart 1 of an input starts from the uniform product, restart r > 1
+    from the draw keyed (seed, r, 0), and the basis-floor climbs run as a
+    second batched pass.  Returns every input's climbs, in restart order."""
+    targets = [b.reshape((len(b),) + s.dims) for b, s in zip(blocks, shapes)]
+
+    def drawn(inputs, restarts, dims):
+        stacks = _starts(((cfgs[i].seed, r, 0) for i, r in zip(inputs, restarts)), dims)
+        for f, d in zip(stacks, dims):
+            f[restarts == 1] = uniform_factor(d)
+        return stacks
+
+    spans = {i: (1, cfg.restarts) for i, cfg in enumerate(cfgs)}
+    joined = [_join(c) for c in _climb_all(targets, cfgs, spans, drawn).values()]
+    floors = {}
+    for i, (block, shape) in enumerate(zip(blocks, shapes)):
+        diag = (np.abs(block) ** 2).sum(axis=0)
+        x = int(np.argmax(diag))
+        if joined[i].objective[joined[i].best()] < diag[x] - 1e-15:
+            # Every restart undershot the best basis product (a degenerate one
+            # reports 0.0): a climb from it cannot descend below it or vanish
+            # on nonzero input, so value >= max_x diag_x unconditionally.
+            floors[i] = shape.digits_of(x)
+
+    def one_hot(inputs, restarts, dims):
+        digits = np.array([floors[i] for i in inputs])
+        return [np.eye(d, dtype=np.complex128)[digits[:, j]] for j, d in enumerate(dims)]
+
+    spans = {i: (cfgs[i].restarts + 1, 1) for i in floors}
+    for i, climbs in _climb_all(targets, cfgs, spans, one_hot).items():
+        joined[i] = _join([joined[i], *climbs])
     return joined
 
 
-def _result(climbs: _Climbs, shape, value_of) -> PmaxResult:
-    """The best restart as a result; ``value_of`` recomputes the objective
-    from the joint amplitudes of the argmax."""
+def _result(climbs: _Climbs, x) -> PmaxResult:
+    """The best restart as the result for the state or density ``x``; the
+    value is recomputed from the joint amplitudes of the argmax."""
     best = climbs.best()
-    argmax = ProductState(shape, tuple(f[best] for f in climbs.factors))
+    argmax = ProductState(x.shape, tuple(f[best] for f in climbs.factors))
+    e = product_amps(argmax.factors)
+    value = x.expectation(e) if isinstance(x, DensityMatrix) else abs(complex(np.vdot(e, x.amps))) ** 2
     return PmaxResult(
-        value=value_of(product_amps(argmax.factors)),
+        value=value,
         argmax=argmax,
         restarts_used=len(climbs.objective),
         sweeps=int(climbs.sweeps[best]),
         converged=bool(climbs.converged[best]),
         best_per_restart=tuple(float(v) for v in climbs.objective),
     )
+
+
+def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
+    """``pmax_overlap`` of every state and ``pmax_mixed`` of every density
+    in ``inputs``, in input order, with one config (or None) each in ``cfgs``.
+
+    Inputs of equal dims and K climb as rows of one batch, and a row's
+    arithmetic does not depend on its batch: each result equals the input's
+    own one-input call bit for bit, at a fraction of the per-call overhead.
+    """
+    inputs, cfgs = list(inputs), [cfg or OptimizerConfig() for cfg in cfgs]
+    if len(inputs) != len(cfgs):
+        raise DimensionMismatch(f"{len(inputs)} inputs but {len(cfgs)} configs")
+    blocks = [x.factor if isinstance(x, DensityMatrix) else x.amps[None] for x in inputs]
+    climbs = _optimize(blocks, [x.shape for x in inputs], cfgs)
+    return [_result(c, x) for c, x in zip(climbs, inputs)]
 
 
 def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> PmaxResult:
@@ -279,9 +349,7 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     restarts start from Haar-random products drawn from seeds derived from
     ``cfg.seed``.  Ties across restarts resolve to the lowest restart index.
     """
-    cfg = cfg or OptimizerConfig()
-    climbs = _optimize(state.amps[None], state.shape, cfg)
-    return _result(climbs, state.shape, lambda e: abs(complex(np.vdot(e, state.amps))) ** 2)
+    return pmax_overlap_many([state], [cfg])[0]
 
 
 def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxResult:
@@ -297,9 +365,7 @@ def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxRe
     given (``DensityMatrix.expectation``), so for a one-row factor equal to
     a state the result is that of ``pmax_overlap`` on the state.
     """
-    cfg = cfg or OptimizerConfig()
-    climbs = _optimize(rho.factor, rho.shape, cfg)
-    return _result(climbs, rho.shape, rho.expectation)
+    return pmax_overlap_many([rho], [cfg])[0]
 
 
 def pmax_bipartite(state: StateVector, split) -> float:

@@ -26,11 +26,11 @@ from .grover import (
     run_grover,
 )
 from .measures import (
+    MeasureReport,
+    _report,
     bures_distance,
     entropy_check,
-    groverian,
     groverian_bipartite,
-    groverian_mixed,
     groverian_product_mixed,
     monotone_check_rows,
 )
@@ -39,7 +39,7 @@ from .product_opt import (
     _sweep_rows,
     pmax_bipartite,
     pmax_grid_oracle,
-    pmax_overlap,
+    pmax_overlap_many,
 )
 from .statevector import (
     DensityMatrix,
@@ -94,56 +94,53 @@ def _phase_free_residual(target_amp: complex) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(target_amp)))
 
 
+def _worst(name: str, values, tolerance: float, detail: str = "") -> CheckResult:
+    """Passes when the largest of ``values`` is at most ``tolerance``."""
+    worst = max(values)
+    return CheckResult(name, worst <= tolerance, worst, tolerance, detail)
+
+
+def _measures(inputs, cfgs, method: str = "alternating") -> list[MeasureReport]:
+    """The reports of ``groverian`` on every input, or of ``groverian_mixed``
+    with ``method="mixed"``, from one batched optimizer call."""
+    return [_report(r.value, method, r) for r in pmax_overlap_many(inputs, cfgs)]
+
+
 # ---------------------------------------------------------------------------
 # grover suite
 
 
 def check_sine_formula(seed: int) -> list[CheckResult]:
     """Success curve from the uniform state matches sin^2((2k+1) asin(1/sqrt N))."""
-    worst_curve = 0.0
-    worst_peak_deficit = -1.0
+    errors, deficits = [], []
     for n in (4, 6, 8, 10):
         shape = qubit_shape(n)
         total = shape.total
         oracle = OracleSpec(shape, (1,))
-        bound = iteration_bound(total, 1)
-        run = run_grover(uniform_state(shape), oracle, bound)
+        run = run_grover(uniform_state(shape), oracle, iteration_bound(total, 1))
         theta = math.asin(1.0 / math.sqrt(total))
-        for k, p in enumerate(run.prob_curve):
-            worst_curve = max(worst_curve, abs(p - math.sin((2 * k + 1) * theta) ** 2))
-        m = optimal_iterations(shape, oracle)
-        worst_peak_deficit = max(
-            worst_peak_deficit, (1.0 - 1.0 / total) - run.prob_curve[m]
-        )
+        errors += [abs(p - math.sin((2 * k + 1) * theta) ** 2) for k, p in enumerate(run.prob_curve)]
+        deficits.append((1.0 - 1.0 / total) - run.prob_curve[optimal_iterations(shape, oracle)])
     return [
-        CheckResult(
-            "grover/sine-formula-match", worst_curve <= 1e-10, worst_curve, 1e-10,
+        _worst(
+            "grover/sine-formula-match", errors, 1e-10,
             "N in {16,64,256,1024}, all k up to ceil(pi/4 sqrt(N))",
         ),
-        CheckResult(
-            "grover/peak-success-floor",
-            worst_peak_deficit <= 0.0,
-            worst_peak_deficit,
-            0.0,
-            "P(m) >= 1 - 1/N at the selected m",
-        ),
+        _worst("grover/peak-success-floor", deficits, 0.0, "P(m) >= 1 - 1/N at the selected m"),
     ]
 
 
 def check_exact_n4(seed: int) -> list[CheckResult]:
     """One iteration on N=4 finds any single marked state with certainty."""
     shape = qubit_shape(2)
-    worst = 0.0
-    for s in range(4):
-        run = run_grover(uniform_state(shape), OracleSpec(shape, (s,)), 1)
-        worst = max(worst, abs(run.prob_curve[1] - 1.0))
-    return [CheckResult("grover/exact-n4-single-step", worst <= 1e-12, worst, 1e-12)]
+    runs = [run_grover(uniform_state(shape), OracleSpec(shape, (s,)), 1) for s in range(4)]
+    return [_worst("grover/exact-n4-single-step", [abs(r.prob_curve[1] - 1.0) for r in runs], 1e-12)]
 
 
 def check_target_residual(seed: int) -> list[CheckResult]:
     """Iterating from uniform lands within 2/sqrt(N) of the marked state
     (global phase factored out; the layered composition flips sign on odd m)."""
-    worst_excess = -1.0
+    excess = []
     for n in (4, 6, 8, 10):
         shape = qubit_shape(n)
         total = shape.total
@@ -155,11 +152,10 @@ def check_target_residual(seed: int) -> list[CheckResult]:
             targets = sorted(int(x) for x in rng.choice(total, size=8, replace=False))
         for s in targets:
             run = run_grover(uniform_state(shape), OracleSpec(shape, (s,)), m)
-            residual = _phase_free_residual(run.final_state.amps[s])
-            worst_excess = max(worst_excess, residual - 2.0 / math.sqrt(total))
+            excess.append(_phase_free_residual(run.final_state.amps[s]) - 2.0 / math.sqrt(total))
     return [
-        CheckResult(
-            "grover/target-residual", worst_excess <= 0.0, worst_excess, 0.0,
+        _worst(
+            "grover/target-residual", excess, 0.0,
             "residual minus 2/sqrt(N), every s for N<=64, 8 sampled above",
         )
     ]
@@ -172,14 +168,11 @@ def check_qudit_pair(seed: int) -> list[CheckResult]:
     bound = iteration_bound(9, 1)
     run = run_grover(uniform_state(shape), oracle, bound)
     theta = math.asin(1.0 / 3.0)
-    worst = max(
-        abs(p - math.sin((2 * k + 1) * theta) ** 2)
-        for k, p in enumerate(run.prob_curve)
-    )
+    errors = [abs(p - math.sin((2 * k + 1) * theta) ** 2) for k, p in enumerate(run.prob_curve)]
     m = optimal_iterations(shape, oracle)
     peak_err = abs(run.prob_curve[2] - QUTRIT_PAIR_PEAK)
     return [
-        CheckResult("grover/qutrit-sine-formula", worst <= 1e-10, worst, 1e-10),
+        _worst("grover/qutrit-sine-formula", errors, 1e-10),
         CheckResult(
             "grover/qutrit-peak",
             m == 2 and peak_err <= 1e-10,
@@ -194,20 +187,16 @@ def check_marked_symmetry(seed: int) -> list[CheckResult]:
     """The success curve does not depend on which singleton is marked."""
     shape = qubit_shape(4)
     bound = iteration_bound(16, 1)
-    reference = run_grover(uniform_state(shape), OracleSpec(shape, (0,)), bound)
-    worst = 0.0
-    for s in range(1, 16):
-        run = run_grover(uniform_state(shape), OracleSpec(shape, (s,)), bound)
-        worst = max(
-            worst,
-            max(abs(a - b) for a, b in zip(run.prob_curve, reference.prob_curve)),
-        )
-    return [CheckResult("grover/marked-position-symmetry", worst <= 1e-12, worst, 1e-12)]
+    curves = [
+        run_grover(uniform_state(shape), OracleSpec(shape, (s,)), bound).prob_curve
+        for s in range(16)
+    ]
+    errors = [max(abs(a - b) for a, b in zip(curve, curves[0])) for curve in curves[1:]]
+    return [_worst("grover/marked-position-symmetry", errors, 1e-12)]
 
 
 def check_iteration_bound(seed: int) -> list[CheckResult]:
     """Selected iteration count never exceeds ceil(pi/4 sqrt(N/r))."""
-    worst = -math.inf
     cases = [
         (qubit_shape(2), (0, 1, 2, 3)),
         (qubit_shape(4), (3,)),
@@ -216,28 +205,27 @@ def check_iteration_bound(seed: int) -> list[CheckResult]:
         (SystemShape([3, 3]), (2,)),
         (SystemShape([3, 3]), (0, 4, 8)),
     ]
+    excess = []
     for shape, marked in cases:
         oracle = OracleSpec(shape, marked)
         m = optimal_iterations(shape, oracle)
-        worst = max(worst, m - iteration_bound(shape.total, oracle.count))
-    return [CheckResult("grover/iteration-bound", worst <= 0, float(worst), 0.0)]
+        excess.append(float(m - iteration_bound(shape.total, oracle.count)))
+    return [_worst("grover/iteration-bound", excess, 0.0)]
 
 
 def check_diffusion_composition(seed: int) -> list[CheckResult]:
     """Rank-one diffusion equals the layered Fourier composition V I0 V+."""
-    worst = 0.0
+    errors = []
     for i, dims in enumerate(([2, 2, 2], [3, 2], [5], [4, 3])):
         shape = SystemShape(dims)
         layer = diffusion_layer(shape)
         for j in range(3):
             state = random_state(shape, seed_sequence(seed, 21, 10 * i + j))
-            direct = diffusion(state)
-            step = apply_local(layer.adjoint(), state)
-            amps = step.amps.copy()
+            amps = apply_local(layer.adjoint(), state).amps.copy()
             amps[0] *= -1.0
             composed = apply_local(layer, StateVector(shape, amps))
-            worst = max(worst, float(np.abs(direct.amps - composed.amps).max()))
-    return [CheckResult("grover/diffusion-composition", worst <= 1e-12, worst, 1e-12)]
+            errors.append(float(np.abs(diffusion(state).amps - composed.amps).max()))
+    return [_worst("grover/diffusion-composition", errors, 1e-12)]
 
 
 def check_unitarity_drift(seed: int) -> list[CheckResult]:
@@ -247,12 +235,12 @@ def check_unitarity_drift(seed: int) -> list[CheckResult]:
     takes the two-mode map instead) on a bare array: a constructed
     StateVector would renormalize drift beyond 1e-12 and hide it."""
     amps = random_state(qubit_shape(6), seed_sequence(seed, 22, 0)).amps.copy()
-    worst = 0.0
+    drift = []
     for _ in range(100):
         _flip_marked(amps, [17])
         _reflect_uniform(amps)
-        worst = max(worst, abs(float(np.linalg.norm(amps)) - 1.0))
-    return [CheckResult("grover/unitarity-drift", worst <= 1e-12, worst, 1e-12)]
+        drift.append(abs(float(np.linalg.norm(amps)) - 1.0))
+    return [_worst("grover/unitarity-drift", drift, 1e-12)]
 
 
 def check_invariant_complement(seed: int) -> list[CheckResult]:
@@ -262,10 +250,9 @@ def check_invariant_complement(seed: int) -> list[CheckResult]:
     amps[1] = SQRT_HALF
     amps[2] = -SQRT_HALF
     run = run_grover(StateVector(shape, amps), OracleSpec(shape, (0,)), 5)
-    worst = max(abs(p) for p in run.prob_curve)
     return [
-        CheckResult(
-            "grover/invariant-complement", worst <= 1e-15, worst, 1e-15,
+        _worst(
+            "grover/invariant-complement", [abs(p) for p in run.prob_curve], 1e-15,
             "P(k) stays 0 for (|1>-|2>)/sqrt2 with target 0",
         )
     ]
@@ -279,72 +266,54 @@ def check_named_pmax(seed: int) -> list[CheckResult]:
     """Optimizer reproduces closed-form overlaps for the standard families."""
     shape3 = qubit_shape(3)
     cases = [
-        ("bell", bell(), 0.5),
-        ("ghz3", ghz(3), 0.5),
-        ("w3", w_state(3), 4.0 / 9.0),
-        ("basis", basis_state(qubit_shape(4), 5), 1.0),
-        ("product", product_to_state(random_product(shape3, seed_sequence(seed, 30, 0))), 1.0),
+        (bell(), 0.5),
+        (ghz(3), 0.5),
+        (w_state(3), 4.0 / 9.0),
+        (basis_state(qubit_shape(4), 5), 1.0),
+        (product_to_state(random_product(shape3, seed_sequence(seed, 30, 0))), 1.0),
     ]
-    worst = 0.0
-    for i, (_, state, expect) in enumerate(cases):
-        result = pmax_overlap(state, _cfg(seed, 30, i + 1))
-        worst = max(worst, abs(result.value - expect))
-    return [CheckResult("pmax/named-values", worst <= 1e-9, worst, 1e-9)]
+    results = pmax_overlap_many([s for s, _ in cases], [_cfg(seed, 30, i) for i in range(1, 6)])
+    return [_worst("pmax/named-values", [abs(r.value - e) for r, (_, e) in zip(results, cases)], 1e-9)]
 
 
 def check_average_vs_overlap(seed: int) -> list[CheckResult]:
     """Target-averaged search probability after the best local preprocessing
     (the exact affine law in P_max from the two-mode map) tracks the product
     overlap within 5/sqrt(N) on random two- and three-qubit states."""
-    worst_excess = -math.inf
-    worst_gap = 0.0
-    for n, count in ((2, 50), (3, 50)):
-        shape = qubit_shape(n)
-        bound = 5.0 / math.sqrt(shape.total)
-        for i in range(count):
-            state = random_state(shape, seed_sequence(seed, 31, 100 * n + i))
-            best = pmax_overlap(state, _cfg(seed, 31, 100 * n + i))
-            gap = abs(pmax_simulated(state.shape, best.value) - best.value)
-            worst_gap = max(worst_gap, gap)
-            worst_excess = max(worst_excess, gap - bound)
+    keys = [100 * n + i for n in (2, 3) for i in range(50)]
+    states = [random_state(qubit_shape(k // 100), seed_sequence(seed, 31, k)) for k in keys]
+    results = pmax_overlap_many(states, [_cfg(seed, 31, k) for k in keys])
+    gaps = [abs(pmax_simulated(s.shape, r.value) - r.value) for s, r in zip(states, results)]
     return [
-        CheckResult(
+        _worst(
             "pmax/search-average-vs-overlap",
-            worst_excess <= 0.0,
-            worst_excess,
+            [g - 5.0 / math.sqrt(s.shape.total) for g, s in zip(gaps, states)],
             0.0,
-            f"gap minus 5/sqrt(N); worst gap {worst_gap:.3e}",
+            f"gap minus 5/sqrt(N); worst gap {max(gaps):.3e}",
         )
     ]
 
 
 def check_bipartite_agreement(seed: int) -> list[CheckResult]:
     """Alternating optimizer matches the Schmidt closed form on bipartite states."""
-    worst = 0.0
     dims_cycle = [(d1, d2) for d1 in range(2, 9) for d2 in range(2, 9)]
-    for i in range(100):
-        d1, d2 = dims_cycle[i % len(dims_cycle)]
-        shape = SystemShape([d1, d2])
-        state = random_state(shape, seed_sequence(seed, 32, i))
-        value = pmax_overlap(state, _cfg(seed, 32, i)).value
-        worst = max(worst, abs(value - pmax_bipartite(state, [1])))
-    return [CheckResult("pmax/bipartite-agreement", worst <= 1e-9, worst, 1e-9)]
+    states = [
+        random_state(SystemShape(dims_cycle[i % len(dims_cycle)]), seed_sequence(seed, 32, i))
+        for i in range(100)
+    ]
+    results = pmax_overlap_many(states, [_cfg(seed, 32, i) for i in range(100)])
+    errors = [abs(r.value - pmax_bipartite(s, [1])) for s, r in zip(states, results)]
+    return [_worst("pmax/bipartite-agreement", errors, 1e-9)]
 
 
 def check_grid_agreement(seed: int) -> list[CheckResult]:
     """Optimizer dominates the exact grid value and stays within its coarseness."""
-    worst_under = -math.inf  # grid - overlap must stay <= 1e-9
-    worst_over = -math.inf  # overlap - grid must stay <= 5e-3
-    shape = qubit_shape(3)
-    for i in range(50):
-        state = random_state(shape, seed_sequence(seed, 33, i))
-        value = pmax_overlap(state, _cfg(seed, 33, i)).value
-        grid = pmax_grid_oracle(state, 64)
-        worst_under = max(worst_under, grid - value)
-        worst_over = max(worst_over, value - grid)
+    states = [random_state(qubit_shape(3), seed_sequence(seed, 33, i)) for i in range(50)]
+    results = pmax_overlap_many(states, [_cfg(seed, 33, i) for i in range(50)])
+    pairs = [(pmax_grid_oracle(s, 64), r.value) for s, r in zip(states, results)]
     return [
-        CheckResult("pmax/grid-lower-bound", worst_under <= 1e-9, worst_under, 1e-9),
-        CheckResult("pmax/grid-coarseness", worst_over <= 5e-3, worst_over, 5e-3),
+        _worst("pmax/grid-lower-bound", [grid - value for grid, value in pairs], 1e-9),
+        _worst("pmax/grid-coarseness", [value - grid for grid, value in pairs], 5e-3),
     ]
 
 
@@ -370,50 +339,57 @@ def check_ascent(seed: int) -> list[CheckResult]:
 
 def check_lower_bound_and_range(seed: int) -> list[CheckResult]:
     """value >= max_x |amp_x|^2 >= 1/N, and value <= 1."""
-    worst_floor = -math.inf
-    worst_range = -math.inf
-    for i, dims in enumerate(([2, 2], [3, 3], [2, 3, 2], [2, 2, 2, 2])):
-        shape = SystemShape(dims)
-        for j in range(5):
-            state = random_state(shape, seed_sequence(seed, 35, 10 * i + j))
-            value = pmax_overlap(state, _cfg(seed, 35, 10 * i + j)).value
-            floor = float(state.probabilities().max())
-            worst_floor = max(worst_floor, floor - value)
-            worst_range = max(
-                worst_range, max(1.0 / shape.total - value, value - 1.0)
-            )
+    dims = ([2, 2], [3, 3], [2, 3, 2], [2, 2, 2, 2])
+    keys = [10 * i + j for i in range(4) for j in range(5)]
+    states = [random_state(SystemShape(dims[k // 10]), seed_sequence(seed, 35, k)) for k in keys]
+    results = pmax_overlap_many(states, [_cfg(seed, 35, k) for k in keys])
+    pairs = [(s, r.value) for s, r in zip(states, results)]
     return [
-        CheckResult(
-            "pmax/basis-lower-bound", worst_floor <= 1e-12, worst_floor, 1e-12
+        _worst(
+            "pmax/basis-lower-bound",
+            [float(s.probabilities().max()) - value for s, value in pairs],
+            1e-12,
         ),
-        CheckResult("pmax/value-range", worst_range <= 1e-12, worst_range, 1e-12),
+        _worst(
+            "pmax/value-range",
+            [max(1.0 / s.shape.total - value, value - 1.0) for s, value in pairs],
+            1e-12,
+        ),
     ]
 
 
 def check_feasibility(seed: int) -> list[CheckResult]:
     """Recomputing |<argmax|psi>|^2 reproduces the reported value."""
-    worst = 0.0
-    for i in range(10):
-        shape = SystemShape([2, 3, 2] if i % 2 else [2, 2, 2])
-        state = random_state(shape, seed_sequence(seed, 36, i))
-        result = pmax_overlap(state, _cfg(seed, 36, i))
-        recomputed = abs(inner(product_to_state(result.argmax), state)) ** 2
-        worst = max(worst, abs(recomputed - result.value))
-    return [CheckResult("pmax/feasibility-recompute", worst <= 1e-12, worst, 1e-12)]
+    states = [
+        random_state(SystemShape([2, 3, 2] if i % 2 else [2, 2, 2]), seed_sequence(seed, 36, i))
+        for i in range(10)
+    ]
+    results = pmax_overlap_many(states, [_cfg(seed, 36, i) for i in range(10)])
+    errors = [
+        abs(abs(inner(product_to_state(r.argmax), s)) ** 2 - r.value)
+        for s, r in zip(states, results)
+    ]
+    return [_worst("pmax/feasibility-recompute", errors, 1e-12)]
+
+
+def _lu_pairs(seed: int, check_id: int, count: int):
+    """``count`` random three-qubit states, each followed by its image under
+    a random local layer, with the configs of one optimizer call: both
+    members of pair i use ``_cfg(seed, check_id, i)``."""
+    shape = qubit_shape(3)
+    inputs, cfgs = [], []
+    for i in range(count):
+        state = random_state(shape, seed_sequence(seed, check_id, 2 * i))
+        layer = random_local_layer(shape, seed_sequence(seed, check_id, 2 * i + 1))
+        inputs += [state, apply_local(layer, state)]
+        cfgs += [_cfg(seed, check_id, i)] * 2
+    return inputs, cfgs
 
 
 def check_pmax_lu_invariance(seed: int) -> list[CheckResult]:
     """The product-overlap maximum is invariant under local unitaries."""
-    shape = qubit_shape(3)
-    worst = 0.0
-    for i in range(20):
-        state = random_state(shape, seed_sequence(seed, 37, 2 * i))
-        layer = random_local_layer(shape, seed_sequence(seed, 37, 2 * i + 1))
-        cfg = _cfg(seed, 37, i)
-        a = pmax_overlap(state, cfg).value
-        b = pmax_overlap(apply_local(layer, state), cfg).value
-        worst = max(worst, abs(a - b))
-    return [CheckResult("pmax/lu-invariance", worst <= 1e-8, worst, 1e-8)]
+    values = [r.value for r in pmax_overlap_many(*_lu_pairs(seed, 37, 20))]
+    return [_worst("pmax/lu-invariance", [abs(a - b) for a, b in zip(values[::2], values[1::2])], 1e-8)]
 
 
 def check_grid_known_values(seed: int) -> list[CheckResult]:
@@ -421,21 +397,13 @@ def check_grid_known_values(seed: int) -> list[CheckResult]:
     bell_err = abs(pmax_grid_oracle(bell(), 64) - 0.5)
     pole = pmax_grid_oracle(basis_state(qubit_shape(3), 0), 64)
     pole_err = abs(pole - 1.0)
-    worst_refine = -math.inf
-    for i in range(5):
-        state = random_state(qubit_shape(3), seed_sequence(seed, 38, i))
-        worst_refine = max(
-            worst_refine,
-            pmax_grid_oracle(state, 64) - pmax_grid_oracle(state, 128),
-        )
+    states = [random_state(qubit_shape(3), seed_sequence(seed, 38, i)) for i in range(5)]
+    refine = [pmax_grid_oracle(s, 64) - pmax_grid_oracle(s, 128) for s in states]
     return [
         CheckResult("pmax/grid-bell", bell_err <= 2e-3, bell_err, 2e-3),
         CheckResult("pmax/grid-pole-exact", pole_err == 0.0, pole_err, 0.0),
-        CheckResult(
-            "pmax/grid-refinement-monotone",
-            worst_refine <= 1e-12,
-            worst_refine,
-            1e-12,
+        _worst(
+            "pmax/grid-refinement-monotone", refine, 1e-12,
             "value(64) - value(128) on nested grids",
         ),
     ]
@@ -447,45 +415,29 @@ def check_grid_known_values(seed: int) -> list[CheckResult]:
 
 def check_named_measures(seed: int) -> list[CheckResult]:
     """G(Bell), G(GHZ3), G(W3) at their closed-form values; products at 0."""
-    worst = 0.0
-    unconverged = 0
-    names = []
-    for i, (state, expect) in enumerate(
-        [(bell(), G_BELL), (ghz(3), G_BELL), (w_state(3), G_W3)]
-    ):
-        report = groverian(state, _cfg(seed, 40, i))
-        worst = max(worst, abs(report.groverian - expect))
-        names.append(f"{report.groverian:.7f}")
-        unconverged += not report.converged
     product = product_to_state(random_product(qubit_shape(3), seed_sequence(seed, 40, 9)))
-    prod_report = groverian(product, _cfg(seed, 40, 10))
-    unconverged += not prod_report.converged
-    worst = max(worst, prod_report.groverian)
+    reports = _measures(
+        [bell(), ghz(3), w_state(3), product], [_cfg(seed, 40, i) for i in (0, 1, 2, 10)]
+    )
+    worst = max(abs(r.groverian - e) for r, e in zip(reports, (G_BELL, G_BELL, G_W3, 0.0)))
+    unconverged = sum(not r.converged for r in reports)
+    names = ",".join(f"{r.groverian:.7f}" for r in reports[:3])
     return [
         CheckResult(
             "measures/named-values",
             worst <= 1e-6 and unconverged == 0,
             worst,
             1e-6,
-            "bell,ghz3,w3=" + ",".join(names)
-            + f"; product={prod_report.groverian:.2e}; {unconverged} unconverged",
+            f"bell,ghz3,w3={names}; product={reports[3].groverian:.2e}; {unconverged} unconverged",
         )
     ]
 
 
 def check_measure_lu_invariance(seed: int) -> list[CheckResult]:
     """|G(L psi) - G(psi)| <= 1e-8 over 100 random state/layer pairs."""
-    shape = qubit_shape(3)
-    worst = 0.0
-    unconverged = 0
-    for i in range(100):
-        state = random_state(shape, seed_sequence(seed, 41, 2 * i))
-        layer = random_local_layer(shape, seed_sequence(seed, 41, 2 * i + 1))
-        cfg = _cfg(seed, 41, i)
-        a = groverian(state, cfg)
-        b = groverian(apply_local(layer, state), cfg)
-        unconverged += (not a.converged) + (not b.converged)
-        worst = max(worst, abs(a.groverian - b.groverian))
+    reports = _measures(*_lu_pairs(seed, 41, 100))
+    worst = max(abs(a.groverian - b.groverian) for a, b in zip(reports[::2], reports[1::2]))
+    unconverged = sum(not r.converged for r in reports)
     return [
         CheckResult(
             "measures/lu-invariance",
@@ -537,21 +489,15 @@ def check_majorization_monotone(seed: int) -> list[CheckResult]:
 
 def check_entropy_relation(seed: int) -> list[CheckResult]:
     """Reduced-state entropy equals h(G^2) for two-qubit pure states."""
-    worst = 0.0
-    for i in range(100):
-        state = random_state(qubit_shape(2), seed_sequence(seed, 43, i))
-        s, h_g2 = entropy_check(state)
-        worst = max(worst, abs(s - h_g2))
-    return [CheckResult("measures/entropy-relation", worst <= 1e-9, worst, 1e-9)]
+    states = [random_state(qubit_shape(2), seed_sequence(seed, 43, i)) for i in range(100)]
+    errors = [abs(s - h_g2) for s, h_g2 in map(entropy_check, states)]
+    return [_worst("measures/entropy-relation", errors, 1e-9)]
 
 
 def check_mixed_extension(seed: int) -> list[CheckResult]:
     """Linear extension values: maximally mixed pair, and product densities."""
-    mm = DensityMatrix(qubit_shape(2), np.eye(4) / 4.0)
-    g_mm = groverian_mixed(mm, _cfg(seed, 44, 0)).groverian
-    mm_err = abs(g_mm - G_MAX_N4)
-
-    worst = 0.0
+    densities = [DensityMatrix(qubit_shape(2), np.eye(4) / 4.0)]
+    expected = []
     rng = np.random.default_rng(seed_sequence(seed, 44, 1))
     for i in range(50):
         n_sites = 2 if i < 25 else 3
@@ -563,17 +509,19 @@ def check_mixed_extension(seed: int) -> list[CheckResult]:
         joint = locals_[0]
         for m in locals_[1:]:
             joint = np.kron(joint, m)
-        rho = DensityMatrix(qubit_shape(n_sites), joint)
-        expected = groverian_product_mixed(locals_)
-        got = groverian_mixed(rho, _cfg(seed, 44, i + 2)).groverian
-        worst = max(worst, abs(got - expected))
+        densities.append(DensityMatrix(qubit_shape(n_sites), joint))
+        expected.append(groverian_product_mixed(locals_))
+    reports = _measures(densities, [_cfg(seed, 44, i) for i in [0, *range(2, 52)]], "mixed")
+    g_mm = reports[0].groverian
+    mm_err = abs(g_mm - G_MAX_N4)
+    errors = [abs(r.groverian - e) for r, e in zip(reports[1:], expected)]
     return [
         CheckResult(
             "measures/maximally-mixed-value", mm_err <= 1e-9, mm_err, 1e-9,
             f"G={g_mm:.10f}, positive on a separable state: not a monotone",
         ),
-        CheckResult(
-            "measures/product-density-formula", worst <= 1e-9, worst, 1e-9,
+        _worst(
+            "measures/product-density-formula", errors, 1e-9,
             "linear extension vs sqrt(1 - prod of top eigenvalues)",
         ),
     ]
@@ -581,31 +529,22 @@ def check_mixed_extension(seed: int) -> list[CheckResult]:
 
 def check_definitional_identities(seed: int) -> list[CheckResult]:
     """G^2 + pmax = 1 and E = 2 - 2 sqrt(pmax) on every report."""
-    worst = 0.0
-    reports = [groverian_bipartite(bell(), [1])]
-    for i in range(10):
-        state = random_state(qubit_shape(2), seed_sequence(seed, 45, i))
-        reports.append(groverian_bipartite(state, [1]))
-    for i in range(5):
-        state = random_state(qubit_shape(3), seed_sequence(seed, 45, 100 + i))
-        reports.append(groverian(state, _cfg(seed, 45, i)))
-    for rep in reports:
-        worst = max(worst, abs(rep.groverian**2 + rep.pmax - 1.0))
-        worst = max(worst, abs(rep.vedral_e - (2.0 - 2.0 * math.sqrt(rep.pmax))))
-    return [CheckResult("measures/definitional-identities", worst <= 1e-14, worst, 1e-14)]
+    pairs = [random_state(qubit_shape(2), seed_sequence(seed, 45, i)) for i in range(10)]
+    triples = [random_state(qubit_shape(3), seed_sequence(seed, 45, 100 + i)) for i in range(5)]
+    reports = [groverian_bipartite(s, [1]) for s in [bell(), *pairs]]
+    reports += _measures(triples, [_cfg(seed, 45, i) for i in range(5)])
+    errors = [abs(r.groverian**2 + r.pmax - 1.0) for r in reports]
+    errors += [abs(r.vedral_e - (2.0 - 2.0 * math.sqrt(r.pmax))) for r in reports]
+    return [_worst("measures/definitional-identities", errors, 1e-14)]
 
 
 def check_vedral_rank_order(seed: int) -> list[CheckResult]:
     """Ranking states by G equals ranking by the 2-2 sqrt(pmax) measure."""
-    gs, es = [], []
-    for i in range(20):
-        state = random_state(qubit_shape(3), seed_sequence(seed, 46, i))
-        rep = groverian(state, _cfg(seed, 46, i))
-        gs.append(rep.groverian)
-        es.append(rep.vedral_e)
-    mismatches = int(
-        (np.argsort(np.asarray(gs)) != np.argsort(np.asarray(es))).sum()
-    )
+    states = [random_state(qubit_shape(3), seed_sequence(seed, 46, i)) for i in range(20)]
+    reports = _measures(states, [_cfg(seed, 46, i) for i in range(20)])
+    gs = np.asarray([r.groverian for r in reports])
+    es = np.asarray([r.vedral_e for r in reports])
+    mismatches = int((np.argsort(gs) != np.argsort(es)).sum())
     return [
         CheckResult(
             "measures/vedral-rank-order", mismatches == 0, float(mismatches), 0.0
@@ -616,8 +555,9 @@ def check_vedral_rank_order(seed: int) -> list[CheckResult]:
 def check_zero_iff_product(seed: int) -> list[CheckResult]:
     """G vanishes on products and is large on the maximally entangled pair."""
     product = product_to_state(random_product(SystemShape([2, 3, 2]), seed_sequence(seed, 47, 0)))
-    g_prod = groverian(product, _cfg(seed, 47, 0)).groverian
-    g_bell = groverian(bell(), _cfg(seed, 47, 1)).groverian
+    g_prod, g_bell = (
+        r.groverian for r in _measures([product, bell()], [_cfg(seed, 47, 0), _cfg(seed, 47, 1)])
+    )
     bell_deficit = (0.7071 - 1e-6) - g_bell
     worst = max(g_prod, bell_deficit)
     return [
@@ -630,37 +570,29 @@ def check_zero_iff_product(seed: int) -> list[CheckResult]:
 
 def check_bures_chain(seed: int) -> list[CheckResult]:
     """Bures distance endpoints and the fidelity chain through pmax."""
-    worst = max(abs(bures_distance(1.0)), abs(bures_distance(0.0) - 1.0))
     rep = groverian_bipartite(bell(), [1])
-    worst = max(worst, abs(bures_distance(math.sqrt(rep.pmax)) - rep.groverian))
-    return [CheckResult("measures/bures-distance-chain", worst <= 1e-12, worst, 1e-12)]
+    errors = [
+        abs(bures_distance(1.0)),
+        abs(bures_distance(0.0) - 1.0),
+        abs(bures_distance(math.sqrt(rep.pmax)) - rep.groverian),
+    ]
+    return [_worst("measures/bures-distance-chain", errors, 1e-12)]
 
 
 def check_schmidt_infrastructure(seed: int) -> list[CheckResult]:
     """Schmidt reconstruction and reduced-density spectra on random states."""
-    worst_recon = 0.0
-    worst_spec = 0.0
+    recon, spec = [], []
     for i, (dims, left) in enumerate(
         [([2, 2], [1]), ([4, 4], [1]), ([2, 2, 2, 2], [1, 3]), ([4, 4, 4, 4], [1, 2]), ([3, 3, 3], [2])]
     ):
-        shape = SystemShape(dims)
-        state = random_state(shape, seed_sequence(seed, 48, i))
+        state = random_state(SystemShape(dims), seed_sequence(seed, 48, i))
         dec = schmidt(state, left)
-        worst_recon = max(worst_recon, schmidt_reconstruction_error(state, dec))
-        evals = np.sort(
-            np.linalg.eigvalsh(reduced_density(state, left).entries)
-        )[::-1]
-        k = dec.coeffs.size
-        worst_spec = max(
-            worst_spec, float(np.abs(evals[:k] - dec.probabilities).max())
-        )
+        recon.append(schmidt_reconstruction_error(state, dec))
+        evals = np.sort(np.linalg.eigvalsh(reduced_density(state, left).entries))[::-1]
+        spec.append(float(np.abs(evals[: dec.coeffs.size] - dec.probabilities).max()))
     return [
-        CheckResult(
-            "measures/schmidt-reconstruction", worst_recon <= 1e-10, worst_recon, 1e-10
-        ),
-        CheckResult(
-            "measures/schmidt-vs-reduced-spectrum", worst_spec <= 1e-9, worst_spec, 1e-9
-        ),
+        _worst("measures/schmidt-reconstruction", recon, 1e-10),
+        _worst("measures/schmidt-vs-reduced-spectrum", spec, 1e-9),
     ]
 
 

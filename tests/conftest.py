@@ -31,18 +31,20 @@ def dense_environment(state, factors, j):
 
 @pytest.fixture
 def optimizer_calls(monkeypatch):
-    """Total dimensions of the states passed to ``pmax_overlap``, counted
-    through every groverian module that binds the name."""
+    """Total dimensions of the inputs optimized, one entry per input,
+    counted at ``pmax_overlap_many`` (which ``pmax_overlap`` calls) through
+    every groverian module that binds the name."""
     from groverian import product_opt
 
-    real = product_opt.pmax_overlap
+    real = product_opt.pmax_overlap_many
     calls = []
 
-    def counted(state, cfg=None):
-        calls.append(state.shape.total)
-        return real(state, cfg)
+    def counted(inputs, cfgs):
+        inputs = list(inputs)
+        calls.extend(x.shape.total for x in inputs)
+        return real(inputs, cfgs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "groverian" and hasattr(module, "pmax_overlap"):
-            monkeypatch.setattr(module, "pmax_overlap", counted)
+        if name.split(".")[0] == "groverian" and hasattr(module, "pmax_overlap_many"):
+            monkeypatch.setattr(module, "pmax_overlap_many", counted)
     return calls

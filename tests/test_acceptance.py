@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from groverian import product_opt
 from groverian.cli import main
 from groverian.verify import (
     check_average_vs_overlap,
@@ -26,6 +27,7 @@ from groverian.verify import (
     check_qudit_pair,
     check_sine_formula,
     check_target_residual,
+    run_suite,
 )
 
 SEED = 7
@@ -132,3 +134,60 @@ def test_c12_end_to_end_determinism(capsys, tmp_path):
     assert outputs[0] == outputs[1]
     print(f"PASS  acceptance/determinism  two runs identical, {elapsed:.1f}s (budget 300s)")
     assert elapsed < 300
+
+
+VERIFY_CHECKS = [
+    ("grover/sine-formula-match", 1e-10),
+    ("grover/peak-success-floor", 0.0),
+    ("grover/exact-n4-single-step", 1e-12),
+    ("grover/target-residual", 0.0),
+    ("grover/qutrit-sine-formula", 1e-10),
+    ("grover/qutrit-peak", 1e-10),
+    ("grover/marked-position-symmetry", 1e-12),
+    ("grover/iteration-bound", 0.0),
+    ("grover/diffusion-composition", 1e-12),
+    ("grover/unitarity-drift", 1e-12),
+    ("grover/invariant-complement", 1e-15),
+    ("pmax/named-values", 1e-9),
+    ("pmax/search-average-vs-overlap", 0.0),
+    ("pmax/bipartite-agreement", 1e-9),
+    ("pmax/grid-lower-bound", 1e-9),
+    ("pmax/grid-coarseness", 0.005),
+    ("pmax/ascent", 1e-14),
+    ("pmax/basis-lower-bound", 1e-12),
+    ("pmax/value-range", 1e-12),
+    ("pmax/feasibility-recompute", 1e-12),
+    ("pmax/lu-invariance", 1e-8),
+    ("pmax/grid-bell", 0.002),
+    ("pmax/grid-pole-exact", 0.0),
+    ("pmax/grid-refinement-monotone", 1e-12),
+    ("measures/named-values", 1e-6),
+    ("measures/lu-invariance", 1e-8),
+    ("measures/majorization-monotone", 0.0),
+    ("measures/entropy-relation", 1e-9),
+    ("measures/maximally-mixed-value", 1e-9),
+    ("measures/product-density-formula", 1e-9),
+    ("measures/definitional-identities", 1e-14),
+    ("measures/vedral-rank-order", 0.0),
+    ("measures/zero-iff-product", 1e-6),
+    ("measures/bures-distance-chain", 1e-12),
+    ("measures/schmidt-reconstruction", 1e-10),
+    ("measures/schmidt-vs-reduced-spectrum", 1e-9),
+]
+
+
+def test_verify_suite_checks_and_batches(monkeypatch):
+    """Every check of the full suite passes, under its pinned name and
+    tolerance, and the optimizer checks batch their inputs: the suite
+    climbs in at most 100 batches (607 when each input ran alone)."""
+    real, batches = product_opt._climb_rows, []
+
+    def counted(*args):
+        batches.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(product_opt, "_climb_rows", counted)
+    results = run_suite("all", SEED)
+    assert [(r.name, r.tolerance) for r in results] == VERIFY_CHECKS
+    assert [r.name for r in results if not r.passed] == []
+    assert len(batches) <= 100

@@ -668,11 +668,14 @@ class TestCliErrors:
             (["pmax", "--state", f"ghz:{10**20}"], 2**20, "cap of 2^30"),
             (["pmax", "--state", f"w:{10**20}"], 2**20, "cap of 2^30"),
             (["sweep", "--measure", "pmax", "--sites", f"2:{10**20}"], 2**20, "cap of 2^30"),
+            (["pmax", "--state", "ghz:2", "--restarts", str(2**20 + 1)], 2**20, "<= 2^20"),
+            (["pmax", "--state", "ghz:2", "--restarts", str(10**20)], 2**20, "<= 2^20"),
         ],
         ids=[
             "state-2^40", "density-2^32", "pure-density-2^32", "sweep-2^40",
             "marked-count-above-N", "iterations-10^20", "iterations-negative",
             "ghz-10^20-sites", "w-10^20-sites", "sweep-10^20-sites",
+            "restarts-2^20+1", "restarts-10^20",
         ],
     )
     def test_oversize_input_refused_before_allocation(self, capsys, argv, budget, message):

@@ -8,6 +8,7 @@ import pytest
 from conftest import dense_environment
 from groverian import (
     DensityMatrix,
+    DimensionMismatch,
     OptimizerConfig,
     OutOfRange,
     StateVector,
@@ -24,6 +25,7 @@ from groverian import (
     pmax_grid_oracle,
     pmax_mixed,
     pmax_overlap,
+    pmax_overlap_many,
     product_to_state,
     random_local_layer,
     random_product,
@@ -79,6 +81,7 @@ class TestOptimizerConfig:
         "kwargs",
         [
             dict(restarts=0),
+            dict(restarts=2**20 + 1),
             dict(tol=0.0),
             dict(tol=-1e-9),
             dict(max_sweeps=0),
@@ -174,7 +177,7 @@ class TestPmaxOverlap:
         state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         start = [uniform_factor(2)[None] for _ in range(2)]
-        climbs = _climb_rows(state.tensor()[None], start, [1], cfg)
+        climbs = _climb_rows(state.tensor()[None], start, [1], [cfg])
         assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
         result = pmax_overlap(state, cfg)
         assert result.restarts_used == 2
@@ -539,11 +542,11 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     cfg = OptimizerConfig(seed=9)
     starts = stacked([random_product(shape, 206 + i) for i in range(3)])
     restarts = [4, 5, 6]
-    plain = _climb_rows(target, starts, restarts, cfg)
+    plain = _climb_rows(target, starts, restarts, [cfg] * 3)
     reseeded = {}
     for i in vanish:
         reseed = _random_factors(dims, [seed_sequence(9, restarts[i], 1)])
-        reseeded[i] = _climb_rows(target, reseed, [restarts[i]], cfg)
+        reseeded[i] = _climb_rows(target, reseed, [restarts[i]], [cfg])
 
     real = product_opt._contract_all_but
     calls = []
@@ -559,7 +562,7 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        climbs = _climb_rows(target, starts, restarts, cfg)
+        climbs = _climb_rows(target, starts, restarts, [cfg] * 3)
 
     assert calls[:3] == [3, 2, 1]
     assert not climbs.degenerate.any()
@@ -742,9 +745,9 @@ class TestBatchedAgainstSerial:
         state = random_state(shape, 330)
         real, starts = product_opt._climb_rows, []
 
-        def undershooting(target, factors, restarts, cfg):
+        def undershooting(target, factors, restarts, cfgs):
             starts.append([f.copy() for f in factors])
-            climbs = real(target, factors, restarts, cfg)
+            climbs = real(target, factors, restarts, cfgs)
             if len(starts) == 1:
                 climbs.objective[:] = 0.0
             return climbs
@@ -766,9 +769,9 @@ class TestBatchedAgainstSerial:
         assert np.argmax(np.abs(rho.factor[0])) != np.argmax(diag)
         real, starts = product_opt._climb_rows, []
 
-        def undershooting(target, factors, restarts, cfg):
+        def undershooting(target, factors, restarts, cfgs):
             starts.append([f.copy() for f in factors])
-            climbs = real(target, factors, restarts, cfg)
+            climbs = real(target, factors, restarts, cfgs)
             if len(starts) == 1:
                 climbs.objective[:] = 0.0
             return climbs
@@ -796,10 +799,10 @@ class TestBatchedAgainstSerial:
         whole = run()
         real, batches = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, cfg):
+        def counted(target, factors, restarts, cfgs):
             assert len(target) * shape.total == size
             batches.append(len(restarts))
-            return real(target, factors, restarts, cfg)
+            return real(target, factors, restarts, cfgs)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk * size)
@@ -808,3 +811,73 @@ class TestBatchedAgainstSerial:
         assert batches[: len(expected)] == expected
         assert chunked.restarts_used == whole.restarts_used
         assert np.allclose(chunked.best_per_restart, whole.best_per_restart, rtol=0, atol=1e-12)
+
+
+def assert_same_result(a, b):
+    """Every PmaxResult field bit-equal."""
+    assert a.value == b.value
+    assert a.best_per_restart == b.best_per_restart
+    assert (a.sweeps, a.converged, a.restarts_used) == (b.sweeps, b.converged, b.restarts_used)
+    for f, g in zip(a.argmax.factors, b.argmax.factors, strict=True):
+        assert np.array_equal(f, g)
+
+
+class TestManyInputs:
+    def test_batch_equals_one_by_one(self, two_qubits, three_qubits, monkeypatch):
+        # Inputs 0 and 1 share a chunk and differ in tol and sweep budget; the
+        # vanishing state is reseeded while the row ahead of it is another
+        # input's; both inputs seeded floor_seed take the basis-floor climb,
+        # which forces every main-pass restart of theirs to undershoot.
+        floor_seed = 99
+        vanishing = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)  # uniform start vanishes
+        batch = [
+            (random_state(three_qubits, 500), OptimizerConfig(restarts=5, tol=1e-2, seed=1)),
+            (random_state(three_qubits, 501), OptimizerConfig(restarts=4, max_sweeps=4, seed=2)),
+            (random_state(SystemShape([3, 2]), 502), OptimizerConfig(restarts=6, seed=3)),
+            (random_state(SystemShape([3, 2]), 503), OptimizerConfig(restarts=2, seed=4)),
+            (product_to_state(random_product(three_qubits, 504)), OptimizerConfig(restarts=3, seed=5)),
+            (random_rank_two_density(three_qubits, 505), OptimizerConfig(restarts=4, seed=6)),
+            (random_rank_two_density(three_qubits, 506), OptimizerConfig(restarts=3, seed=7)),
+            (random_state(two_qubits, 507), OptimizerConfig(restarts=3, seed=9)),
+            (vanishing, OptimizerConfig(restarts=3, seed=8)),
+            (random_state(three_qubits, 508), OptimizerConfig(restarts=3, seed=floor_seed)),
+            (random_state(three_qubits, 509), OptimizerConfig(restarts=2, seed=floor_seed)),
+        ]
+        real_climb, real_starts = product_opt._climb_rows, product_opt._starts
+        batches, reseeds = [], []
+
+        def undershooting(target, factors, restarts, cfgs):
+            batches.append((target.ndim > len(factors) + 1, [c.seed for c in cfgs]))
+            climbs = real_climb(target, factors, restarts, cfgs)
+            for k, cfg in enumerate(cfgs):
+                if cfg.seed == floor_seed and restarts[k] <= cfg.restarts:
+                    climbs.objective[k] = 0.0
+            return climbs
+
+        def recorded(keys, dims):
+            keys = list(keys)
+            reseeds.extend(seed for seed, _, attempt in keys if attempt > 0)
+            return real_starts(keys, dims)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
+        monkeypatch.setattr(product_opt, "_starts", recorded)
+        # Three rows of a three-qubit state per chunk: the first input's five
+        # restarts split over two chunks, and the second chunk holds rows of
+        # two inputs on a per-row target.  A rank-2 density climbs a row at
+        # a time.
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 24)
+        many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
+        assert 8 in reseeds
+        assert any(per_row for per_row, _ in batches)
+        assert any(per_row and seeds == [floor_seed] * 2 for per_row, seeds in batches)
+        assert sum(1 in seeds for _, seeds in batches) == 2  # input 0 spans two chunks
+        assert [r.restarts_used for r in many[-2:]] == [4, 3]
+
+        for (x, cfg), result in zip(batch, many, strict=True):
+            one = pmax_mixed(x, cfg) if isinstance(x, DensityMatrix) else pmax_overlap(x, cfg)
+            assert_same_result(result, one)
+
+    def test_one_config_per_input(self, two_qubits):
+        with pytest.raises(DimensionMismatch):
+            pmax_overlap_many([bell()], [None, None])
+        assert pmax_overlap_many([], []) == []
