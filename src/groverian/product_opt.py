@@ -23,10 +23,11 @@ dims and K into one batch.  A row leaves the batch when it converges or
 runs out of sweeps.  Rows run in chunks of at most CHUNK_AMPLITUDES /
 (N * K), and at least one, so one sweep costs O(chunk * N * K).  Pure and
 mixed input share one sweep engine, and ``pmax_overlap`` and
-``pmax_mixed`` are its one-input calls.  A chunk's starts are one batched
-draw; a vanished row is reseeded from (its input's seed, its restart, the
-attempt); the basis-floor climb is a one-hot start.  At most MAX_RESTARTS
-restarts are accepted.
+``pmax_mixed`` are its one-input calls.  An input's random starts are read
+in restart order from one generator keyed (its seed, 0, 0), so they do not
+depend on the chunks; a vanished row is reseeded from its own key (its
+input's seed, its restart, the attempt); the basis-floor climb is a one-hot
+start.  At most MAX_RESTARTS restarts are accepted.
 
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
@@ -47,6 +48,7 @@ from .statevector import (
     StateVector,
     _contract_all_but,
     _random_factors,
+    _unit_stacks,
     product_amps,
     schmidt,
     seed_sequence,
@@ -180,7 +182,7 @@ def _sweep_rows(target, factors):
 
 
 def _starts(keys, dims) -> list[np.ndarray]:
-    """(R, d_j) random start stacks, one row per (seed, restart, attempt) key."""
+    """(R, d_j) reseed stacks, one row per (seed, restart, attempt) key."""
     return _random_factors(dims, (seed_sequence(s, r, a) for s, r, a in keys))
 
 
@@ -253,7 +255,9 @@ def _climb_all(targets, cfgs, spans, starts) -> dict[int, list[_Climbs]]:
     in chunks of at most CHUNK_AMPLITUDES // (K * N) rows and at least one.
     A chunk of one input's rows climbs on its shared target, so no restart
     copies it; a chunk spanning inputs, on the per-row stack of targets.
-    ``starts(inputs, restarts, dims)`` gives a chunk's (R, d_j) starts.
+    ``starts(inputs, restarts, dims)`` gives a chunk's (R, d_j) starts and
+    is called on the chunks in order, so it sees each input's restarts in
+    ascending order.
     Returns each input's climbs, chunk by chunk.
     """
     found: dict[int, list[_Climbs]] = {i: [] for i in spans}
@@ -268,21 +272,47 @@ def _climb_all(targets, cfgs, spans, starts) -> dict[int, list[_Climbs]]:
             ins, rs = inputs[at : at + chunk], restarts[at : at + chunk]
             target = targets[ins[0]] if ins[0] == ins[-1] else np.stack([targets[i] for i in ins])
             climbs = _climb_rows(target, starts(ins, rs, shape[1:]), rs, [cfgs[i] for i in ins])
-            edges = [0, *(np.flatnonzero(np.diff(ins)) + 1), len(ins)]
-            for a, b in zip(edges, edges[1:]):
+            for a, b in _runs(ins):
                 found[int(ins[a])].append(climbs[a:b])
     return found
 
 
+def _runs(inputs):
+    """(start, stop) of each run of equal entries in the chunk's ``inputs``."""
+    edges = [0, *(np.flatnonzero(np.diff(inputs)) + 1), len(inputs)]
+    return zip(edges, edges[1:])
+
+
 def _optimize(blocks, shapes, cfgs) -> list[_Climbs]:
-    """Batched restart schedule over the (K, N) column blocks of the inputs:
-    restart 1 of an input starts from the uniform product, restart r > 1
-    from the draw keyed (seed, r, 0), and the basis-floor climbs run as a
-    second batched pass.  Returns every input's climbs, in restart order."""
+    """Batched restart schedule over the (K, N) column blocks of the inputs,
+    and the basis-floor climbs as a second batched pass.  Returns every
+    input's climbs, in restart order.
+
+    Restart 1 of an input starts from the uniform product.  Each input has
+    one start stream, the generator keyed (seed, 0, 0), a key no reseed
+    uses since restarts count from 1.  Restart r takes row r of the (R,
+    2 * sum(d_j)) standard normals the stream yields in restart order; row
+    1 is drawn and replaced by the uniform start.  ``_climb_all`` visits an
+    input's restarts in order, chunk after chunk, so its starts do not
+    depend on the chunk size or on the inputs it shares a batch with.  The
+    stream is dropped once its input's last restart is drawn.  Reseeds keep
+    their own keys: drawn from the stream, they would depend on the chunks.
+    """
     targets = [b.reshape((len(b),) + s.dims) for b, s in zip(blocks, shapes)]
+    streams = {}
 
     def drawn(inputs, restarts, dims):
-        stacks = _starts(((cfgs[i].seed, r, 0) for i, r in zip(inputs, restarts)), dims)
+        normals = []
+        for a, b in _runs(inputs):
+            i = inputs[a]
+            if restarts[a] == 1:
+                rng = np.random.default_rng(seed_sequence(cfgs[i].seed, 0, 0))
+            else:
+                rng = streams.pop(i)
+            normals.append(rng.standard_normal((b - a, 2 * sum(dims))))
+            if restarts[b - 1] < cfgs[i].restarts:
+                streams[i] = rng
+        stacks = _unit_stacks(np.concatenate(normals), dims)
         for f, d in zip(stacks, dims):
             f[restarts == 1] = uniform_factor(d)
         return stacks
@@ -346,8 +376,9 @@ def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> Pmax
     """Maximize |<e_1,...,e_n|state>|^2 over product states.
 
     Restart 1 starts from the per-site uniform product; the remaining
-    restarts start from Haar-random products drawn from seeds derived from
-    ``cfg.seed``.  Ties across restarts resolve to the lowest restart index.
+    restarts start from Haar-random products drawn from one generator
+    seeded by ``cfg.seed``.  Ties across restarts resolve to the lowest
+    restart index.
     """
     return pmax_overlap_many([state], [cfg])[0]
 

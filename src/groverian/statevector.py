@@ -392,7 +392,7 @@ def product_amps(factors) -> np.ndarray:
     """Joint amplitudes of raw per-site vectors (no normalization checks)."""
     amps = np.asarray(factors[0], dtype=np.complex128)
     for f in factors[1:]:
-        amps = np.kron(amps, f)
+        amps = np.multiply.outer(amps, f).ravel()
     return amps
 
 
@@ -499,14 +499,20 @@ def random_state(shape: SystemShape, seed) -> StateVector:
 
 
 def _random_factors(dims, seeds) -> list[np.ndarray]:
-    """Haar-random unit vectors as (R, d_j) stacks, one row per seed.
-
-    A row draws its normals in one call; site j reads d_j real parts, then
-    d_j imaginary parts, as a site-by-site draw would.  Its squared norm is
-    summed as ``np.linalg.norm`` sums it, real parts then imaginary parts,
-    so each row is bit-equal to a one-seed, site-by-site draw.
-    """
+    """Haar-random unit vectors as (R, d_j) stacks, one row per seed, each
+    row drawn in one call from its own seed's generator."""
     z = np.array([np.random.default_rng(s).standard_normal(2 * sum(dims)) for s in seeds])
+    return _unit_stacks(z, dims)
+
+
+def _unit_stacks(z: np.ndarray, dims) -> list[np.ndarray]:
+    """The (R, d_j) unit stacks of an (R, 2 * sum(dims)) matrix of normals.
+
+    Site j reads d_j real parts, then d_j imaginary parts, of each row, as a
+    site-by-site draw would.  A row's squared norm is summed as
+    ``np.linalg.norm`` sums it, real parts then imaginary parts, so each row
+    is bit-equal to normalizing a one-row, site-by-site draw.
+    """
     stacks, start = [], 0
     for d in dims:
         f = z[:, start : start + d] + 1j * z[:, start + d : start + 2 * d]

@@ -9,6 +9,7 @@ runs exactly the same computations.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from groverian import product_opt
@@ -191,3 +192,19 @@ def test_verify_suite_checks_and_batches(monkeypatch):
     assert [(r.name, r.tolerance) for r in results] == VERIFY_CHECKS
     assert [r.name for r in results if not r.passed] == []
     assert len(batches) <= 100
+
+
+def test_verify_suite_draws_starts_from_one_stream_per_input(monkeypatch):
+    """The optimizer checks draw each input's random starts from one
+    generator, so the suite builds at most 2,000 generators (12,831 at
+    seed 7 when every restart row built its own)."""
+    real, built = np.random.default_rng, []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    results = run_suite("all", SEED)
+    assert [r.name for r in results if not r.passed] == []
+    assert 0 < len(built) <= 2000

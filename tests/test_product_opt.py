@@ -611,21 +611,13 @@ class TestFactor:
         assert result.value >= float(np.real(np.diagonal(rho.entries)).max())
 
     def test_single_draw_equals_per_site_draws(self):
-        def per_site(dims, seed):
-            rng = np.random.default_rng(seed)
-            factors = []
-            for d in dims:
-                z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                factors.append(z / np.linalg.norm(z))
-            return factors
-
         for dims in ([2, 2, 2], [3, 2], [2, 3, 2], [4], [2] * 6, [8, 8], [7, 5]):
             for batch in (1, 2, 20):
                 seeds = [seed_sequence(5, r, 0) for r in range(batch)]
                 stacks = _random_factors(dims, seeds)
                 assert [f.shape for f in stacks] == [(batch, d) for d in dims]
                 for i, seed in enumerate(seeds):
-                    for f, g in zip(stacks, per_site(dims, seed)):
+                    for f, g in zip(stacks, site_by_site(np.random.default_rng(seed), dims)):
                         assert np.array_equal(f[i], g)
 
 
@@ -660,6 +652,16 @@ def serial_mixed_site(left, factors, j):
 
 def one_draw(dims, seed):
     return [f[0] for f in _random_factors(dims, [seed])]
+
+
+def site_by_site(rng, dims):
+    """One start drawn from ``rng`` site by site: d_j real parts, then d_j
+    imaginary parts, normalized with ``np.linalg.norm``."""
+    factors = []
+    for d in dims:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        factors.append(z / np.linalg.norm(z))
+    return factors
 
 
 def serial_climb(site, target, factors, dims, cfg, restart):
@@ -697,10 +699,11 @@ def serial_optimize(target, mixed, shape, cfg):
     else:
         weights = np.abs(target.reshape(-1)) ** 2
     floor_index = int(np.argmax(weights))
-    starts = [[uniform_factor(d) for d in dims]]
-    starts += [
-        one_draw(dims, seed_sequence(cfg.seed, r, 0)) for r in range(2, cfg.restarts + 1)
-    ]
+    # Restart r reads the r-th draw of the input's one stream; the first
+    # draw is replaced by the uniform start.  Reseeds keep their own keys.
+    stream = np.random.default_rng(seed_sequence(cfg.seed, 0, 0))
+    starts = [site_by_site(stream, dims) for _ in range(cfg.restarts)]
+    starts[0] = [uniform_factor(d) for d in dims]
     per_restart, best = [], None
     for r, start in enumerate(starts, start=1):
         objective, _, degenerate = serial_climb(site, target, start, dims, cfg, r)
@@ -881,3 +884,65 @@ class TestManyInputs:
         with pytest.raises(DimensionMismatch):
             pmax_overlap_many([bell()], [None, None])
         assert pmax_overlap_many([], []) == []
+
+
+def start_stream_cases():
+    dims = ([2, 2, 2], [3, 2], [2] * 6)
+    cases = [(str(d), random_state(SystemShape(d), 610 + i)) for i, d in enumerate(dims)]
+    cases.append(("rank-2", random_rank_two_density(SystemShape([2, 2, 2]), 613)))
+    return cases
+
+
+class TestStartStreams:
+    """Each input draws its random starts from its own stream in restart
+    order, so no result depends on how its restarts are chunked or on the
+    inputs that share its batch."""
+
+    @pytest.mark.parametrize("case", start_stream_cases(), ids=lambda c: c[0])
+    def test_starts_do_not_depend_on_chunking(self, monkeypatch, case):
+        x = case[1]
+        cfg = OptimizerConfig(restarts=9, seed=23)
+        run = pmax_mixed if isinstance(x, DensityMatrix) else pmax_overlap
+        real, batches = product_opt._climb_rows, []
+
+        def counted(target, factors, restarts, cfgs):
+            batches[-1].append(len(restarts))
+            return real(target, factors, restarts, cfgs)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        results = []
+        for chunk in (1, 2**4, product_opt.CHUNK_AMPLITUDES):
+            monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk)
+            batches.append([])
+            results.append(run(x, cfg))
+        assert batches[0][:9] == [1] * 9 and batches[2][0] == 9
+        for result in results[1:]:
+            assert_same_result(result, results[0])
+
+    def test_batch_equals_one_by_one_under_small_chunk(self, monkeypatch, three_qubits):
+        # Inputs 0, 1 and 5 share chunks of two rows, and inputs 0 and 5
+        # share a seed but not a stream.
+        batch = [
+            (random_state(three_qubits, 620), OptimizerConfig(restarts=5, seed=31)),
+            (random_state(three_qubits, 621), OptimizerConfig(restarts=3, seed=32)),
+            (random_state(SystemShape([3, 2]), 622), OptimizerConfig(restarts=7, seed=33)),
+            (random_rank_two_density(three_qubits, 623), OptimizerConfig(restarts=4, seed=34)),
+            (random_state(SystemShape([2] * 6), 624), OptimizerConfig(restarts=3, seed=35)),
+            (random_state(three_qubits, 625), OptimizerConfig(restarts=5, seed=31)),
+        ]
+        ones = [
+            pmax_mixed(x, cfg) if isinstance(x, DensityMatrix) else pmax_overlap(x, cfg)
+            for x, cfg in batch
+        ]
+        real, per_row = product_opt._climb_rows, []
+
+        def counted(target, factors, restarts, cfgs):
+            per_row.append(target.ndim > len(factors) + 1)
+            return real(target, factors, restarts, cfgs)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 2**4)
+        many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
+        assert any(per_row)
+        for result, one in zip(many, ones, strict=True):
+            assert_same_result(result, one)

@@ -35,7 +35,13 @@ from groverian import (
 )
 from groverian.fileio import load_state, save_state
 from groverian.grover import OracleSpec, run_grover
-from groverian.statevector import DENSITY_TOL, _contract_all_but, haar_unitary, split_matrix
+from groverian.statevector import (
+    DENSITY_TOL,
+    _contract_all_but,
+    haar_unitary,
+    product_amps,
+    split_matrix,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -299,6 +305,22 @@ class TestProductToState:
             ProductState(two_qubits, (np.array([1.0, 1.0]), np.array([1.0, 0.0])))
         with pytest.raises(DimensionMismatch):
             ProductState(two_qubits, (np.array([1.0, 0.0]),))
+
+    @pytest.mark.parametrize(
+        "dims", [[2], [2, 2], [2, 2, 2], [2] * 6, [3, 2], [2, 3, 4], [5, 5]], ids=str
+    )
+    def test_amps_equal_kron_expansion(self, dims):
+        # The outer-product expansion makes the same products in the same
+        # order as a kron chain, bit for bit, for unit and raw vectors alike.
+        rng = np.random.default_rng(90)
+        raw = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        for factors in (raw, random_product(SystemShape(dims), 91).factors):
+            reference = np.asarray(factors[0], dtype=np.complex128)
+            for f in factors[1:]:
+                reference = np.kron(reference, f)
+            amps = product_amps(factors)
+            assert amps.shape == (math.prod(dims),)
+            assert np.array_equal(amps, reference)
 
     def test_canonical_phase_applied(self, two_qubits):
         f = np.array([0.0, 1j])  # largest-modulus entry must become real >= 0
