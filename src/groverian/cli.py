@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import GroverianError, NonFiniteResult, TooLarge
-from .families import ghz, resolve_density, resolve_state, w_state
+from .families import ghz, integer, resolve_density, resolve_state, w_state
 from .fileio import FileFormatError, canonical_json
 from .grover import (
     OracleSpec,
@@ -46,11 +46,11 @@ def _add_flags(
 ) -> None:
     """The seed and optimizer flags go only to the commands that read them."""
     if seed:
-        parser.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
+        parser.add_argument("--seed", type=integer, default=7, help="base seed (default 7)")
     if optimizer:
-        parser.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+        parser.add_argument("--restarts", type=integer, default=OptimizerConfig.restarts)
         parser.add_argument("--tol", type=float, default=OptimizerConfig.tol)
-        parser.add_argument("--max-sweeps", type=int, default=OptimizerConfig.max_sweeps)
+        parser.add_argument("--max-sweeps", type=integer, default=OptimizerConfig.max_sweeps)
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", metavar="FILE", help="write the report here")
 
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     marked = p.add_mutually_exclusive_group(required=True)
     marked.add_argument("--marked", help="comma-separated marked basis indices")
     marked.add_argument(
-        "--marked-count", type=int, help="mark the first r basis states"
+        "--marked-count", type=integer, help="mark the first r basis states"
     )
     p.add_argument(
         "--iterations", default="auto", help="iteration count, or 'auto' (default)"
@@ -163,7 +163,7 @@ def cmd_grover(args) -> dict:
     shape = state.shape
     if args.marked is not None:
         try:
-            marked = [int(x) for x in args.marked.split(",")]
+            marked = [integer(x) for x in args.marked.split(",")]
         except ValueError:
             raise FileFormatError(f"bad --marked list {args.marked!r}")
     else:
@@ -175,7 +175,7 @@ def cmd_grover(args) -> dict:
         iterations = optimal_iterations(shape, oracle)
     else:
         try:
-            iterations = int(args.iterations)
+            iterations = integer(args.iterations)
         except ValueError:
             raise FileFormatError(f"bad --iterations value {args.iterations!r}")
     run = run_grover(state, oracle, iterations)
@@ -208,7 +208,7 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
 def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
     lo, _, hi = args.sites.partition(":")
     try:
-        lo, hi = int(lo), int(hi or lo)
+        lo, hi = integer(lo), integer(hi or lo)
     except ValueError:
         raise FileFormatError(f"bad --sites range {args.sites!r}")
     if lo < 2 or hi < lo:

@@ -16,6 +16,7 @@ a file second.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +79,21 @@ def maximally_mixed(dims) -> DensityMatrix:
     return DensityMatrix(shape, _readonly(np.eye(shape.total) / shape.total))
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits, with an optional minus
+    sign and nothing else: ``int`` alone would also take other scripts'
+    digits, ``_`` separators, a plus sign and surrounding whitespace."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_dims(text: str) -> list[int]:
     try:
-        dims = [int(part) for part in text.split(",")]
+        dims = [integer(part) for part in text.split(",")]
     except ValueError as exc:
         raise UnknownFamily(f"bad dimension list {text!r}") from exc
     return dims
@@ -95,13 +108,13 @@ def _state_family(spec: str):
     if name == "bell" and not args:
         return SystemShape([2, 2]), bell
     if name in ("ghz", "w") and len(args) == 1:
-        n, family = int(args[0]), ghz if name == "ghz" else w_state
+        n, family = integer(args[0]), ghz if name == "ghz" else w_state
         return qubit_shape(n), lambda: family(n)
     if name == "uniform" and len(args) == 1:
         shape = SystemShape(_parse_dims(args[0]))
         return shape, lambda: uniform_state(shape)
     if name in ("basis", "random", "product-random") and len(args) == 2:
-        shape, value = SystemShape(_parse_dims(args[0])), int(args[1])
+        shape, value = SystemShape(_parse_dims(args[0])), integer(args[1])
         if name == "basis":
             return shape, lambda: basis_state(shape, value)
         if name == "random":
@@ -165,7 +178,7 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
             return DensityMatrix.from_factor(state.shape, state.amps[None])
         if name == "random-rank" and len(args) == 3:
             shape = _density_shape(SystemShape(_parse_dims(args[1])))
-            return random_rank_density(shape, int(args[0]), int(args[2]))
+            return random_rank_density(shape, integer(args[0]), integer(args[2]))
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc
     return None

@@ -12,16 +12,21 @@ d_j x d_j Gram matrix of the (K, d_j) contraction for several.  Each update
 is the exact single-site optimum, so the objective never decreases; random
 restarts guard against local maxima.
 
-A sweep visits sites 1..n in order and carries the left environment (the
-target with the already-updated factors contracted in) from site to site.
-Restarts climb together: each site's factors for a batch of rows are
-stacked into an (R, d_j) array, and one sweep updates every row still
-climbing with a few batched contractions per site.  The target is shared
-by every row, or is an (R, K, d_1, ..., d_n) stack with one block per row,
-which lets ``pmax_overlap_many`` stack the restarts of many inputs of equal
-dims and K into one batch.  A row leaves the batch when it converges or
-runs out of sweeps.  Rows run in chunks of at most CHUNK_AMPLITUDES /
-(N * K), and at least one, so one sweep costs O(chunk * N * K).  Pure and
+A sweep visits sites 1..n in order, by halves: it splits the sites at the
+middle one, contracts the right half's factors out of the target for the
+left half, sweeps the left half, contracts the left half's updated factors
+out for the right half, and sweeps that, each half splitting again down to
+one site.  So a sweep reads the target twice, whatever n is, and the
+partial contractions are reused across site updates (as Phan, Tichavsky
+and Cichocki do for CP alternating least squares, IEEE TSP 61, 4834
+(2013)).  Restarts climb together: each site's factors for a batch of rows
+are stacked into an (R, d_j) array, and one sweep updates every row still
+climbing with batched contractions.  The target is shared by every row,
+or is an (R, K, d_1, ..., d_n) stack with one block per row, which lets
+``pmax_overlap_many`` stack the restarts of many inputs of equal dims and
+K into one batch.  A row leaves the batch when it converges or runs out of
+sweeps.  Rows run in chunks of at most CHUNK_AMPLITUDES / (N * K), and at
+least one, so one sweep costs O(chunk * N * K).  Pure and
 mixed input share one sweep engine, and ``pmax_overlap`` and
 ``pmax_mixed`` are its one-input calls.  An input's random starts are read
 in restart order from one generator keyed (its seed, 0, 0), so they do not
@@ -59,9 +64,10 @@ from .statevector import (
 # is reseeded rather than divided by noise.
 CONTRACTION_EPS = 1e-14
 
-# Restarts run together in chunks whose left environments hold at most this
-# many amplitudes: chunk * N * K for N amplitudes in K columns.  Larger
-# inputs run one restart at a time.
+# Restarts run together in chunks whose stacked per-row targets hold at most
+# this many amplitudes: chunk * N * K for N amplitudes in K columns.  The half
+# environments a sweep holds at once are smaller than that.  Larger inputs
+# run one restart at a time.
 CHUNK_AMPLITUDES = 2**16
 
 # The restart schedule, and the report that lists every restart, grow with
@@ -134,51 +140,60 @@ def _join(climbs: list[_Climbs]) -> _Climbs:
 
 
 def _sweep_rows(target, factors):
-    """One left-to-right sweep of exact single-site updates over R rows.
+    """One sweep of exact single-site updates, sites 1..n in order, over R rows.
 
     ``target`` is the (K, d_1, ..., d_n) block of K columns b_k whose
     objective sum_k |<e|b_k>|^2 is maximized, shared by every row, or an
     (R, K, d_1, ..., d_n) stack of such blocks, one per row; K is read from
     axis -(n + 1) either way.  ``factors[j]`` is the (R, d_j) stack of
     site-j factors, one row per restart, and is replaced in place.  The
-    left environment starts as ``target`` and absorbs each updated factor,
-    so site j works on an (R, K, d_j, ..., d_n) tensor.  With one column
-    the normalized contraction is the new factor; with several, the top
-    eigenvector of the d_j x d_j Gram matrix of the (K, d_j) contraction.
-    A row's contraction vanishes when its norm is below CONTRACTION_EPS,
-    whatever K is.  Every row's arithmetic is the same whether its target
-    is shared or its own, and whatever the other rows are.
+    sweep runs by halves (``_sweep_block``), so it reads the target twice,
+    not once per site.  With one column the normalized contraction is the new
+    factor; with several, the top eigenvector of the d_j x d_j Gram matrix
+    of the (K, d_j) contraction.  A row's contraction vanishes when its
+    norm is below CONTRACTION_EPS, whatever K is.  Every row's arithmetic
+    is the same whether its target is shared or its own, and whatever the
+    other rows are.
 
     Returns the (R, n) objectives after each site and the rows whose
     contraction vanished at some site; those rows hold finite values that
     mean nothing.
     """
-    rows, n = len(factors[0]), len(factors)
-    cols = target.shape[-(n + 1)]
-    objectives = np.empty((rows, n))
-    degenerate = np.zeros(rows, dtype=bool)
-    left = target
-    for j in range(n):
-        d = factors[j].shape[1]
-        trailing = [f.shape[1] for f in factors[j + 1 :]]
-        v = _contract_all_but(left, factors[j:])
-        norm = np.linalg.norm(v, axis=(1, 2))
-        bad = norm < CONTRACTION_EPS
-        if cols == 1:
-            e = v[:, 0] / np.where(bad, 1.0, norm)[:, None]
-            objectives[:, j] = norm * norm
-        else:
-            gram = np.matmul(v.transpose(0, 2, 1), np.conj(v))
-            vals, vecs = np.linalg.eigh(gram)
-            e = np.ascontiguousarray(vecs[:, :, -1])
-            objectives[:, j] = vals[:, -1]
-        factors[j] = e
-        degenerate |= bad
-        if j + 1 == n:
-            break
-        ket = np.matmul(np.conj(e)[:, None, None, :], left.reshape(-1, cols, d, math.prod(trailing)))
-        left = ket.reshape(rows, cols, *trailing)
+    objectives = np.empty((len(factors[0]), len(factors)))
+    degenerate = np.zeros(len(objectives), dtype=bool)
+    _sweep_block(target, factors, 0, len(factors), objectives, degenerate)
     return objectives, degenerate
+
+
+def _sweep_block(env, factors, lo, hi, objectives, degenerate):
+    """Update sites lo..hi-1 in order from ``env``, the (R, K, d_lo, ...,
+    d_{hi-1}) target, or (K, ...) shared, with every other site contracted
+    in: the sites before lo at their updated factors, those from hi on at
+    their old ones.  A block of several sites splits at its middle site.
+    The left half's environment is ``env`` with the right half's old
+    factors contracted in; once the left half is updated, the right half's
+    is ``env`` with the left half's new factors contracted in.  A one-site
+    block is the site update.
+    """
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        for keep, a, b in ((slice(0, mid - lo), lo, mid), (slice(mid - lo, None), mid, hi)):
+            half = _contract_all_but(env, factors[lo:hi], keep)
+            _sweep_block(half, factors, a, b, objectives, degenerate)
+        return
+    # Only a one-site register's shared target reaches here without rows.
+    v = env if env.ndim == 3 else np.broadcast_to(env, (len(objectives), *env.shape))
+    norm = np.linalg.norm(v, axis=(1, 2))
+    bad = norm < CONTRACTION_EPS
+    if v.shape[1] == 1:
+        factors[lo] = v[:, 0] / np.where(bad, 1.0, norm)[:, None]
+        objectives[:, lo] = norm * norm
+    else:
+        gram = np.matmul(v.transpose(0, 2, 1), np.conj(v))
+        vals, vecs = np.linalg.eigh(gram)
+        factors[lo] = np.ascontiguousarray(vecs[:, :, -1])
+        objectives[:, lo] = vals[:, -1]
+    degenerate |= bad
 
 
 def _starts(keys, dims) -> list[np.ndarray]:

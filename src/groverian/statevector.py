@@ -396,22 +396,32 @@ def product_amps(factors) -> np.ndarray:
     return amps
 
 
-def _contract_all_but(tensor: np.ndarray, factors) -> np.ndarray:
-    """Contract conj(factors[j]) onto every site axis but the first, per row.
+def _contract_all_but(tensor: np.ndarray, factors, keep: slice = slice(0, 1)) -> np.ndarray:
+    """Contract conj(factors[j]) onto every site axis but those in ``keep``, per row.
 
     ``factors[j]`` is an (R, d_j) stack with one row per member of a batch,
     and ``tensor`` is (R, K, d_1, ..., d_n), or (K, d_1, ..., d_n) shared by
     every row, with a leading axis of K columns that is carried through.
-    The sites after the first are contracted one at a time, last first, as
-    batched matrix-vector products; ``factors[0]`` sets only the row count.
-    Returns the (R, K, d_1) contractions.
+    ``keep`` is a leading or a trailing block of the sites, whose factors
+    are not read.  The other factors, row by row, make one Kronecker
+    vector, contracted onto the tensor's trailing (or leading) block of axes
+    in one batched matrix-vector product.  Returns the (R, K, d_j for j in
+    ``keep``) contractions.
     """
-    t = tensor if tensor.ndim > len(factors) + 1 else tensor[None]
-    cols, rows = t.shape[1], len(factors[0])
-    for f in factors[:0:-1]:
-        t = np.matmul(t.reshape(len(t), -1, f.shape[1]), np.conj(f)[:, :, None])
-    t = t.reshape(len(t), cols, -1)
-    return t if len(t) == rows else np.broadcast_to(t, (rows, *t.shape[1:]))
+    n = len(factors)
+    start, stop, _ = keep.indices(n)
+    gone = factors[:start] if start else factors[stop:]
+    w = gone[0]
+    for f in gone[1:]:
+        w = np.multiply(w[:, :, None], f[:, None, :]).reshape(len(w), -1)
+    w = np.conj(w)
+    cols, *sites = tensor.shape[-(n + 1) :]
+    kept = sites[start:stop]
+    if start:
+        t = np.matmul(w[:, None, None, :], tensor.reshape(-1, cols, w.shape[1], math.prod(kept)))
+    else:
+        t = np.matmul(tensor.reshape(-1, cols * math.prod(kept), w.shape[1]), w[:, :, None])
+    return t.reshape(len(w), cols, *kept)
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -610,6 +610,62 @@ class TestCliVerify:
         assert "FAIL" in out
 
 
+class TestAsciiIntegers:
+    """Every integer in a family spec and every integer flag is ASCII digits
+    with an optional minus sign: other scripts' digits, ``_`` separators, a
+    plus sign and surrounding whitespace are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmax", "--state", "ghz:\u0663"],
+            ["pmax", "--state", "ghz:1_0"],
+            ["pmax", "--state", "ghz:+3"],
+            ["pmax", "--state", "ghz: 3"],
+            ["pmax", "--state", "w:\uff13"],
+            ["pmax", "--state", "uniform:2,\u0662"],
+            ["pmax", "--state", "basis:2,2: 1"],
+            ["pmax", "--state", "random:2,2:1_0"],
+            ["pmax", "--state", "random:+2,2:1"],
+            ["pmax", "--state", "product-random:2,2:\u0667"],
+            ["groverian", "--mixed", "maximally-mixed:2, 2"],
+            ["groverian", "--mixed", "random-rank:\u0661:2,2:1"],
+            ["groverian", "--mixed", "random-rank:1:2,2:+1"],
+            ["groverian", "--mixed", "pure:ghz:1_0"],
+            ["grover", "--state", "bell", "--marked", "\u0661"],
+            ["grover", "--state", "bell", "--marked", "0, 1"],
+            ["grover", "--state", "bell", "--marked", "0", "--iterations", "\u0663"],
+            ["grover", "--state", "bell", "--marked", "0", "--iterations", "+1"],
+            ["grover", "--state", "bell", "--marked-count", "\u0662"],
+            ["sweep", "--measure", "pmax", "--sites", "2:\u0663"],
+            ["sweep", "--measure", "pmax", "--sites", "2:1_0"],
+            ["pmax", "--state", "bell", "--restarts", "\u0663"],
+            ["pmax", "--state", "bell", "--restarts", "1_0"],
+            ["pmax", "--state", "bell", "--max-sweeps", "+5"],
+            ["pmax", "--state", "bell", "--seed", "\u0667"],
+            ["pmax", "--state", "bell", "--seed", " 7"],
+            ["verify", "--suite", "grover", "--seed", "7_0"],
+        ],
+        ids=str,
+    )
+    def test_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_minus_sign_and_ascii_digits_accepted(self, capsys):
+        argv = ["pmax", "--state", "random:2,3:4", "--seed", "-7", "--restarts", "2"]
+        code, out, _ = run_cli(capsys, *argv, "--max-sweeps", "05")
+        assert code == 0
+        report = last_json(out)
+        assert report["seed"] == -7
+        assert report["config"]["restarts"] == 2 and report["config"]["max_sweeps"] == 5
+        code, out, _ = run_cli(capsys, "grover", "--state", "bell", "--marked", "0,3", "--iterations", "1")
+        assert code == 0
+        assert last_json(out)["results"]["marked"] == [0, 3]
+
+
 class TestCliDeterminism:
     def _strip_duration(self, out):
         report = last_json(out)

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -370,7 +371,8 @@ class TestPmaxMixed:
         assert abs(pmax_mixed(rho, cfg).value - pmax_mixed(refactored, cfg).value) <= 1e-12
 
 
-SWEEP_DIMS = [[2, 2, 2], [3, 2], [2, 3, 2], [3, 3], [2] * 6]
+# Sweeps split at the middle site: odd, uneven and one-site registers too.
+SWEEP_DIMS = [[2, 2, 2], [3, 2], [2, 3, 2], [3, 3], [2] * 6, [2] * 7, [3, 2, 2, 3, 2], [2, 5], [3]]
 
 
 def reference_pure_sweep(state, factors):
@@ -464,6 +466,20 @@ class TestSweepAgainstReference:
             assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
 
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
+    def test_pure_sweep_per_row_targets(self, dims):
+        shape = SystemShape(dims)
+        states = [random_state(shape, 210 + i) for i in range(3)]
+        starts = [random_product(shape, 211 + 10 * i) for i in range(3)]
+        factors = stacked(starts)
+        target = np.array([s.tensor()[None] for s in states])
+        objectives, degenerate = _sweep_rows(target, factors)
+        assert not degenerate.any()
+        for i, (state, start) in enumerate(zip(states, starts)):
+            ref_factors, ref_objectives = reference_pure_sweep(state, start.factors)
+            row = [f[i] for f in factors]
+            assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
+
+    @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_mixed_sweep(self, dims):
         # The factored sweep against the M x M sandwich it replaced, on a
         # pure (one column), a rank-2 and a full-rank density.
@@ -479,6 +495,38 @@ class TestSweepAgainstReference:
                 ref_factors, ref_objectives = reference_mixed_sweep(rho, start.factors)
                 row = [f[i] for f in factors]
                 assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
+
+    @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
+    def test_mixed_sweep_per_row_targets(self, dims):
+        # Each row its own pure, rank-2 or full-rank density of one rank.
+        shape = SystemShape(dims)
+        starts = [random_product(shape, 213 + 10 * i) for i in range(3)]
+        rows = [densities(shape, 212 + 10 * i) for i in range(3)]
+        for kind in range(3):
+            rhos = [row[kind][0] for row in rows]
+            target = np.array([factored(rho) for rho in rhos])
+            factors = stacked(starts)
+            objectives, degenerate = _sweep_rows(target, factors)
+            assert not degenerate.any()
+            for i, (rho, start) in enumerate(zip(rhos, starts)):
+                ref_factors, ref_objectives = reference_mixed_sweep(rho, start.factors)
+                row = [f[i] for f in factors]
+                assert_same_sweep(row, objectives[i], ref_factors, ref_objectives)
+
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [2] * 7, [3]], ids=str)
+    def test_sweep_leaves_no_reference_cycle(self, dims):
+        # A sweep's environments are freed when it returns, not when the
+        # cyclic collector next runs.
+        shape = SystemShape(dims)
+        target = random_state(shape, 214).tensor()[None]
+        factors = stacked([random_product(shape, 215 + i) for i in range(3)])
+        gc.collect()
+        gc.disable()
+        try:
+            _sweep_rows(target, factors)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("dims", SWEEP_DIMS, ids=str)
     def test_projector_matches_pure_optimizer(self, dims):
@@ -519,19 +567,38 @@ class TestSweepAgainstReference:
         else:
             target = factored(random_rank_two_density(three_qubits, 208))
         starts = stacked([random_product(three_qubits, 209 + i) for i in range(3)])
-        real = product_opt._contract_all_but
         for scale, expected in ((1e-10, False), (1e-17, True)):
 
-            def scaled(tensor, factors):
-                v = real(tensor, factors)
-                if len(factors) == 2:
-                    v = v.copy()
-                    v[1] *= scale / np.linalg.norm(v[1])
+            def scaled(v):
+                v[1] *= scale / np.linalg.norm(v[1])
                 return v
 
-            monkeypatch.setattr(product_opt, "_contract_all_but", scaled)
+            calls = []
+            monkeypatch.setattr(product_opt, "_contract_all_but", editing_middle_site(scaled, calls))
             _, degenerate = _sweep_rows(target, [f.copy() for f in starts])
+            assert calls == THREE_SITE_CALLS
             assert degenerate.tolist() == [False, expected, False]
+
+
+# A three-site sweep by halves contracts the target for site 1, then for
+# sites 2..3, and that half for site 2 and for site 3: each call's (site
+# count, kept sites).  The third call is the middle site's environment.
+THREE_SITE_CALLS = [(3, slice(0, 1)), (3, slice(1, None)), (2, slice(0, 1)), (2, slice(1, None))]
+
+
+def editing_middle_site(edit, calls):
+    """A stand-in for ``product_opt._contract_all_but`` that records each
+    call's (site count, kept sites) in ``calls`` and hands the middle
+    site's environment of the first three-site sweep, a copy, through
+    ``edit``."""
+    real = product_opt._contract_all_but
+
+    def contract(tensor, factors, keep=slice(0, 1)):
+        v = real(tensor, factors, keep)
+        calls.append((len(factors), keep))
+        return edit(v.copy()) if len(calls) == 3 else v
+
+    return contract
 
 
 def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
@@ -548,23 +615,17 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
         reseed = _random_factors(dims, [seed_sequence(9, restarts[i], 1)])
         reseeded[i] = _climb_rows(target, reseed, [restarts[i]], [cfg])
 
-    real = product_opt._contract_all_but
-    calls = []
-
-    def vanishing(tensor, factors):
-        v = real(tensor, factors)
-        calls.append(len(factors))
-        if len(factors) == 2 and calls.count(2) == 1:
-            v = v.copy()
-            v[list(vanish)] = 0.0
+    def vanishing(v):
+        v[list(vanish)] = 0.0
         return v
 
-    monkeypatch.setattr(product_opt, "_contract_all_but", vanishing)
+    calls = []
+    monkeypatch.setattr(product_opt, "_contract_all_but", editing_middle_site(vanishing, calls))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         climbs = _climb_rows(target, starts, restarts, [cfg] * 3)
 
-    assert calls[:3] == [3, 2, 1]
+    assert calls[:4] == THREE_SITE_CALLS
     assert not climbs.degenerate.any()
     for i, reseed in reseeded.items():
         assert climbs.sweeps[i] == reseed.sweeps[0] + 1
