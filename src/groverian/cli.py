@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import GroverianError, NonFiniteResult, TooLarge
-from .families import ghz, integer, resolve_density, resolve_state, w_state
+from .families import ghz, integer, real, resolve_density, resolve_state, w_state
 from .fileio import FileFormatError, canonical_json
 from .grover import (
     OracleSpec,
@@ -49,7 +49,7 @@ def _add_flags(
         parser.add_argument("--seed", type=integer, default=7, help="base seed (default 7)")
     if optimizer:
         parser.add_argument("--restarts", type=integer, default=OptimizerConfig.restarts)
-        parser.add_argument("--tol", type=float, default=OptimizerConfig.tol)
+        parser.add_argument("--tol", type=real, default=OptimizerConfig.tol)
         parser.add_argument("--max-sweeps", type=integer, default=OptimizerConfig.max_sweeps)
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", metavar="FILE", help="write the report here")

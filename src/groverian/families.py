@@ -91,6 +91,18 @@ def integer(text: str) -> int:
     return int(text)
 
 
+_REAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE]-?[0-9]+)?")
+
+
+def real(text: str) -> float:
+    """The real number ``text`` spells in ASCII decimal or exponent form, by
+    the rule of ``integer``: ``float`` alone would also take other scripts'
+    digits, ``_`` separators, a plus sign and surrounding whitespace."""
+    if not _REAL.fullmatch(text):
+        raise ValueError(f"invalid real number {text!r}")
+    return float(text)
+
+
 def _parse_dims(text: str) -> list[int]:
     try:
         dims = [integer(part) for part in text.split(",")]

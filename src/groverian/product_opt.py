@@ -31,8 +31,10 @@ mixed input share one sweep engine, and ``pmax_overlap`` and
 ``pmax_mixed`` are its one-input calls.  An input's random starts are read
 in restart order from one generator keyed (its seed, 0, 0), so they do not
 depend on the chunks; a vanished row is reseeded from its own key (its
-input's seed, its restart, the attempt); the basis-floor climb is a one-hot
-start.  At most MAX_RESTARTS restarts are accepted.
+input's seed, its restart, the attempt).  An input whose R restarts all end
+below its best basis product climbs once more, alone on its own target,
+from that basis state as restart R + 1.  At most MAX_RESTARTS restarts are
+accepted.
 
 Two independent references are provided: an exhaustive Bloch-angle grid
 search for up to three qubits, and the exact bipartite closed form (largest
@@ -264,94 +266,58 @@ def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
     return out
 
 
-def _climb_all(targets, cfgs, spans, starts) -> dict[int, list[_Climbs]]:
-    """Climb restarts a..a+c-1 of each input i, ``spans[i] = (a, c)``, with
+def _climb_all(targets, cfgs) -> list[_Climbs]:
+    """Climb restarts 1..R of every input, R its config's ``restarts``, with
     the inputs of one target shape (dims and K) stacked as rows of a batch,
     in chunks of at most CHUNK_AMPLITUDES // (K * N) rows and at least one.
     A chunk of one input's rows climbs on its shared target, so no restart
     copies it; a chunk spanning inputs, on the per-row stack of targets.
-    ``starts(inputs, restarts, dims)`` gives a chunk's (R, d_j) starts and
-    is called on the chunks in order, so it sees each input's restarts in
-    ascending order.
-    Returns each input's climbs, chunk by chunk.
+
+    Restart 1 starts from the uniform product, restart r > 1 from row r of
+    the (R, 2 * sum(d_j)) standard normals that the input's one stream, the
+    generator keyed (seed, 0, 0), yields in restart order; the stream is
+    dropped after the last.  No reseed uses that key, since restarts count
+    from 1, or draws from the stream, which would tie it to the chunks.  The
+    chunks visit an input's restarts in order, so its starts do not depend
+    on the chunk size or its batch.  Returns each input's climbs, in
+    restart order.
     """
-    found: dict[int, list[_Climbs]] = {i: [] for i in spans}
+    found: list[list[_Climbs]] = [[] for _ in targets]
     groups: dict[tuple, list[int]] = {}
-    for i in spans:
-        groups.setdefault(targets[i].shape, []).append(i)
+    for i, target in enumerate(targets):
+        groups.setdefault(target.shape, []).append(i)
+    streams = {}
     for shape, members in groups.items():
-        inputs = np.repeat(members, [spans[i][1] for i in members])
-        restarts = np.concatenate([np.arange(a, a + c) for a, c in map(spans.get, members)])
+        dims = shape[1:]
+        inputs = np.repeat(members, [cfgs[i].restarts for i in members])
+        restarts = np.concatenate([np.arange(1, cfgs[i].restarts + 1) for i in members])
         chunk = max(1, CHUNK_AMPLITUDES // math.prod(shape))
         for at in range(0, len(inputs), chunk):
             ins, rs = inputs[at : at + chunk], restarts[at : at + chunk]
-            target = targets[ins[0]] if ins[0] == ins[-1] else np.stack([targets[i] for i in ins])
-            climbs = _climb_rows(target, starts(ins, rs, shape[1:]), rs, [cfgs[i] for i in ins])
+            normals = []
             for a, b in _runs(ins):
-                found[int(ins[a])].append(climbs[a:b])
-    return found
+                i = ins[a]
+                if rs[a] == 1:
+                    rng = np.random.default_rng(seed_sequence(cfgs[i].seed, 0, 0))
+                else:
+                    rng = streams.pop(i)
+                normals.append(rng.standard_normal((b - a, 2 * sum(dims))))
+                if rs[b - 1] < cfgs[i].restarts:
+                    streams[i] = rng
+            starts = _unit_stacks(np.concatenate(normals), dims)
+            for f, d in zip(starts, dims):
+                f[rs == 1] = uniform_factor(d)
+            target = targets[ins[0]] if ins[0] == ins[-1] else np.stack([targets[i] for i in ins])
+            climbs = _climb_rows(target, starts, rs, [cfgs[i] for i in ins])
+            for a, b in _runs(ins):
+                found[ins[a]].append(climbs[a:b])
+    return [_join(c) for c in found]
 
 
 def _runs(inputs):
     """(start, stop) of each run of equal entries in the chunk's ``inputs``."""
     edges = [0, *(np.flatnonzero(np.diff(inputs)) + 1), len(inputs)]
     return zip(edges, edges[1:])
-
-
-def _optimize(blocks, shapes, cfgs) -> list[_Climbs]:
-    """Batched restart schedule over the (K, N) column blocks of the inputs,
-    and the basis-floor climbs as a second batched pass.  Returns every
-    input's climbs, in restart order.
-
-    Restart 1 of an input starts from the uniform product.  Each input has
-    one start stream, the generator keyed (seed, 0, 0), a key no reseed
-    uses since restarts count from 1.  Restart r takes row r of the (R,
-    2 * sum(d_j)) standard normals the stream yields in restart order; row
-    1 is drawn and replaced by the uniform start.  ``_climb_all`` visits an
-    input's restarts in order, chunk after chunk, so its starts do not
-    depend on the chunk size or on the inputs it shares a batch with.  The
-    stream is dropped once its input's last restart is drawn.  Reseeds keep
-    their own keys: drawn from the stream, they would depend on the chunks.
-    """
-    targets = [b.reshape((len(b),) + s.dims) for b, s in zip(blocks, shapes)]
-    streams = {}
-
-    def drawn(inputs, restarts, dims):
-        normals = []
-        for a, b in _runs(inputs):
-            i = inputs[a]
-            if restarts[a] == 1:
-                rng = np.random.default_rng(seed_sequence(cfgs[i].seed, 0, 0))
-            else:
-                rng = streams.pop(i)
-            normals.append(rng.standard_normal((b - a, 2 * sum(dims))))
-            if restarts[b - 1] < cfgs[i].restarts:
-                streams[i] = rng
-        stacks = _unit_stacks(np.concatenate(normals), dims)
-        for f, d in zip(stacks, dims):
-            f[restarts == 1] = uniform_factor(d)
-        return stacks
-
-    spans = {i: (1, cfg.restarts) for i, cfg in enumerate(cfgs)}
-    joined = [_join(c) for c in _climb_all(targets, cfgs, spans, drawn).values()]
-    floors = {}
-    for i, (block, shape) in enumerate(zip(blocks, shapes)):
-        diag = (np.abs(block) ** 2).sum(axis=0)
-        x = int(np.argmax(diag))
-        if joined[i].objective[joined[i].best()] < diag[x] - 1e-15:
-            # Every restart undershot the best basis product (a degenerate one
-            # reports 0.0): a climb from it cannot descend below it or vanish
-            # on nonzero input, so value >= max_x diag_x unconditionally.
-            floors[i] = shape.digits_of(x)
-
-    def one_hot(inputs, restarts, dims):
-        digits = np.array([floors[i] for i in inputs])
-        return [np.eye(d, dtype=np.complex128)[digits[:, j]] for j, d in enumerate(dims)]
-
-    spans = {i: (cfgs[i].restarts + 1, 1) for i in floors}
-    for i, climbs in _climb_all(targets, cfgs, spans, one_hot).items():
-        joined[i] = _join([joined[i], *climbs])
-    return joined
 
 
 def _result(climbs: _Climbs, x) -> PmaxResult:
@@ -378,12 +344,27 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     Inputs of equal dims and K climb as rows of one batch, and a row's
     arithmetic does not depend on its batch: each result equals the input's
     own one-input call bit for bit, at a fraction of the per-call overhead.
+    An input whose restarts all undershoot its best basis product climbs
+    once more, as one row on its own target, from that basis state's one-hot
+    product; as restart R + 1 its reseed keys are (seed, R + 1, attempt).
     """
     inputs, cfgs = list(inputs), [cfg or OptimizerConfig() for cfg in cfgs]
     if len(inputs) != len(cfgs):
         raise DimensionMismatch(f"{len(inputs)} inputs but {len(cfgs)} configs")
     blocks = [x.factor if isinstance(x, DensityMatrix) else x.amps[None] for x in inputs]
-    climbs = _optimize(blocks, [x.shape for x in inputs], cfgs)
+    targets = [b.reshape((len(b),) + x.shape.dims) for b, x in zip(blocks, inputs)]
+    climbs = _climb_all(targets, cfgs)
+    for i, (block, x) in enumerate(zip(blocks, inputs)):
+        diag = (np.abs(block) ** 2).sum(axis=0)
+        top = int(np.argmax(diag))
+        if climbs[i].objective[climbs[i].best()] < diag[top] - 1e-15:
+            # Every restart undershot the best basis product (a degenerate one
+            # reports 0.0): a climb from it cannot descend below it or vanish
+            # on nonzero input, so value >= max_x diag_x unconditionally.
+            digits = x.shape.digits_of(top)
+            basis = [np.eye(d, dtype=np.complex128)[[k]] for d, k in zip(x.shape.dims, digits)]
+            floor = _climb_rows(targets[i], basis, [cfgs[i].restarts + 1], [cfgs[i]])
+            climbs[i] = _join([climbs[i], floor])
     return [_result(c, x) for c, x in zip(climbs, inputs)]
 
 

@@ -389,10 +389,12 @@ def product_to_state(p: ProductState) -> StateVector:
 
 
 def product_amps(factors) -> np.ndarray:
-    """Joint amplitudes of raw per-site vectors (no normalization checks)."""
+    """Joint amplitudes of raw per-site vectors (no normalization checks).
+
+    The factors may also be (R, d_j) stacks, expanded row by row to (R, N)."""
     amps = np.asarray(factors[0], dtype=np.complex128)
     for f in factors[1:]:
-        amps = np.multiply.outer(amps, f).ravel()
+        amps = (amps[..., :, None] * f[..., None, :]).reshape(*amps.shape[:-1], -1)
     return amps
 
 
@@ -410,11 +412,7 @@ def _contract_all_but(tensor: np.ndarray, factors, keep: slice = slice(0, 1)) ->
     """
     n = len(factors)
     start, stop, _ = keep.indices(n)
-    gone = factors[:start] if start else factors[stop:]
-    w = gone[0]
-    for f in gone[1:]:
-        w = np.multiply(w[:, :, None], f[:, None, :]).reshape(len(w), -1)
-    w = np.conj(w)
+    w = np.conj(product_amps(factors[:start] if start else factors[stop:]))
     cols, *sites = tensor.shape[-(n + 1) :]
     kept = sites[start:stop]
     if start:

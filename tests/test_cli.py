@@ -611,9 +611,10 @@ class TestCliVerify:
 
 
 class TestAsciiIntegers:
-    """Every integer in a family spec and every integer flag is ASCII digits
-    with an optional minus sign: other scripts' digits, ``_`` separators, a
-    plus sign and surrounding whitespace are usage errors."""
+    """Every integer in a family spec and every number flag is ASCII digits
+    with an optional minus sign (and, for ``--tol``, a decimal point and an
+    exponent): other scripts' digits, ``_`` separators, a plus sign and
+    surrounding whitespace are usage errors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -645,6 +646,10 @@ class TestAsciiIntegers:
             ["pmax", "--state", "bell", "--seed", "\u0667"],
             ["pmax", "--state", "bell", "--seed", " 7"],
             ["verify", "--suite", "grover", "--seed", "7_0"],
+            ["pmax", "--state", "bell", "--tol", "\u0661e-9"],
+            ["pmax", "--state", "bell", "--tol", "1_0e-10"],
+            ["pmax", "--state", "bell", "--tol", " 1e-9"],
+            ["pmax", "--state", "bell", "--tol", "+1e-9"],
         ],
         ids=str,
     )

@@ -807,10 +807,11 @@ class TestBatchedAgainstSerial:
         # one more climb starts from that basis state's one-hot rows.
         shape = SystemShape([2, 3, 2])
         state = random_state(shape, 330)
-        real, starts = product_opt._climb_rows, []
+        real, starts, targets = product_opt._climb_rows, [], []
 
         def undershooting(target, factors, restarts, cfgs):
             starts.append([f.copy() for f in factors])
+            targets.append(target)
             climbs = real(target, factors, restarts, cfgs)
             if len(starts) == 1:
                 climbs.objective[:] = 0.0
@@ -822,6 +823,7 @@ class TestBatchedAgainstSerial:
         assert len(starts) == 2 and result.restarts_used == 4
         for f, d, x in zip(starts[1], shape.dims, digits):
             assert np.array_equal(f, np.eye(d)[[x]])
+        assert np.shares_memory(targets[1], state.amps)
         assert result.value >= float(state.probabilities().max())
 
     def test_mixed_basis_floor_is_the_largest_diagonal_entry(self, monkeypatch):
@@ -831,10 +833,11 @@ class TestBatchedAgainstSerial:
         rho = random_rank_density(shape, 3, 331)
         diag = np.real(np.diagonal(rho.entries))
         assert np.argmax(np.abs(rho.factor[0])) != np.argmax(diag)
-        real, starts = product_opt._climb_rows, []
+        real, starts, targets = product_opt._climb_rows, [], []
 
         def undershooting(target, factors, restarts, cfgs):
             starts.append([f.copy() for f in factors])
+            targets.append(target)
             climbs = real(target, factors, restarts, cfgs)
             if len(starts) == 1:
                 climbs.objective[:] = 0.0
@@ -846,6 +849,7 @@ class TestBatchedAgainstSerial:
         assert len(starts) == 2 and result.restarts_used == 4
         for f, d, x in zip(starts[1], shape.dims, digits):
             assert np.array_equal(f, np.eye(d)[[x]])
+        assert np.shares_memory(targets[1], rho.factor)
         assert result.value >= diag.max() - 1e-15
 
     @pytest.mark.parametrize("chunk", [1, 3])
@@ -891,7 +895,7 @@ class TestManyInputs:
         # Inputs 0 and 1 share a chunk and differ in tol and sweep budget; the
         # vanishing state is reseeded while the row ahead of it is another
         # input's; both inputs seeded floor_seed take the basis-floor climb,
-        # which forces every main-pass restart of theirs to undershoot.
+        # which forces every scheduled restart of theirs to undershoot.
         floor_seed = 99
         vanishing = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)  # uniform start vanishes
         batch = [
@@ -908,10 +912,12 @@ class TestManyInputs:
             (random_state(three_qubits, 509), OptimizerConfig(restarts=2, seed=floor_seed)),
         ]
         real_climb, real_starts = product_opt._climb_rows, product_opt._starts
-        batches, reseeds = [], []
+        batches, reseeds, floors = [], [], []
 
         def undershooting(target, factors, restarts, cfgs):
             batches.append((target.ndim > len(factors) + 1, [c.seed for c in cfgs]))
+            if any(r > c.restarts for r, c in zip(restarts, cfgs)):
+                floors.append((target, list(restarts)))
             climbs = real_climb(target, factors, restarts, cfgs)
             for k, cfg in enumerate(cfgs):
                 if cfg.seed == floor_seed and restarts[k] <= cfg.restarts:
@@ -933,12 +939,34 @@ class TestManyInputs:
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
         assert 8 in reseeds
         assert any(per_row for per_row, _ in batches)
-        assert any(per_row and seeds == [floor_seed] * 2 for per_row, seeds in batches)
+        assert len(floors) == 2  # one one-row call per floor input, on its own target
+        for (target, restarts), (x, cfg) in zip(floors, batch[-2:]):
+            assert restarts == [cfg.restarts + 1]
+            assert np.shares_memory(target, x.amps)
         assert sum(1 in seeds for _, seeds in batches) == 2  # input 0 spans two chunks
         assert [r.restarts_used for r in many[-2:]] == [4, 3]
 
         for (x, cfg), result in zip(batch, many, strict=True):
             one = pmax_mixed(x, cfg) if isinstance(x, DensityMatrix) else pmax_overlap(x, cfg)
+            assert_same_result(result, one)
+
+    def test_state_and_its_one_row_density_share_a_chunk(self, three_qubits, monkeypatch):
+        # Both targets are (1, 2, 2, 2), so the restarts of both inputs climb
+        # as one chunk, and both equal the state's own call bit for bit.
+        state = random_state(three_qubits, 510)
+        rho = DensityMatrix.from_factor(three_qubits, state.amps[None])
+        cfg = OptimizerConfig(restarts=4, seed=12)
+        one = pmax_overlap(state, cfg)
+        real, batches = product_opt._climb_rows, []
+
+        def counted(target, factors, restarts, cfgs):
+            batches.append(len(restarts))
+            return real(target, factors, restarts, cfgs)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        many = pmax_overlap_many([state, rho], [cfg, cfg])
+        assert batches == [8]
+        for result in many:
             assert_same_result(result, one)
 
     def test_one_config_per_input(self, two_qubits):

@@ -311,7 +311,8 @@ class TestProductToState:
     )
     def test_amps_equal_kron_expansion(self, dims):
         # The outer-product expansion makes the same products in the same
-        # order as a kron chain, bit for bit, for unit and raw vectors alike.
+        # order as a kron chain, bit for bit, for unit and raw vectors alike;
+        # (R, d_j) stacks expand each row as its own 1-D factors would.
         rng = np.random.default_rng(90)
         raw = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
         for factors in (raw, random_product(SystemShape(dims), 91).factors):
@@ -321,6 +322,11 @@ class TestProductToState:
             amps = product_amps(factors)
             assert amps.shape == (math.prod(dims),)
             assert np.array_equal(amps, reference)
+        stacks = [rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d)) for d in dims]
+        rows = product_amps(stacks)
+        assert rows.shape == (3, math.prod(dims))
+        for r, row in enumerate(rows):
+            assert np.array_equal(row, product_amps([f[r] for f in stacks]))
 
     def test_canonical_phase_applied(self, two_qubits):
         f = np.array([0.0, 1j])  # largest-modulus entry must become real >= 0
