@@ -20,9 +20,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import GroverianError, NonFiniteResult, TooLarge
-from .families import ghz, integer, real, resolve_density, resolve_state, w_state
-from .fileio import FileFormatError, canonical_json
+from .errors import GroverianError, NonFiniteResult, OutOfRange, TooLarge
+from .families import SWEEP_FAMILIES, integer, real, resolve_density, resolve_state
+from .fileio import canonical_json
 from .grover import (
     OracleSpec,
     iteration_bound,
@@ -32,7 +32,7 @@ from .grover import (
 )
 from .measures import groverian, groverian_mixed
 from .product_opt import OptimizerConfig, pmax_overlap
-from .statevector import qubit_shape, random_state, seed_sequence, uniform_state
+from .statevector import qubit_shape, seed_sequence
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--family",
-        choices=("ghz", "w", "uniform", "random"),
+        choices=tuple(SWEEP_FAMILIES),
         default=None,
         help="state family swept over the site range",
     )
@@ -165,10 +165,10 @@ def cmd_grover(args) -> dict:
         try:
             marked = [integer(x) for x in args.marked.split(",")]
         except ValueError:
-            raise FileFormatError(f"bad --marked list {args.marked!r}")
+            raise OutOfRange(f"bad --marked list {args.marked!r}")
     else:
         if not 1 <= args.marked_count <= shape.total:
-            raise FileFormatError(f"--marked-count must lie in 1..{shape.total}")
+            raise OutOfRange(f"--marked-count must lie in 1..{shape.total}")
         marked = list(range(args.marked_count))
     oracle = OracleSpec(shape, marked)
     if args.iterations == "auto":
@@ -177,7 +177,7 @@ def cmd_grover(args) -> dict:
         try:
             iterations = integer(args.iterations)
         except ValueError:
-            raise FileFormatError(f"bad --iterations value {args.iterations!r}")
+            raise OutOfRange(f"bad --iterations value {args.iterations!r}")
     run = run_grover(state, oracle, iterations)
     return {
         "dims": list(shape.dims),
@@ -205,31 +205,27 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
     }, lines
 
 
-def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
+def cmd_sweep(args) -> dict:
+    family = args.family or {
+        "grover-success": "uniform",
+        "pmax-gap": "random",
+        "groverian": "ghz",
+        "pmax": "ghz",
+    }[args.measure]
     lo, _, hi = args.sites.partition(":")
     try:
         lo, hi = integer(lo), integer(hi or lo)
     except ValueError:
-        raise FileFormatError(f"bad --sites range {args.sites!r}")
+        raise OutOfRange(f"bad --sites range {args.sites!r}")
     if lo < 2 or hi < lo:
-        raise FileFormatError("--sites range must satisfy 2 <= lo <= hi")
+        raise OutOfRange("--sites range must satisfy 2 <= lo <= hi")
     qubit_shape(hi)  # an oversize range fails before the first row
 
     measure = args.measure
-
-    def family_state(n, index):
-        if family == "ghz":
-            return ghz(n)
-        if family == "w":
-            return w_state(n)
-        if family == "uniform":
-            return uniform_state(qubit_shape(n))
-        return random_state(qubit_shape(n), seed_sequence(args.seed, 77, index))
-
     rows = []
     for index, n in enumerate(range(lo, hi + 1)):
         total = 2**n
-        state = family_state(n, index)
+        state, p_ref = SWEEP_FAMILIES[family](n, seed_sequence(args.seed, 77, index))
         cfg = dataclasses.replace(args.cfg, seed=args.seed + index)
         if measure == "grover-success":
             oracle = OracleSpec(state.shape, (0,))
@@ -244,7 +240,6 @@ def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
             reference = 5.0 / math.sqrt(total)
             error = value - reference  # negative when within the bound
         else:
-            p_ref = _pmax_reference(family, n)
             if measure == "pmax":
                 value, reference = pmax_overlap(state, cfg).value, p_ref
             else:
@@ -253,32 +248,10 @@ def _sweep_table(args, family: str) -> tuple[list[str], list[list]]:
             error = None if reference is None else abs(value - reference)
         # a family without a closed form gets no reference columns
         rows.append([total, value] + ([] if reference is None else [reference, error]))
-    return ["N", "value", "reference", "error"][: len(rows[0])], rows
-
-
-def _pmax_reference(family: str, n: int) -> float | None:
-    """Closed-form product-overlap maxima where the family has one."""
-    if family == "ghz":
-        return 0.5
-    if family == "w":
-        return (1.0 - 1.0 / n) ** (n - 1)  # symmetric stationary point
-    if family == "uniform":
-        return 1.0
-    return None
-
-
-def cmd_sweep(args) -> dict:
-    family = args.family or {
-        "grover-success": "uniform",
-        "pmax-gap": "random",
-        "groverian": "ghz",
-        "pmax": "ghz",
-    }[args.measure]
-    columns, rows = _sweep_table(args, family)
     return {
-        "measure": args.measure,
+        "measure": measure,
         "family": family,
-        "columns": columns,
+        "columns": ["N", "value", "reference", "error"][: len(rows[0])],
         "rows": rows,
     }
 

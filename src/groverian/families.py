@@ -10,7 +10,8 @@ N x K matrix B.  ``pure:`` and ``random-rank:`` densities are built from
 their factor in O(N * K); every density family refuses a register whose
 N x N entries would exceed the 2^30 cap, so ``entries`` can always be read.
 ``resolve_state`` and ``resolve_density`` read a spec as a family first and
-a file second.
+a file second.  ``SWEEP_FAMILIES`` is the table of the qubit families that
+``sweep`` tabulates over n, each with its closed-form P_max where it has one.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def w_state(n: int) -> StateVector:
 
 def bell() -> StateVector:
     return ghz(2)
+
+
+# Each ``sweep`` family maps (n, seed) to its n-qubit state and its closed-form
+# P_max, or None where it has none; only ``random`` reads the seed.
+SWEEP_FAMILIES = {
+    "ghz": lambda n, seed: (ghz(n), 0.5),
+    # W's symmetric stationary point (Wei and Goldbart, PRA 68, 042307 (2003))
+    "w": lambda n, seed: (w_state(n), (1.0 - 1.0 / n) ** (n - 1)),
+    "uniform": lambda n, seed: (uniform_state(qubit_shape(n)), 1.0),
+    "random": lambda n, seed: (random_state(qubit_shape(n), seed), None),
+}
 
 
 def _density_shape(shape: SystemShape) -> SystemShape:

@@ -35,8 +35,15 @@ from groverian import (
 )
 from groverian import OptimizerConfig, cli
 from groverian.cli import main
-from groverian.families import expand_density_family, expand_state_family, resolve_density
+from groverian.errors import OutOfRange
+from groverian.families import (
+    SWEEP_FAMILIES,
+    expand_density_family,
+    expand_state_family,
+    resolve_density,
+)
 from groverian.fileio import FileFormatError, _parse_pairs, format_float
+from groverian.statevector import qubit_shape
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -105,6 +112,26 @@ class TestFamilies:
         assert np.linalg.matrix_rank(rho.entries) == 3
         assert abs(np.trace(rho.entries) - 1.0) <= 1e-14
         DensityMatrix(rho.shape, rho.entries)  # its entries pass validation
+
+    def test_sweep_families_are_the_builders(self):
+        for n in range(2, 7):
+            builders = {
+                "ghz": (ghz(n), 0.5),
+                "w": (w_state(n), (1 - 1 / n) ** (n - 1)),
+                "uniform": (uniform_state(qubit_shape(n)), 1.0),
+                "random": (random_state(qubit_shape(n), n), None),
+            }
+            assert SWEEP_FAMILIES.keys() == builders.keys()
+            for name, (state, closed_form) in builders.items():
+                got, reference = SWEEP_FAMILIES[name](n, n)
+                assert got.shape == state.shape
+                assert got.amps.tobytes() == state.amps.tobytes()
+                assert reference == closed_form
+
+    def test_sweep_family_choices_are_the_table(self):
+        sweep = cli.build_parser()._subparsers._group_actions[0].choices["sweep"]
+        family = next(a for a in sweep._actions if a.dest == "family")
+        assert family.choices == tuple(SWEEP_FAMILIES)
 
 
 class TestStateFiles:
@@ -470,6 +497,11 @@ class TestCliGrover:
         assert code == 2
         assert "--marked-count must lie in 1..4" in err
 
+    def test_flag_error_is_out_of_range(self):
+        args = cli.build_parser().parse_args(["grover", "--state", "bell", "--marked-count", "9"])
+        with pytest.raises(OutOfRange, match="--marked-count must lie in 1..4"):
+            cli.cmd_grover(args)
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "grover", "--state", "uniform:2,2", "--marked", "2",
@@ -580,6 +612,26 @@ class TestCliSweep:
                 lines = out.splitlines()
                 assert lines[0] == "N,value" and len(lines) == 3
                 assert all(line.count(",") == 1 for line in lines)
+
+    def test_pmax_over_w_matches_closed_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--measure", "pmax", "--family", "w", "--sites", "2:6"
+        )
+        assert code == 0
+        rows = last_json(out)["results"]["rows"]
+        for n, (total, value, reference, error) in zip(range(2, 7), rows, strict=True):
+            assert total == 2**n
+            assert reference == (1 - 1 / n) ** (n - 1)
+            assert error <= 1e-9
+
+    def test_groverian_over_uniform_is_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--measure", "groverian", "--family", "uniform", "--sites", "2:5"
+        )
+        assert code == 0
+        rows = last_json(out)["results"]["rows"]
+        assert [row[0] for row in rows] == [4, 8, 16, 32]
+        assert all(row[1:] == [0, 0, 0] for row in rows)
 
 
 class TestCliVerify:
