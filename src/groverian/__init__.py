@@ -4,10 +4,10 @@ measure derived from the maximal product overlap.
 The package simulates amplitude-amplification search from arbitrary initial
 states, maximizes the squared overlap between a state and the set of
 product states (via alternating single-site optimization, with an exact
-bipartite closed form and an exhaustive grid search as independent
-references), and exposes the measures sqrt(1 - P_max) and 2 - 2 sqrt(P_max)
-built on that quantity, including the linear extension to density matrices
-and its documented failure to be an entanglement monotone.
+bipartite closed form and a site-1 Bloch grid, the other sites exact, as
+independent references), and exposes the measures sqrt(1 - P_max) and
+2 - 2 sqrt(P_max) built on that quantity, including the linear extension to
+density matrices and its documented failure to be an entanglement monotone.
 """
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ class MeasureReport:
 
     groverian = sqrt(1 - pmax); vedral_e = 2 - 2 sqrt(pmax).  ``method``
     records which route produced pmax: alternating, bipartite-closed-form,
-    grid, or mixed.
+    or mixed.
     """
 
     pmax: float

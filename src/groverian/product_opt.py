@@ -36,9 +36,9 @@ below its best basis product climbs once more, alone on its own target,
 from that basis state as restart R + 1.  At most MAX_RESTARTS restarts are
 accepted.
 
-Two independent references are provided: an exhaustive Bloch-angle grid
-search for up to three qubits, and the exact bipartite closed form (largest
-squared Schmidt coefficient).
+Two independent references are provided: a Bloch-angle grid over site 1
+with the other sites exact (a lower bound), for up to three qubits, and the
+exact bipartite closed form (largest squared Schmidt coefficient).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, TooLarge, WrongShape
 from .statevector import (
+    MAX_TOTAL_DIM,
     DensityMatrix,
     ProductState,
     StateVector,
@@ -405,10 +406,6 @@ def pmax_bipartite(state: StateVector, split) -> float:
 # makes the oracle value monotone under power-of-two refinement.
 MIN_GRID_RESOLUTION = 32
 
-# Grid overlaps are evaluated in blocks of rows holding at most this many
-# entries (4 MiB of complex128), however many candidates survive.
-GRID_BLOCK_ENTRIES = 2**18
-
 
 def _grid_candidates(resolution: int) -> np.ndarray:
     theta = np.arange(resolution) * math.pi / resolution
@@ -420,74 +417,35 @@ def _grid_candidates(resolution: int) -> np.ndarray:
 
 
 def _top_sigma_sq_2x2(m: np.ndarray) -> np.ndarray:
-    """Largest squared singular value of a batch of 2x2 matrices, closed form."""
-    t = (np.abs(m) ** 2).sum(axis=(-2, -1))
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    disc = np.sqrt(np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0))
-    return (t + disc) / 2.0
-
-
-def _grid_block_max(rows: np.ndarray, cand_conj: np.ndarray) -> float:
-    """max |rows @ cand_conj.T|^2, evaluated in blocks of rows."""
-    step = max(1, GRID_BLOCK_ENTRIES // len(cand_conj))
-    best = 0.0
-    for i in range(0, len(rows), step):
-        vals = np.abs(rows[i : i + step] @ cand_conj.T) ** 2
-        best = max(best, float(vals.max()))
-    return best
-
-
-def _grid_max_two_site(matrix: np.ndarray, cand_conj: np.ndarray) -> float:
-    """Exact max of |e1+ M e2*| over the candidate grid."""
-    return _grid_block_max(cand_conj @ matrix, cand_conj)
-
-
-def _grid_max_three_site(tensor: np.ndarray, cand_conj: np.ndarray) -> float:
-    """Exact grid maximum for three qubits by best-first branch and bound.
-
-    Fixing the site-1 candidate leaves a 2x2 matrix whose top squared
-    singular value bounds anything reachable below it; candidates are
-    expanded in bound order and pruned against the best full-grid value
-    found, so the result equals exhaustive enumeration.
-    """
-    v = np.tensordot(cand_conj, tensor, axes=([1], [0]))  # (G, 2, 2)
-    ub1 = _top_sigma_sq_2x2(v)
-    order = np.argsort(-ub1, kind="stable")
-    best = 0.0
-    for a in order[:4]:  # greedy dives establish a tight starting bound
-        w = cand_conj @ v[a]
-        b = int(np.argmax((np.abs(w) ** 2).sum(axis=1)))
-        best = max(best, float((np.abs(cand_conj @ w[b]) ** 2).max()))
-    for a in order:
-        if ub1[a] <= best:
-            break
-        w = cand_conj @ v[a]  # (G, 2)
-        ub2 = (np.abs(w) ** 2).sum(axis=1)
-        sel = np.nonzero(ub2 > best)[0]
-        if sel.size == 0:
-            continue
-        best = max(best, _grid_block_max(w[sel], cand_conj))
-    return best
+    """Largest squared singular value of a batch of 2x2 matrices: the top
+    eigenvalue of m m^+ = [[p, q], [q*, r]], (p + r)/2 + sqrt(((p - r)/2)^2
+    + |q|^2), which keeps full precision for nearly equal singular values."""
+    rows = (np.abs(m) ** 2).sum(axis=-1)
+    p, r = rows[..., 0], rows[..., 1]
+    q = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1)
+    return (p + r) / 2.0 + np.sqrt(((p - r) / 2.0) ** 2 + np.abs(q) ** 2)
 
 
 def pmax_grid_oracle(state: StateVector, resolution: int) -> float:
-    """Exhaustive Bloch-angle grid maximum of the product overlap (<= 3 qubits).
+    """Grid maximum over site 1 with the other sites exact (<= 3 qubits).
 
-    Factors are cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> on a grid of
-    ``resolution`` points per angle.  The value is the exact maximum over
-    the grid, a lower bound on the true optimum that converges as the
-    resolution grows.
+    Site 1's factor runs over cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> on
+    a grid of ``resolution`` points per angle; the best product over the
+    remaining sites is exact: the remainder's squared norm, or its top
+    squared singular value for two sites.  The value is attained by a
+    product state, so it is a lower bound on P_max independent of the
+    sweeps, and at least the full-grid maximum at the same resolution.
+    Resolutions past 2^14 are refused: their (R^2, 2, 2) remainder would
+    pass MAX_TOTAL_DIM entries.
     """
     shape = state.shape
     if any(d != 2 for d in shape.dims):
         raise WrongShape("grid oracle supports qubit sites only")
     if shape.n > 3:
         raise TooLarge("grid oracle supports at most 3 sites")
-    if resolution < MIN_GRID_RESOLUTION:
-        raise OutOfRange(f"resolution must be >= {MIN_GRID_RESOLUTION}")
-    cand_conj = _grid_candidates(resolution).conj()
-    if shape.n == 1:
-        return float((np.abs(cand_conj @ state.amps) ** 2).max())
-    if shape.n == 2:
-        return _grid_max_two_site(state.amps.reshape(2, 2), cand_conj)
-    return _grid_max_three_site(state.tensor(), cand_conj)
+    if resolution < MIN_GRID_RESOLUTION or 4 * resolution**2 > MAX_TOTAL_DIM:
+        raise OutOfRange(f"resolution must be in [{MIN_GRID_RESOLUTION}, 2^14]")
+    rest = np.tensordot(_grid_candidates(resolution).conj(), state.tensor(), axes=([1], [0]))
+    if shape.n == 3:
+        return float(_top_sigma_sq_2x2(rest).max())
+    return float((np.abs(rest.reshape(len(rest), -1)) ** 2).sum(axis=1).max())

@@ -1,9 +1,10 @@
 """Verification suites behind the ``verify`` CLI command.
 
 Each check compares a computed quantity against an independent reference
-(closed forms, exhaustive enumeration, or the exact grid oracle) at a fixed
-tolerance and reports one pass/fail line.  All randomness is derived from
-the suite seed, so a run is reproducible bit for bit.
+(closed forms, exhaustive enumeration, or the grid oracle's product-state
+lower bound) at a fixed tolerance and reports one pass/fail line.  All
+randomness is derived from the suite seed, so a run is reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def check_bipartite_agreement(seed: int) -> list[CheckResult]:
 
 
 def check_grid_agreement(seed: int) -> list[CheckResult]:
-    """Optimizer dominates the exact grid value and stays within its coarseness."""
+    """Optimizer dominates the grid oracle's value and stays within its coarseness."""
     states = [random_state(qubit_shape(3), seed_sequence(seed, 33, i)) for i in range(50)]
     results = pmax_overlap_many(states, [_cfg(seed, 33, i) for i in range(50)])
     pairs = [(pmax_grid_oracle(s, 64), r.value) for s, r in zip(states, results)]

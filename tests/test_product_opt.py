@@ -10,6 +10,7 @@ from conftest import dense_environment
 from groverian import (
     DensityMatrix,
     DimensionMismatch,
+    LocalUnitaryLayer,
     OptimizerConfig,
     OutOfRange,
     StateVector,
@@ -38,8 +39,6 @@ from groverian.families import random_rank_density
 from groverian.product_opt import (
     _climb_rows,
     _grid_candidates,
-    _grid_max_three_site,
-    _grid_max_two_site,
     _sweep_rows,
     _top_sigma_sq_2x2,
 )
@@ -57,7 +56,7 @@ SQRT_HALF = math.sqrt(0.5)
 
 
 def brute_force_grid(state, resolution):
-    """Exhaustive reference for the grid oracle: every combination, no pruning."""
+    """Full-grid maximum: every combination of candidates, one per site."""
     cand = _grid_candidates(resolution).conj()
     t = state.tensor()
     if state.shape.n == 2:
@@ -201,25 +200,26 @@ class TestPmaxBipartite:
         assert abs(pmax_bipartite(state, [1]) - 0.7) <= 1e-14
 
 
-def unblocked_three_site(tensor, cand_conj):
-    """The three-site branch and bound with every surviving row of a branch
-    evaluated in one product, as it was before the rows were blocked."""
-    v = np.tensordot(cand_conj, tensor, axes=([1], [0]))
-    ub1 = _top_sigma_sq_2x2(v)
-    order = np.argsort(-ub1, kind="stable")
-    best = 0.0
-    for a in order[:4]:
-        w = cand_conj @ v[a]
-        b = int(np.argmax((np.abs(w) ** 2).sum(axis=1)))
-        best = max(best, float((np.abs(cand_conj @ w[b]) ** 2).max()))
-    for a in order:
-        if ub1[a] <= best:
-            break
-        w = cand_conj @ v[a]
-        sel = np.nonzero((np.abs(w) ** 2).sum(axis=1) > best)[0]
-        if sel.size:
-            best = max(best, float((np.abs(w[sel] @ cand_conj.T) ** 2).max()))
-    return best
+def site_one_svd_reference(state, resolution):
+    """The grid oracle's rule with numpy's SVD: for each site-1 candidate,
+    the top squared singular value of the 2x2 remainder."""
+    rest = np.tensordot(_grid_candidates(resolution).conj(), state.tensor(), axes=([1], [0]))
+    return float((np.linalg.svd(rest, compute_uv=False)[:, 0] ** 2).max())
+
+
+def bell_after_zero(seed):
+    """|0> (x) (U (x) V)|Bell>: P_max is 1/2, and at site 1's pole the
+    remainder has two equal singular values."""
+    shape = SystemShape([2] * 3)
+    rng = np.random.default_rng(seed)
+    state = StateVector(shape, np.kron([1.0, 0.0], bell().amps))
+    gates = (np.eye(2), haar_unitary(2, rng), haar_unitary(2, rng))
+    return apply_local(LocalUnitaryLayer(shape, gates), state)
+
+
+def grid_test_states(three_qubits):
+    states = [random_state(three_qubits, 90 + i) for i in range(4)]
+    return states + [ghz(3), w_state(3), bell_after_zero(3)]
 
 
 class TestGridOracle:
@@ -235,45 +235,28 @@ class TestGridOracle:
             assert pmax_grid_oracle(state, 128) >= pmax_grid_oracle(state, 64) - 1e-12
 
     def test_matches_exhaustive_two_qubits(self, two_qubits):
+        # Site 2 solved exactly is at least the full grid, and still a product.
         for i in range(4):
             state = random_state(two_qubits, 80 + i)
+            value = pmax_grid_oracle(state, 32)
+            assert brute_force_grid(state, 32) - 1e-15 <= value
+            assert value <= pmax_bipartite(state, [1]) + 1e-14
+
+    def test_matches_svd_reference(self, three_qubits):
+        for state in grid_test_states(three_qubits):
             assert pmax_grid_oracle(state, 32) == pytest.approx(
-                brute_force_grid(state, 32), abs=1e-14
+                site_one_svd_reference(state, 32), abs=1e-14
             )
 
-    def test_branch_and_bound_equals_exhaustive(self, three_qubits):
-        # The pruned search is resolution-independent; compare it against
-        # full enumeration on a coarse grid where enumeration is cheap.
-        cand = _grid_candidates(16).conj()
-        states = [random_state(three_qubits, 90 + i) for i in range(4)]
-        states += [ghz(3), w_state(3)]
+    def test_dominates_coarser_full_grid(self, three_qubits):
+        # The resolution-16 grid is a subset of the resolution-32 one.
+        for state in grid_test_states(three_qubits):
+            assert pmax_grid_oracle(state, 32) >= brute_force_grid(state, 16) - 1e-15
+
+    def test_never_exceeds_optimizer(self, three_qubits):
+        states = grid_test_states(three_qubits) + [bell_after_zero(seed) for seed in (1, 2)]
         for state in states:
-            pruned = _grid_max_three_site(state.tensor(), cand)
-            assert pruned == pytest.approx(brute_force_grid(state, 16), abs=1e-14)
-
-    def test_two_site_helper_equals_exhaustive(self, two_qubits):
-        cand = _grid_candidates(16).conj()
-        for i in range(4):
-            state = random_state(two_qubits, 95 + i)
-            direct = _grid_max_two_site(state.amps.reshape(2, 2), cand)
-            assert direct == pytest.approx(brute_force_grid(state, 16), abs=1e-14)
-
-    @pytest.mark.parametrize("seed", [7, 11])
-    def test_blocked_rows_equal_one_block(self, seed):
-        # The verify inputs: Bell at 64, the pole and five random states at
-        # 64 and 128, against the expression evaluated for all rows at once.
-        shape = SystemShape([2] * 3)
-        states = [basis_state(shape, 0)]
-        states += [random_state(shape, seed_sequence(seed, 38, i)) for i in range(5)]
-        for resolution in (64, 128):
-            cand = _grid_candidates(resolution).conj()
-            for state in states:
-                assert _grid_max_three_site(state.tensor(), cand) == unblocked_three_site(
-                    state.tensor(), cand
-                )
-        cand = _grid_candidates(64).conj()
-        expected = float((np.abs((cand @ bell().amps.reshape(2, 2)) @ cand.T) ** 2).max())
-        assert _grid_max_two_site(bell().amps.reshape(2, 2), cand) == expected
+            assert pmax_grid_oracle(state, 32) <= pmax_overlap(state).value + 1e-12
 
     def test_memory_stays_bounded(self, three_qubits):
         states = [basis_state(three_qubits, 0)]
@@ -303,6 +286,37 @@ class TestGridOracle:
     def test_rejects_low_resolution(self, two_qubits):
         with pytest.raises(OutOfRange):
             pmax_grid_oracle(random_state(two_qubits, 0), 16)
+
+    @pytest.mark.parametrize("resolution", [2**14 + 1, 10**20])
+    def test_rejects_oversize_resolution_before_allocating(self, three_qubits, resolution):
+        state = random_state(three_qubits, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                pmax_grid_oracle(state, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def unit_2x2(rng, count):
+    return np.stack([haar_unitary(2, rng) for _ in range(count)])
+
+
+class TestTopSigmaSq:
+    def test_matches_svd(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+        m /= np.linalg.norm(m, axis=(1, 2), keepdims=True)
+        u = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        v = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        rank_one = u[:, :, None] * v[:, None, :] / 4.0
+        s = rng.uniform(0.0, 1.0, 500)[:, None, None]
+        equal = unit_2x2(rng, 500) @ (s * np.eye(2)) @ unit_2x2(rng, 500)
+        batch = np.concatenate([m, rank_one, np.zeros((3, 2, 2)), equal])
+        expected = np.linalg.svd(batch, compute_uv=False)[..., 0] ** 2
+        assert np.abs(_top_sigma_sq_2x2(batch) - expected).max() <= 1e-14
 
 
 def rotated_density(eigenvalues, seed):
