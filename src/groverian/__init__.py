@@ -37,12 +37,9 @@ from .fileio import (
 from .grover import (
     GroverRun,
     OracleSpec,
-    diffusion,
-    diffusion_layer,
     grover_iterate,
     iteration_bound,
     optimal_iterations,
-    oracle_phase,
     pmax_simulated,
     run_grover,
 )
@@ -75,7 +72,6 @@ from .statevector import (
     SystemShape,
     apply_local,
     basis_state,
-    fourier_gate,
     haar_unitary,
     inner,
     product_to_state,

@@ -5,8 +5,8 @@ flip of the marked basis states, then the reflection I - 2|eta><eta| about
 the uniform state.  The latter equals the layered form V (I - 2|0><0|) V+
 for any local layer V with V_j|0> the uniform single-site state (the
 discrete Fourier gate is the canonical choice, reducing to the Hadamard for
-qubits); the rank-one form used here is that composition evaluated exactly,
-global sign included.
+qubits); the map below is that composition evaluated exactly, global sign
+included.
 
 With r marked positions the iterate is a two-mode map (Biham, Biham, Biron,
 Grassl and Lidar, PRA 60, 2742 (1999)) on the sums K and L of the marked and
@@ -16,12 +16,13 @@ So k_j - K/r only flips sign, and P = |K|^2/r + D with D = sum_j |k_j - K/r|^2
 fixed at the start.  With one marked position s the map does not depend on s,
 so the target-averaged success after the best local preprocessing is an exact
 affine function of P_max (``pmax_simulated``), found from the uniform start's
-curve in O(sqrt(N)); ``oracle_phase`` and ``diffusion`` are the dense reference.
+curve in O(sqrt(N)); ``verify`` holds the dense reflections it is checked against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,13 +32,19 @@ import numpy as np
 from .errors import DimensionMismatch
 from .statevector import (
     MAX_TOTAL_DIM,
-    LocalUnitaryLayer,
     StateVector,
     SystemShape,
     _check_same_shape,
     _readonly,
-    fourier_gate,
 )
+
+
+def _index(value, what: str) -> int:
+    """A Python or numpy integer as an int; ``int`` would truncate floats and parse strings."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class OracleSpec:
     marked: tuple[int, ...]
 
     def __init__(self, shape: SystemShape, marked):
-        marked = tuple(sorted(int(x) for x in marked))
+        marked = tuple(sorted(_index(x, "marked index") for x in marked))
         if not marked:
             raise DimensionMismatch("oracle needs at least one marked index")
         if len(set(marked)) != len(marked):
@@ -83,41 +90,8 @@ class GroverRun:
         return StateVector(self._initial.shape, _readonly(amps))
 
 
-def _flip_marked(amps: np.ndarray, marked) -> None:
-    amps[marked] *= -1.0
-
-
-def _reflect_uniform(amps: np.ndarray) -> None:
-    mean = np.sum(amps) / amps.size  # <eta|psi> / sqrt(N)
-    amps -= 2.0 * mean
-
-
-def oracle_phase(oracle: OracleSpec, state: StateVector) -> StateVector:
-    """Negate the amplitude of every marked basis state."""
-    _check_same_shape(oracle, state)
-    amps = state.amps.copy()
-    _flip_marked(amps, list(oracle.marked))
-    return StateVector(state.shape, _readonly(amps))
-
-
-def diffusion(state: StateVector) -> StateVector:
-    """Reflection about the uniform state: psi -> psi - 2<eta|psi> eta.
-
-    Exactly the layered composition V (I - 2|0><0|) V+ with Fourier gates,
-    including its global sign (eta maps to -eta).
-    """
-    amps = state.amps.copy()
-    _reflect_uniform(amps)
-    return StateVector(state.shape, _readonly(amps))
-
-
-def diffusion_layer(shape: SystemShape) -> LocalUnitaryLayer:
-    """The Fourier layer whose conjugation of I - 2|0><0| is the diffusion."""
-    return LocalUnitaryLayer(shape, tuple(fourier_gate(d) for d in shape.dims))
-
-
 def grover_iterate(oracle: OracleSpec, state: StateVector) -> StateVector:
-    """One search step: oracle phase flip, then diffusion."""
+    """One search step, kept for the benchmark's tracer; ROADMAP items 6 and 7 remove it."""
     return run_grover(state, oracle, 1).final_state
 
 
@@ -170,6 +144,7 @@ def run_grover(initial: StateVector, oracle: OracleSpec, iterations: int) -> Gro
     is first read.
     """
     _check_same_shape(oracle, initial)
+    iterations = _index(iterations, "iteration count")
     if not 0 <= iterations < MAX_TOTAL_DIM:  # the curve holds m + 1 entries
         raise DimensionMismatch(f"iteration count {iterations} outside 0..2^30 - 1 (cap of 2^30)")
     r = oracle.count

@@ -217,9 +217,6 @@ class LocalUnitaryLayer:
             fixed.append(_private(g, self.gates[j - 1]))
         object.__setattr__(self, "gates", tuple(fixed))
 
-    def adjoint(self) -> "LocalUnitaryLayer":
-        return LocalUnitaryLayer(self.shape, tuple(g.conj().T for g in self.gates))
-
 
 def _factor(matrix: np.ndarray) -> np.ndarray:
     """Pivoted Cholesky factor B of B B^+ = matrix, as the (K, N) array of
@@ -554,13 +551,3 @@ def random_local_layer(shape: SystemShape, seed) -> LocalUnitaryLayer:
     rng = np.random.default_rng(seed)
     return LocalUnitaryLayer(shape, tuple(haar_unitary(d, rng) for d in shape.dims))
 
-
-def fourier_gate(dim: int) -> np.ndarray:
-    """Discrete Fourier transform over Z_dim; equals the Hadamard for dim 2.
-
-    Column 0 is the uniform single-site state, the property the diffusion
-    construction relies on.
-    """
-    scale = 1.0 / math.sqrt(dim)
-    k = np.arange(dim)
-    return np.exp(2j * math.pi * np.outer(k, k) / dim) * scale

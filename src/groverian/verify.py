@@ -17,10 +17,6 @@ import numpy as np
 from .families import bell, ghz, w_state
 from .grover import (
     OracleSpec,
-    _flip_marked,
-    _reflect_uniform,
-    diffusion,
-    diffusion_layer,
     iteration_bound,
     optimal_iterations,
     pmax_simulated,
@@ -44,6 +40,7 @@ from .product_opt import (
 )
 from .statevector import (
     DensityMatrix,
+    LocalUnitaryLayer,
     StateVector,
     SystemShape,
     apply_local,
@@ -109,6 +106,23 @@ def _measures(inputs, cfgs, method: str = "alternating") -> list[MeasureReport]:
 
 # ---------------------------------------------------------------------------
 # grover suite
+
+
+def _flip_marked(amps: np.ndarray, marked) -> None:
+    amps[marked] *= -1.0
+
+
+def _reflect_uniform(amps: np.ndarray) -> None:
+    mean = np.sum(amps) / amps.size  # <eta|psi> / sqrt(N)
+    amps -= 2.0 * mean
+
+
+def _fourier_layer(shape: SystemShape) -> LocalUnitaryLayer:
+    """The discrete Fourier gate on each site (the Hadamard for qubits); column 0
+    is the uniform site state, so the layer's conjugate of I - 2|0><0| is diffusion."""
+    ks = (np.arange(d) for d in shape.dims)
+    gates = (np.exp(2j * math.pi * np.outer(k, k) / k.size) * (1.0 / math.sqrt(k.size)) for k in ks)
+    return LocalUnitaryLayer(shape, tuple(gates))
 
 
 def check_sine_formula(seed: int) -> list[CheckResult]:
@@ -219,22 +233,25 @@ def check_diffusion_composition(seed: int) -> list[CheckResult]:
     errors = []
     for i, dims in enumerate(([2, 2, 2], [3, 2], [5], [4, 3])):
         shape = SystemShape(dims)
-        layer = diffusion_layer(shape)
+        layer = _fourier_layer(shape)
+        adjoint = LocalUnitaryLayer(shape, tuple(g.conj().T for g in layer.gates))
         for j in range(3):
             state = random_state(shape, seed_sequence(seed, 21, 10 * i + j))
-            amps = apply_local(layer.adjoint(), state).amps.copy()
+            amps = apply_local(adjoint, state).amps.copy()
             amps[0] *= -1.0
             composed = apply_local(layer, StateVector(shape, amps))
-            errors.append(float(np.abs(diffusion(state).amps - composed.amps).max()))
+            reflected = state.amps.copy()
+            _reflect_uniform(reflected)
+            errors.append(float(np.abs(reflected - composed.amps).max()))
     return [_worst("grover/diffusion-composition", errors, 1e-12)]
 
 
 def check_unitarity_drift(seed: int) -> list[CheckResult]:
     """Norm stays within 1e-12 of 1 across many iterations.
 
-    Runs the dense in-place step behind oracle_phase and diffusion (run_grover
-    takes the two-mode map instead) on a bare array: a constructed
-    StateVector would renormalize drift beyond 1e-12 and hide it."""
+    Runs the dense step, oracle flip then reflection about the uniform state
+    (run_grover takes the two-mode map instead), in place on a bare array: a
+    constructed StateVector would renormalize drift beyond 1e-12 and hide it."""
     amps = random_state(qubit_shape(6), seed_sequence(seed, 22, 0)).amps.copy()
     drift = []
     for _ in range(100):

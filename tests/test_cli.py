@@ -1045,8 +1045,8 @@ def test_resolve_density_reads_a_family_then_a_file(tmp_path):
 def test_traced_benchmark_boundaries_exist():
     # The benchmark's tracer wraps these functions by name and reports a
     # missing one only when the benchmark runs; catch a rename here.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_tracing", root / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     contract_module, contract, binder = tracing.CONTRACT
@@ -1054,7 +1054,13 @@ def test_traced_benchmark_boundaries_exist():
     for module_name, attr in names:
         module = importlib.import_module(f"groverian.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
-    assert importlib.import_module("groverian.verify").SUITES["all"]
+    # Per-check metrics are named verify.<check.__name__>.s, so a renamed
+    # check would silently drop a metric the benchmark declares.
+    checks = importlib.import_module("groverian.verify").SUITES["all"]
+    declared = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    per_check = {n for n in declared if n.startswith("verify.check_") and n.endswith(".s")}
+    assert per_check == {f"verify.{check.__name__}.s" for check in checks}
+    assert len(checks) == len(per_check)
 
 
 def _is_finite_number(value):

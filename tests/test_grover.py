@@ -14,20 +14,17 @@ from groverian import (
     apply_local,
     basis_state,
     bell,
-    diffusion,
-    diffusion_layer,
-    fourier_gate,
     grover_iterate,
     inner,
     iteration_bound,
     optimal_iterations,
-    oracle_phase,
     pmax_overlap,
     pmax_simulated,
     random_state,
     run_grover,
     uniform_state,
 )
+from groverian.verify import _flip_marked, _fourier_layer, _reflect_uniform
 
 SQRT_HALF = math.sqrt(0.5)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -36,6 +33,20 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
 def marked_probability(oracle, state):
     """Sum of |amp_s|^2 over the marked positions s, read off the dense state."""
     return float(np.sum(np.abs(state.amps[list(oracle.marked)]) ** 2))
+
+
+def oracle_phase(oracle, state):
+    """The dense oracle: verify's in-place flip of the marked amplitudes."""
+    amps = state.amps.copy()
+    _flip_marked(amps, list(oracle.marked))
+    return StateVector(state.shape, amps)
+
+
+def diffusion(state):
+    """The dense reflection about the uniform state, verify's reference."""
+    amps = state.amps.copy()
+    _reflect_uniform(amps)
+    return StateVector(state.shape, amps)
 
 
 def sine_curve(total, k):
@@ -56,6 +67,17 @@ class TestOracleSpec:
         oracle = OracleSpec(two_qubits, [3, 0])
         assert oracle.marked == (0, 3)
         assert oracle.count == 2
+
+    @pytest.mark.parametrize("index", [1.9, 1.0, "3", None], ids=repr)
+    def test_non_integer_index_rejected(self, two_qubits, index):
+        # int() would truncate 1.9 to 1 and parse "3"
+        with pytest.raises(DimensionMismatch, match="marked index must be an integer"):
+            OracleSpec(two_qubits, [0, index])
+
+    def test_numpy_integers_accepted(self, two_qubits):
+        oracle = OracleSpec(two_qubits, np.array([3, 1], dtype=np.int64))
+        assert oracle.marked == (1, 3)
+        assert all(type(x) is int for x in oracle.marked)
 
 
 class TestOraclePhase:
@@ -99,9 +121,13 @@ class TestDiffusion:
 
     def test_matches_fourier_composition(self):
         shape = SystemShape([3, 4])
-        layer = diffusion_layer(shape)
+        layer = _fourier_layer(shape)
+        # V+ built inline, as check_diffusion_composition builds it
+        adjoint = LocalUnitaryLayer(shape, tuple(g.conj().T for g in layer.gates))
+        for g, h in zip(layer.gates, adjoint.gates):
+            assert np.array_equal(h, g.conj().T)
         state = random_state(shape, 8)
-        step = apply_local(layer.adjoint(), state)
+        step = apply_local(adjoint, state)
         amps = step.amps.copy()
         amps[0] *= -1
         composed = apply_local(layer, StateVector(shape, amps))
@@ -306,6 +332,17 @@ class TestRunGrover:
         run = run_grover(random_state(three_qubits, 2), OracleSpec(three_qubits, [0]), 6)
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in run.prob_curve)
 
+    @pytest.mark.parametrize("iterations", [1.5, 2.0, "2", None], ids=repr)
+    def test_non_integer_iterations_rejected(self, two_qubits, iterations):
+        with pytest.raises(DimensionMismatch, match="iteration count must be an integer"):
+            run_grover(uniform_state(two_qubits), OracleSpec(two_qubits, [0]), iterations)
+
+    def test_numpy_iteration_count_accepted(self, two_qubits):
+        oracle = OracleSpec(two_qubits, [0])
+        run = run_grover(uniform_state(two_qubits), oracle, np.int64(2))
+        assert type(run.iterations) is int
+        assert run.prob_curve == run_grover(uniform_state(two_qubits), oracle, 2).prob_curve
+
     def test_negative_iterations_rejected(self, two_qubits):
         for iterations in (-1, 2**30 + 1):
             with pytest.raises(DimensionMismatch, match="cap of 2\\^30"):
@@ -313,7 +350,7 @@ class TestRunGrover:
 
 
 def assert_matches_reference(state, oracle, steps):
-    """run_grover against iterating the dense public reflections, to 1e-12."""
+    """run_grover against iterating verify's dense reflections, to 1e-12."""
     run = run_grover(state, oracle, steps)
     curve = [marked_probability(oracle, state)]
     for _ in range(steps):
@@ -363,8 +400,8 @@ def _basis_completion(v: np.ndarray) -> np.ndarray:
 def alignment_layer(product, shape: SystemShape) -> LocalUnitaryLayer:
     """Per-site unitaries mapping each given factor to the uniform site state."""
     gates = []
-    for factor, d in zip(product.factors, shape.dims):
-        gates.append(fourier_gate(d) @ _basis_completion(factor).conj().T)
+    for factor, fourier in zip(product.factors, _fourier_layer(shape).gates):
+        gates.append(fourier @ _basis_completion(factor).conj().T)
     return LocalUnitaryLayer(shape, tuple(gates))
 
 

@@ -22,7 +22,6 @@ from groverian import (
     ZeroVector,
     apply_local,
     basis_state,
-    fourier_gate,
     inner,
     product_to_state,
     random_local_layer,
@@ -42,6 +41,7 @@ from groverian.statevector import (
     product_amps,
     split_matrix,
 )
+from groverian.verify import _fourier_layer
 
 SQRT_HALF = math.sqrt(0.5)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -685,11 +685,14 @@ class TestRandomGeneration:
 
 
 class TestFourierGate:
+    """The per-site Fourier gates of verify's diffusion reference."""
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_unitary_and_uniform_column(self, d):
-        v = fourier_gate(d)
+        (v,) = _fourier_layer(SystemShape([d])).gates
         assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
         assert np.allclose(v[:, 0], np.full(d, 1 / math.sqrt(d)), atol=1e-15)
 
     def test_qubit_case_is_hadamard(self):
-        assert np.allclose(fourier_gate(2), HADAMARD, atol=1e-15)
+        (v,) = _fourier_layer(SystemShape([2])).gates
+        assert np.allclose(v, HADAMARD, atol=1e-15)
