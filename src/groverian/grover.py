@@ -22,7 +22,6 @@ curve in O(sqrt(N)); ``verify`` holds the dense reflections it is checked agains
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,16 +34,9 @@ from .statevector import (
     StateVector,
     SystemShape,
     _check_same_shape,
+    _index,
     _readonly,
 )
-
-
-def _index(value, what: str) -> int:
-    """A Python or numpy integer as an int; ``int`` would truncate floats and parse strings."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DimensionMismatch(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,18 @@ climbing with batched contractions.  The target is shared by every row,
 or is an (R, K, d_1, ..., d_n) stack with one block per row, which lets
 ``pmax_overlap_many`` stack the restarts of many inputs of equal dims and
 K into one batch.  A row leaves the batch when it converges or runs out of
-sweeps.  Rows run in chunks of at most CHUNK_AMPLITUDES / (N * K), and at
-least one, so one sweep costs O(chunk * N * K).  Pure and
-mixed input share one sweep engine, and ``pmax_overlap`` and
-``pmax_mixed`` are its one-input calls.  An input's random starts are read
-in restart order from one generator keyed (its seed, 0, 0), so they do not
-depend on the chunks; a vanished row is reseeded from its own key (its
-input's seed, its restart, the attempt).  An input whose R restarts all end
-below its best basis product climbs once more, alone on its own target,
-from that basis state as restart R + 1.  At most MAX_RESTARTS restarts are
-accepted.
+sweeps.  Rows run in chunks: CHUNK_AMPLITUDES // (K * N) rows of any
+inputs when K * N <= CHUNK_AMPLITUDES, so a per-row stack never holds more;
+for a larger target, one input's rows at a time on its shared target,
+CHUNK_AMPLITUDES // (K * H) of them and at least one, H the larger half
+environment of a sweep's top split.  Pure and mixed input share one sweep
+engine, and ``pmax_overlap`` and ``pmax_mixed`` are its one-input calls.
+An input's random starts are read in restart order from one generator
+keyed (its seed, 0, 0), so they do not depend on the chunks; a vanished row
+is reseeded from its own key (its input's seed, its restart, the attempt).
+An input whose R restarts all end below its best basis product climbs once
+more, alone on its own target, from that basis state as restart R + 1.  At
+most MAX_RESTARTS restarts are accepted.
 
 Two independent references are provided: a Bloch-angle grid over site 1
 with the other sites exact (a lower bound), for up to three qubits, and the
@@ -44,6 +46,7 @@ exact bipartite closed form (largest squared Schmidt coefficient).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,7 @@ from .statevector import (
     ProductState,
     StateVector,
     _contract_all_but,
+    _index,
     _random_factors,
     _unit_stacks,
     product_amps,
@@ -67,10 +71,11 @@ from .statevector import (
 # is reseeded rather than divided by noise.
 CONTRACTION_EPS = 1e-14
 
-# Restarts run together in chunks whose stacked per-row targets hold at most
-# this many amplitudes: chunk * N * K for N amplitudes in K columns.  The half
-# environments a sweep holds at once are smaller than that.  Larger inputs
-# run one restart at a time.
+# Restarts run together in chunks of at most this many amplitudes.  A chunk
+# may span inputs while a row's target, N amplitudes in K columns, fits: its
+# per-row stack holds chunk * K * N.  A larger target is never stacked; its
+# own restarts climb on it together, holding chunk * K * H amplitudes of half
+# environments, H the larger half of the sweep's top split.
 CHUNK_AMPLITUDES = 2**16
 
 # The restart schedule, and the report that lists every restart, grow with
@@ -88,6 +93,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_sweeps", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), name, OutOfRange))
+        if not isinstance(self.tol, numbers.Real):
+            raise OutOfRange(f"tol must be a real number, got {self.tol!r}")
         if self.restarts < 1:
             raise OutOfRange("restarts must be >= 1")
         if self.restarts > MAX_RESTARTS:
@@ -269,10 +278,13 @@ def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
 
 def _climb_all(targets, cfgs) -> list[_Climbs]:
     """Climb restarts 1..R of every input, R its config's ``restarts``, with
-    the inputs of one target shape (dims and K) stacked as rows of a batch,
-    in chunks of at most CHUNK_AMPLITUDES // (K * N) rows and at least one.
-    A chunk of one input's rows climbs on its shared target, so no restart
-    copies it; a chunk spanning inputs, on the per-row stack of targets.
+    the inputs of one target shape (dims and K) as rows of a batch, in the
+    chunks of ``_chunks``: CHUNK_AMPLITUDES // (K * N) rows of any inputs
+    for a target of at most CHUNK_AMPLITUDES amplitudes, and one input's
+    rows, CHUNK_AMPLITUDES // (K * H) of them and at least one, for a larger
+    one.  A chunk of one input's rows climbs on its shared target, so no
+    restart copies it; a chunk spanning inputs, on the per-row stack of
+    targets.
 
     Restart 1 starts from the uniform product, restart r > 1 from row r of
     the (R, 2 * sum(d_j)) standard normals that the input's one stream, the
@@ -292,9 +304,8 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
         dims = shape[1:]
         inputs = np.repeat(members, [cfgs[i].restarts for i in members])
         restarts = np.concatenate([np.arange(1, cfgs[i].restarts + 1) for i in members])
-        chunk = max(1, CHUNK_AMPLITUDES // math.prod(shape))
-        for at in range(0, len(inputs), chunk):
-            ins, rs = inputs[at : at + chunk], restarts[at : at + chunk]
+        for at, stop in _chunks(inputs, shape):
+            ins, rs = inputs[at:stop], restarts[at:stop]
             normals = []
             for a, b in _runs(ins):
                 i = ins[a]
@@ -313,6 +324,26 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
             for a, b in _runs(ins):
                 found[ins[a]].append(climbs[a:b])
     return [_join(c) for c in found]
+
+
+def _chunks(inputs, shape):
+    """(start, stop) of each chunk of the batch rows ``inputs``, on targets
+    of ``shape`` (K, d_1, ..., d_n).  A target of K * N <= CHUNK_AMPLITUDES
+    amplitudes runs CHUNK_AMPLITUDES // (K * N) rows per chunk, whatever
+    their inputs.  A larger one climbs one input's rows per chunk, on its
+    shared target, CHUNK_AMPLITUDES // (K * H) at a time and at least one,
+    H the larger half environment of a sweep's top split (``_sweep_block``).
+    """
+    size, dims = math.prod(shape), shape[1:]
+    if size <= CHUNK_AMPLITUDES:
+        step, spans = CHUNK_AMPLITUDES // size, [(0, len(inputs))]
+    else:
+        mid = len(dims) // 2
+        half = max(math.prod(dims[:mid]), math.prod(dims[mid:]))
+        step, spans = max(1, CHUNK_AMPLITUDES // (shape[0] * half)), _runs(inputs)
+    for a, b in spans:
+        for at in range(a, b, step):
+            yield at, min(at + step, b)
 
 
 def _runs(inputs):

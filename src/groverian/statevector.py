@@ -14,6 +14,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +49,14 @@ def seed_sequence(seed: int, *keys: int) -> np.random.SeedSequence:
     """Seed sequence for one derived stream: a user seed (wrapped to 64 bits,
     so negative seeds are accepted) followed by integer keys."""
     return np.random.SeedSequence((int(seed) & (2**64 - 1), *keys))
+
+
+def _index(value, what: str, error=DimensionMismatch) -> int:
+    """A Python or numpy integer as an int; ``int`` would truncate floats and parse strings."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _views(a):
@@ -94,7 +103,7 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_index(d, "site dimension") for d in dims)
         if len(dims) < 1:
             raise DimensionMismatch("register needs at least one site")
         if any(d < 2 for d in dims):
@@ -347,6 +356,7 @@ class SchmidtDecomposition:
 
 def basis_state(shape: SystemShape, index: int) -> StateVector:
     """Computational basis state |index> in big-endian order."""
+    index = _index(index, "basis index")
     if not 0 <= index < shape.total:
         raise DimensionMismatch(f"basis index {index} outside 0..{shape.total - 1}")
     amps = np.zeros(shape.total, dtype=np.complex128)
@@ -420,7 +430,7 @@ def _contract_all_but(tensor: np.ndarray, factors, keep: slice = slice(0, 1)) ->
 
 
 def _split_sites(shape: SystemShape, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left = tuple(sorted(int(s) for s in left))
+    left = tuple(sorted(_index(s, "split site", BadSplit) for s in left))
     if len(set(left)) != len(left):
         raise BadSplit(f"duplicate sites in split {left}")
     if any(not 1 <= s <= shape.n for s in left):
@@ -480,7 +490,7 @@ def schmidt_reconstruction_error(state: StateVector, dec: SchmidtDecomposition) 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
     """Partial trace onto the given 1-based sites (ascending order)."""
-    keep = tuple(sorted(int(s) for s in keep))
+    keep = tuple(sorted(_index(s, "subset site", BadSubset) for s in keep))
     if len(set(keep)) != len(keep) or not keep:
         raise BadSubset(f"invalid site subset {keep}")
     if any(not 1 <= s <= state.shape.n for s in keep):

@@ -92,6 +92,34 @@ class TestOptimizerConfig:
         with pytest.raises(OutOfRange):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_sweeps=2.5),  # no row would reach its budget
+            dict(max_sweeps=3.0),
+            dict(restarts=2.5),
+            dict(restarts="3"),
+            dict(seed=1.5),  # would be truncated to 1
+            dict(seed="7"),
+            dict(tol="1e-3"),
+            dict(tol=1e-3 + 0j),
+            dict(tol=None),
+        ],
+    )
+    def test_refuses_non_numbers(self, kwargs):
+        with pytest.raises(OutOfRange, match="must be an integer|must be a real number"):
+            OptimizerConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = OptimizerConfig(
+            restarts=np.int64(3), tol=np.float64(1e-9), max_sweeps=np.int64(7), seed=np.int64(-2)
+        )
+        assert (cfg.restarts, cfg.tol, cfg.max_sweeps, cfg.seed) == (3, 1e-9, 7, -2)
+        assert all(type(v) is int for v in (cfg.restarts, cfg.max_sweeps, cfg.seed))
+        assert_same_result(
+            pmax_overlap(bell(), cfg), pmax_overlap(bell(), OptimizerConfig(3, 1e-9, 7, -2))
+        )
+
 
 class TestPmaxOverlap:
     def test_product_state_reaches_one(self):
@@ -1047,5 +1075,89 @@ class TestStartStreams:
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 2**4)
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
         assert any(per_row)
+        for result, one in zip(many, ones, strict=True):
+            assert_same_result(result, one)
+
+
+class TestSharedTargetChunks:
+    """A target of more than CHUNK_AMPLITUDES amplitudes climbs one input's
+    rows per chunk on its own shared target, CHUNK_AMPLITUDES // (K * H) at
+    a time, H the larger half environment of a sweep's top split; a smaller
+    one keeps CHUNK_AMPLITUDES // (K * N) rows per chunk."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        real, calls = product_opt._climb_rows, []
+
+        def counted(target, factors, restarts, cfgs):
+            calls.append((target, len(restarts)))
+            return real(target, factors, restarts, cfgs)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        return calls
+
+    def test_large_state_climbs_its_restarts_together(self, monkeypatch):
+        # 2^17 amplitudes pass CHUNK_AMPLITUDES, but a row holds only 2^9
+        # amplitude half environments, so all five rows share one chunk.
+        state = random_state(SystemShape([2] * 17), 630)
+        assert state.shape.total > product_opt.CHUNK_AMPLITUDES
+        calls = self.recorded(monkeypatch)
+        result = pmax_overlap(state, OptimizerConfig(restarts=5, max_sweeps=3, seed=4))
+        assert [rows for _, rows in calls] == [5]
+        assert np.shares_memory(calls[0][0], state.amps)
+        assert result.restarts_used == 5
+
+    @pytest.mark.parametrize(
+        "make, chunk_amplitudes, rows",
+        [
+            # N = 64, halves of 8 amplitudes: 24 // 8 = 3 rows per chunk.
+            (lambda: random_state(SystemShape([2] * 6), 631), 24, 3),
+            # K = 2, N = 8, halves of 2 and 4 amplitudes: 12 // (2 * 4) = 1.
+            (lambda: random_rank_two_density(SystemShape([2, 2, 2]), 632), 12, 1),
+            # K = 2, N = 16, halves of 4 amplitudes: 24 // (2 * 4) = 3.
+            (lambda: random_rank_two_density(SystemShape([2] * 4), 633), 24, 3),
+        ],
+        ids=["2x6-state", "rank-2-2x3", "rank-2-2x4"],
+    )
+    def test_chunks_of_half_environment_size(self, monkeypatch, make, chunk_amplitudes, rows):
+        x = make()
+        run = pmax_mixed if isinstance(x, DensityMatrix) else pmax_overlap
+        held = x.factor if isinstance(x, DensityMatrix) else x.amps
+        cfg = OptimizerConfig(restarts=7, seed=24)
+        assert chunk_amplitudes < len(held.reshape(-1))  # below K * N
+        calls = self.recorded(monkeypatch)
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk_amplitudes)
+        chunked = run(x, cfg)
+        expected = [rows] * (7 // rows) + [7 % rows] * (7 % rows > 0)
+        assert [n for _, n in calls[: len(expected)]] == expected
+        assert all(np.shares_memory(target, held) for target, _ in calls)
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 1)
+        calls.clear()
+        one_row = run(x, cfg)
+        assert all(n == 1 for _, n in calls)
+        assert_same_result(chunked, one_row)
+
+    def test_large_inputs_never_share_a_stack(self, monkeypatch):
+        # Two 64-amplitude states pass CHUNK_AMPLITUDES = 32 and climb on
+        # their own targets, four rows a chunk; the 8-amplitude state keeps
+        # the per-row rule, and its chunks spanning inputs are stacks.
+        six = SystemShape([2] * 6)
+        batch = [
+            (random_state(six, 634), OptimizerConfig(restarts=5, seed=41)),
+            (random_state(SystemShape([2, 2, 2]), 635), OptimizerConfig(restarts=3, seed=42)),
+            (random_state(six, 636), OptimizerConfig(restarts=6, seed=43)),
+            (random_state(SystemShape([2, 2, 2]), 637), OptimizerConfig(restarts=2, seed=44)),
+        ]
+        ones = [pmax_overlap(x, cfg) for x, cfg in batch]
+        calls = self.recorded(monkeypatch)
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 32)
+        many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
+        large = [(n, t) for t, n in calls if t.shape[-6:] == six.dims]
+        assert [n for n, _ in large[:4]] == [4, 1, 4, 2]
+        for _, target in large:
+            assert target.ndim == 7  # shared (K, d_1, ..., d_6), never stacked
+            assert any(np.shares_memory(target, x.amps) for x, _ in batch[::2])
+        stacks = [t for t, _ in calls if t.ndim > 4 and t.shape[-6:] != six.dims]
+        assert stacks and all(t.size <= 32 for t in stacks)
         for result, one in zip(many, ones, strict=True):
             assert_same_result(result, one)

@@ -66,6 +66,16 @@ class TestSystemShape:
         with pytest.raises(DimensionMismatch):
             SystemShape([2] * 80)
 
+    @pytest.mark.parametrize("dims", [[2.9, 3], [2, "3"], "23", [2, 2.0]])
+    def test_dims_are_integers(self, dims):
+        # int() would read [2.9, '3'] as (2, 3).
+        with pytest.raises(DimensionMismatch, match="must be an integer"):
+            SystemShape(dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        shape = SystemShape(np.array([2, 3], dtype=np.int64))
+        assert shape.dims == (2, 3) and all(type(d) is int for d in shape.dims)
+
     def test_big_endian_indexing(self):
         shape = SystemShape([2, 3])
         # site 1 is most significant: (x1, x2) -> 3*x1 + x2
@@ -93,6 +103,14 @@ class TestMakeState:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             StateVector(SystemShape([2]), [1, 1])
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1"])
+    def test_basis_index_is_an_integer(self, index):
+        with pytest.raises(DimensionMismatch, match="must be an integer"):
+            basis_state(SystemShape([2, 2]), index)
+
+    def test_basis_index_numpy_integer_accepted(self):
+        assert basis_state(SystemShape([2, 2]), np.int64(3)).amps[3] == 1.0
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
@@ -439,6 +457,15 @@ class TestSchmidt:
         with pytest.raises(BadSplit):
             schmidt(random_state(two_qubits, 0), left)
 
+    @pytest.mark.parametrize("left", [[1.2], [1.0], ["1"]])
+    def test_split_sites_are_integers(self, two_qubits, left):
+        with pytest.raises(BadSplit, match="must be an integer"):
+            schmidt(random_state(two_qubits, 0), left)
+
+    def test_numpy_integer_split_accepted(self, two_qubits):
+        state = random_state(two_qubits, 0)
+        assert schmidt(state, [np.int64(1)]).p_max == schmidt(state, [1]).p_max
+
 
 class TestReducedDensity:
     def test_product(self, two_qubits):
@@ -454,6 +481,17 @@ class TestReducedDensity:
         for keep in ([], [1, 2], [5]):
             with pytest.raises(BadSubset):
                 reduced_density(state, keep)
+
+    @pytest.mark.parametrize("keep", [[1.7], [1.0], ["1"]])
+    def test_subset_sites_are_integers(self, three_qubits, keep):
+        # int() would keep site 1 for [1.7].
+        with pytest.raises(BadSubset, match="must be an integer"):
+            reduced_density(random_state(three_qubits, 0), keep)
+
+    def test_numpy_integer_subset_accepted(self, three_qubits):
+        state = random_state(three_qubits, 0)
+        kept = reduced_density(state, np.array([1, 3]))
+        assert np.array_equal(kept.entries, reduced_density(state, [1, 3]).entries)
 
 
 class TestDensityMatrix:
