@@ -89,6 +89,9 @@ def grover_iterate(oracle: OracleSpec, state: StateVector) -> StateVector:
 
 def iteration_bound(total: int, r: int) -> int:
     """Upper bound ceil(pi/4 * sqrt(N/r)) on the optimal iteration count."""
+    total, r = _index(total, "total dimension"), _index(r, "marked count")
+    if r < 1:
+        raise DimensionMismatch(f"marked count must be >= 1, got {r}")
     return math.ceil(math.pi / 4.0 * math.sqrt(total / r))
 
 

@@ -32,11 +32,14 @@ CHUNK_AMPLITUDES // (K * H) of them and at least one, H the larger half
 environment of a sweep's top split.  Pure and mixed input share one sweep
 engine, and ``pmax_overlap`` and ``pmax_mixed`` are its one-input calls.
 An input's random starts are read in restart order from one generator
-keyed (its seed, 0, 0), so they do not depend on the chunks; a vanished row
-is reseeded from its own key (its input's seed, its restart, the attempt).
-An input whose R restarts all end below its best basis product climbs once
-more, alone on its own target, from that basis state as restart R + 1.  At
-most MAX_RESTARTS restarts are accepted.
+keyed (its seed, 0, 0), so they do not depend on the chunks.  Every basis
+product is a feasible point, and a climb from the best one, x maximizing
+sum_k |b_k(x)|^2 (``_basis_start``), can neither end below that weight nor
+vanish on nonzero input.  So a row whose contraction vanishes climbs again
+from its input's best basis product from its next sweep, and an input whose
+R restarts all end below that product climbs once more from it, alone on
+its own target, as restart R + 1.  At most MAX_RESTARTS restarts are
+accepted.
 
 Two independent references are provided: a Bloch-angle grid over site 1
 with the other sites exact (a lower bound), for up to three qubits, and the
@@ -59,7 +62,6 @@ from .statevector import (
     StateVector,
     _contract_all_but,
     _index,
-    _random_factors,
     _unit_stacks,
     product_amps,
     schmidt,
@@ -67,8 +69,8 @@ from .statevector import (
     uniform_factor,
 )
 
-# A contraction below this norm carries no gradient information; the restart
-# is reseeded rather than divided by noise.
+# A contraction below this norm carries no gradient information; rather than
+# divide by noise, the row climbs again from its input's best basis product.
 CONTRACTION_EPS = 1e-14
 
 # Restarts run together in chunks of at most this many amplitudes.  A chunk
@@ -208,25 +210,27 @@ def _sweep_block(env, factors, lo, hi, objectives, degenerate):
     degenerate |= bad
 
 
-def _starts(keys, dims) -> list[np.ndarray]:
-    """(R, d_j) reseed stacks, one row per (seed, restart, attempt) key."""
-    return _random_factors(dims, (seed_sequence(s, r, a) for s, r, a in keys))
+def _basis_start(block):
+    """The largest basis weight max_x sum_k |b_k(x)|^2 of the (K, d_1, ...,
+    d_n) block, and its basis product x as one-hot (1, d_j) stacks."""
+    weights = (np.abs(block) ** 2).sum(axis=0)
+    top = np.unravel_index(int(np.argmax(weights)), weights.shape)
+    return weights[top], [np.eye(d, dtype=np.complex128)[[k]] for d, k in zip(weights.shape, top)]
 
 
-def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
+def _climb_rows(target, factors, cfgs) -> _Climbs:
     """Alternating sweeps from R starting points at once.
 
     ``target`` is shared by every row or holds one block per row, as in
-    ``_sweep_rows``.  ``factors`` holds the (R, d_j) starting stacks,
-    ``restarts`` the restart index of each row and ``cfgs`` the config of
-    each row's input.  A row leaves the batch, with its factors and its
-    block of a per-row target, when its last-site objective gains less than
-    its ``tol`` over the previous sweep, or when its sweep budget runs out.
-    A row whose contraction vanishes is reseeded from the key (its config's
-    seed, its restart, the next attempt) a bounded number of times, and
-    counts as degenerate when that fails or leaves no sweep.
+    ``_sweep_rows``.  ``factors`` holds the (R, d_j) starting stacks and
+    ``cfgs`` the config of each row's input.  A row leaves the batch, with
+    its factors and its block of a per-row target, when its last-site
+    objective gains less than its ``tol`` over the previous sweep, or when
+    its sweep budget runs out.  A row whose contraction vanishes climbs
+    again from its next sweep from the ``_basis_start`` of its block, which
+    cannot vanish; it counts as degenerate only when no sweep is left.
     """
-    rows, dims = len(restarts), [f.shape[1] for f in factors]
+    rows = len(factors[0])
     out = _Climbs(
         np.zeros(rows),
         np.zeros(rows, dtype=int),
@@ -234,13 +238,12 @@ def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
         np.zeros(rows, dtype=bool),
         [np.empty_like(f) for f in factors],
     )
-    live, restarts = np.arange(rows), np.asarray(restarts)
+    live = np.arange(rows)
     tol = np.array([c.tol for c in cfgs])
     budget = np.array([c.max_sweeps for c in cfgs])
-    per_row = target.ndim > len(dims) + 1
+    per_row = target.ndim > len(factors) + 1
     current = [f.copy() for f in factors]
     prev = np.full(rows, -math.inf)
-    attempt = np.zeros(rows, dtype=int)
     for sweep in range(1, int(budget.max()) + 1):
         objectives, bad = _sweep_rows(target, current)
         obj = objectives[:, -1]
@@ -249,10 +252,9 @@ def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
         if not (last | bad | converged).any():
             prev = obj
             continue
-        attempt += bad
         prev = np.where(bad, -math.inf, obj)
-        failed = bad & ((attempt > 3) | last)
-        done = converged | failed | (last & ~bad)
+        failed = bad & last
+        done = converged | last
         rows_done = live[done]
         out.objective[rows_done] = np.where(failed, 0.0, obj)[done]
         out.sweeps[rows_done] = sweep
@@ -260,15 +262,14 @@ def _climb_rows(target, factors, restarts, cfgs) -> _Climbs:
         out.degenerate[rows_done] = failed[done]
         for j, f in enumerate(current):
             out.factors[j][rows_done] = f[done]
-        redo = np.flatnonzero(bad & ~failed)
-        if redo.size:  # degenerate contractions restart from fresh seeds
-            keys = [(cfgs[i].seed, restarts[i], a) for i, a in zip(live[redo], attempt[redo])]
-            for f, g in zip(current, _starts(keys, dims)):
-                f[redo] = g
+        for k in np.flatnonzero(bad & ~last):
+            basis = _basis_start(target[k] if per_row else target)[1]
+            for f, g in zip(current, basis):
+                f[k] = g[0]
         keep = ~done
         if not keep.any():
             break
-        live, prev, attempt = live[keep], prev[keep], attempt[keep]
+        live, prev = live[keep], prev[keep]
         tol, budget = tol[keep], budget[keep]
         current = [f[keep] for f in current]
         if per_row:
@@ -288,39 +289,29 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
 
     Restart 1 starts from the uniform product, restart r > 1 from row r of
     the (R, 2 * sum(d_j)) standard normals that the input's one stream, the
-    generator keyed (seed, 0, 0), yields in restart order; the stream is
-    dropped after the last.  No reseed uses that key, since restarts count
-    from 1, or draws from the stream, which would tie it to the chunks.  The
-    chunks visit an input's restarts in order, so its starts do not depend
-    on the chunk size or its batch.  Returns each input's climbs, in
-    restart order.
+    generator keyed (seed, 0, 0), yields in restart order.  The chunks visit
+    an input's restarts in order and draw their rows from its stream, and
+    rows drawn in pieces from one generator equal one draw, so its starts
+    do not depend on the chunk size or its batch.  Returns each input's
+    climbs, in restart order.
     """
     found: list[list[_Climbs]] = [[] for _ in targets]
     groups: dict[tuple, list[int]] = {}
     for i, target in enumerate(targets):
         groups.setdefault(target.shape, []).append(i)
-    streams = {}
     for shape, members in groups.items():
         dims = shape[1:]
+        streams = {i: np.random.default_rng(seed_sequence(cfgs[i].seed, 0, 0)) for i in members}
         inputs = np.repeat(members, [cfgs[i].restarts for i in members])
         restarts = np.concatenate([np.arange(1, cfgs[i].restarts + 1) for i in members])
         for at, stop in _chunks(inputs, shape):
             ins, rs = inputs[at:stop], restarts[at:stop]
-            normals = []
-            for a, b in _runs(ins):
-                i = ins[a]
-                if rs[a] == 1:
-                    rng = np.random.default_rng(seed_sequence(cfgs[i].seed, 0, 0))
-                else:
-                    rng = streams.pop(i)
-                normals.append(rng.standard_normal((b - a, 2 * sum(dims))))
-                if rs[b - 1] < cfgs[i].restarts:
-                    streams[i] = rng
+            normals = [streams[ins[a]].standard_normal((b - a, 2 * sum(dims))) for a, b in _runs(ins)]
             starts = _unit_stacks(np.concatenate(normals), dims)
             for f, d in zip(starts, dims):
                 f[rs == 1] = uniform_factor(d)
             target = targets[ins[0]] if ins[0] == ins[-1] else np.stack([targets[i] for i in ins])
-            climbs = _climb_rows(target, starts, rs, [cfgs[i] for i in ins])
+            climbs = _climb_rows(target, starts, [cfgs[i] for i in ins])
             for a, b in _runs(ins):
                 found[ins[a]].append(climbs[a:b])
     return [_join(c) for c in found]
@@ -376,9 +367,9 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     Inputs of equal dims and K climb as rows of one batch, and a row's
     arithmetic does not depend on its batch: each result equals the input's
     own one-input call bit for bit, at a fraction of the per-call overhead.
-    An input whose restarts all undershoot its best basis product climbs
-    once more, as one row on its own target, from that basis state's one-hot
-    product; as restart R + 1 its reseed keys are (seed, R + 1, attempt).
+    An input whose restarts all undershoot its best basis product
+    (``_basis_start``) climbs once more, as one row on its own target, from
+    that basis state's one-hot product.
     """
     inputs, cfgs = list(inputs), [cfg or OptimizerConfig() for cfg in cfgs]
     if len(inputs) != len(cfgs):
@@ -386,17 +377,13 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     blocks = [x.factor if isinstance(x, DensityMatrix) else x.amps[None] for x in inputs]
     targets = [b.reshape((len(b),) + x.shape.dims) for b, x in zip(blocks, inputs)]
     climbs = _climb_all(targets, cfgs)
-    for i, (block, x) in enumerate(zip(blocks, inputs)):
-        diag = (np.abs(block) ** 2).sum(axis=0)
-        top = int(np.argmax(diag))
-        if climbs[i].objective[climbs[i].best()] < diag[top] - 1e-15:
+    for i, target in enumerate(targets):
+        weight, basis = _basis_start(target)
+        if climbs[i].objective[climbs[i].best()] < weight - 1e-15:
             # Every restart undershot the best basis product (a degenerate one
             # reports 0.0): a climb from it cannot descend below it or vanish
             # on nonzero input, so value >= max_x diag_x unconditionally.
-            digits = x.shape.digits_of(top)
-            basis = [np.eye(d, dtype=np.complex128)[[k]] for d, k in zip(x.shape.dims, digits)]
-            floor = _climb_rows(targets[i], basis, [cfgs[i].restarts + 1], [cfgs[i]])
-            climbs[i] = _join([climbs[i], floor])
+            climbs[i] = _join([climbs[i], _climb_rows(target, basis, [cfgs[i]])])
     return [_result(c, x) for c, x in zip(climbs, inputs)]
 
 
@@ -474,6 +461,7 @@ def pmax_grid_oracle(state: StateVector, resolution: int) -> float:
         raise WrongShape("grid oracle supports qubit sites only")
     if shape.n > 3:
         raise TooLarge("grid oracle supports at most 3 sites")
+    resolution = _index(resolution, "resolution", OutOfRange)
     if resolution < MIN_GRID_RESOLUTION or 4 * resolution**2 > MAX_TOTAL_DIM:
         raise OutOfRange(f"resolution must be in [{MIN_GRID_RESOLUTION}, 2^14]")
     rest = np.tensordot(_grid_candidates(resolution).conj(), state.tensor(), axes=([1], [0]))

@@ -122,10 +122,6 @@ class SystemShape:
     def total(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64))
 
-    def digits_of(self, index: int) -> tuple[int, ...]:
-        """Per-site digits (x_1, ..., x_n) of a basis index, site 1 most significant."""
-        return tuple(int(d) for d in np.unravel_index(index, self.dims))
-
 
 def qubit_shape(n: int) -> SystemShape:
     """n qubits, refused before their dims are built when 2^n passes the cap."""
@@ -513,13 +509,6 @@ def random_state(shape: SystemShape, seed) -> StateVector:
     return StateVector(shape, _readonly(z))
 
 
-def _random_factors(dims, seeds) -> list[np.ndarray]:
-    """Haar-random unit vectors as (R, d_j) stacks, one row per seed, each
-    row drawn in one call from its own seed's generator."""
-    z = np.array([np.random.default_rng(s).standard_normal(2 * sum(dims)) for s in seeds])
-    return _unit_stacks(z, dims)
-
-
 def _unit_stacks(z: np.ndarray, dims) -> list[np.ndarray]:
     """The (R, d_j) unit stacks of an (R, 2 * sum(dims)) matrix of normals.
 
@@ -539,8 +528,10 @@ def _unit_stacks(z: np.ndarray, dims) -> list[np.ndarray]:
 
 
 def random_product(shape: SystemShape, seed) -> ProductState:
-    """Product of independent Haar-random single-site states."""
-    return ProductState(shape, tuple(f[0] for f in _random_factors(shape.dims, [seed])))
+    """Product of independent Haar-random single-site states, drawn in one
+    call from the seed's generator."""
+    z = np.random.default_rng(seed).standard_normal((1, 2 * sum(shape.dims)))
+    return ProductState(shape, tuple(f[0] for f in _unit_stacks(z, shape.dims)))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -549,6 +540,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     Columns are rescaled so the R-diagonal is real non-negative, which makes
     the distribution exactly Haar rather than QR-convention dependent.
     """
+    dim = _index(dim, "unitary dimension")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

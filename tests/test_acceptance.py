@@ -183,9 +183,9 @@ def test_verify_suite_checks_and_batches(monkeypatch):
     climbs in at most 100 batches (607 when each input ran alone)."""
     real, batches = product_opt._climb_rows, []
 
-    def counted(*args):
-        batches.append(len(args[2]))
-        return real(*args)
+    def counted(target, factors, cfgs):
+        batches.append(len(factors[0]))
+        return real(target, factors, cfgs)
 
     monkeypatch.setattr(product_opt, "_climb_rows", counted)
     results = run_suite("all", SEED)

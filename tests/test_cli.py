@@ -420,8 +420,9 @@ class TestCliPureSpec:
 
 class TestVanishingUniformStart:
     """(|0>-|1>)(x)(|0>-|1>)/2 has zero overlap with the uniform start's
-    first environment, so restart 1 is reseeded; with one sweep allowed the
-    reseed has no sweep left and the restart counts as degenerate."""
+    first environment, so restart 1 climbs again from the best basis
+    product; with one sweep allowed that climb has no sweep left and the
+    restart counts as degenerate."""
 
     @pytest.fixture
     def files(self, tmp_path):

@@ -8,6 +8,7 @@ from groverian import (
     DimensionMismatch,
     LocalUnitaryLayer,
     OracleSpec,
+    OutOfRange,
     StateVector,
     OptimizerConfig,
     SystemShape,
@@ -15,9 +16,11 @@ from groverian import (
     basis_state,
     bell,
     grover_iterate,
+    haar_unitary,
     inner,
     iteration_bound,
     optimal_iterations,
+    pmax_grid_oracle,
     pmax_overlap,
     pmax_simulated,
     random_state,
@@ -154,6 +157,33 @@ class TestGroverIterate:
         a = grover_iterate(oracle, rotated)
         b = grover_iterate(oracle, state)
         assert np.abs(a.amps - phase * b.amps).max() <= 1e-14
+
+
+class TestIntegerArguments:
+    """Integer arguments are read as integers: a float or a string is
+    refused, not truncated or parsed, and a numpy integer is accepted."""
+
+    @pytest.mark.parametrize(
+        "call, value, error",
+        [
+            (lambda x: pmax_grid_oracle(bell(), x), 64, OutOfRange),
+            (lambda x: haar_unitary(x, np.random.default_rng(3)), 3, DimensionMismatch),
+            (lambda x: iteration_bound(x, 2), 8, DimensionMismatch),
+            (lambda x: iteration_bound(8, x), 2, DimensionMismatch),
+        ],
+        ids=["grid-resolution", "unitary-dimension", "bound-total", "bound-marked"],
+    )
+    def test_floats_and_strings_refused(self, call, value, error):
+        expected = call(value)
+        assert np.array_equal(call(np.int64(value)), expected)
+        for bad in (value + 0.5, float(value), str(value)):
+            with pytest.raises(error, match="must be an integer"):
+                call(bad)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_iteration_bound_needs_a_marked_position(self, r):
+        with pytest.raises(DimensionMismatch, match="marked count"):
+            iteration_bound(8, r)
 
 
 class TestOptimalIterations:

@@ -37,6 +37,7 @@ from groverian import (
 from groverian import product_opt, statevector
 from groverian.families import random_rank_density
 from groverian.product_opt import (
+    _basis_start,
     _climb_rows,
     _grid_candidates,
     _sweep_rows,
@@ -44,7 +45,7 @@ from groverian.product_opt import (
 )
 from groverian.statevector import (
     _factor,
-    _random_factors,
+    _unit_stacks,
     canonical_phase,
     haar_unitary,
     product_amps,
@@ -191,8 +192,9 @@ class TestPmaxOverlap:
 
     def test_degenerate_contraction_reseeds(self, two_qubits):
         # (|0>+|1>)/sqrt2 (x) (-|0>+|1>)/sqrt2 has zero row sums, so the
-        # uniform restart's first contraction vanishes and must be reseeded;
-        # the state is a product, so the recovered optimum is 1
+        # uniform restart's first contraction vanishes and must climb again
+        # from the best basis product; the state is a product, so the
+        # recovered optimum is 1
         state = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)
         result = pmax_overlap(state, OptimizerConfig(restarts=3, seed=0))
         assert abs(result.value - 1.0) <= 1e-10
@@ -200,12 +202,12 @@ class TestPmaxOverlap:
 
     def test_reseed_without_a_sweep_left_is_degenerate(self, two_qubits):
         # The uniform start vanishes on the first sweep; with one sweep
-        # allowed its reseed never runs, so the restart reports 0.0 and the
-        # basis-floor climb supplies the value.
+        # allowed its basis restart never runs, so the restart reports 0.0
+        # and the basis-floor climb supplies the value.
         state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         start = [uniform_factor(2)[None] for _ in range(2)]
-        climbs = _climb_rows(state.tensor()[None], start, [1], [cfg])
+        climbs = _climb_rows(state.tensor()[None], start, [cfg])
         assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
         result = pmax_overlap(state, cfg)
         assert result.restarts_used == 2
@@ -645,17 +647,13 @@ def editing_middle_site(edit, calls):
 
 def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     """The rows ``vanish`` of a three-row batch, made to vanish at the middle
-    site of the first sweep, each climb as a fresh restart from its own
-    reseed; the other rows are unaffected."""
-    dims = shape.dims
+    site of the first sweep, each climb again from the target's best basis
+    product, one sweep later than a one-row climb from it; the other rows
+    are unaffected."""
     cfg = OptimizerConfig(seed=9)
     starts = stacked([random_product(shape, 206 + i) for i in range(3)])
-    restarts = [4, 5, 6]
-    plain = _climb_rows(target, starts, restarts, [cfg] * 3)
-    reseeded = {}
-    for i in vanish:
-        reseed = _random_factors(dims, [seed_sequence(9, restarts[i], 1)])
-        reseeded[i] = _climb_rows(target, reseed, [restarts[i]], [cfg])
+    plain = _climb_rows(target, starts, [cfg] * 3)
+    restart = _climb_rows(target, _basis_start(target)[1], [cfg])
 
     def vanishing(v):
         v[list(vanish)] = 0.0
@@ -665,14 +663,14 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     monkeypatch.setattr(product_opt, "_contract_all_but", editing_middle_site(vanishing, calls))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        climbs = _climb_rows(target, starts, restarts, [cfg] * 3)
+        climbs = _climb_rows(target, starts, [cfg] * 3)
 
     assert calls[:4] == THREE_SITE_CALLS
     assert not climbs.degenerate.any()
-    for i, reseed in reseeded.items():
-        assert climbs.sweeps[i] == reseed.sweeps[0] + 1
-        assert climbs.objective[i] == reseed.objective[0]
-        for f, g in zip(climbs.factors, reseed.factors):
+    for i in vanish:
+        assert climbs.sweeps[i] == restart.sweeps[0] + 1
+        assert climbs.objective[i] == restart.objective[0]
+        for f, g in zip(climbs.factors, restart.factors):
             assert np.array_equal(f[i], g[0])
     for i in set(range(3)) - set(vanish):  # the rows that did not vanish are unaffected
         assert climbs.sweeps[i] == plain.sweeps[i]
@@ -717,11 +715,15 @@ class TestFactor:
         for dims in ([2, 2, 2], [3, 2], [2, 3, 2], [4], [2] * 6, [8, 8], [7, 5]):
             for batch in (1, 2, 20):
                 seeds = [seed_sequence(5, r, 0) for r in range(batch)]
-                stacks = _random_factors(dims, seeds)
+                z = np.array([np.random.default_rng(s).standard_normal(2 * sum(dims)) for s in seeds])
+                stacks = _unit_stacks(z, dims)
                 assert [f.shape for f in stacks] == [(batch, d) for d in dims]
                 for i, seed in enumerate(seeds):
                     for f, g in zip(stacks, site_by_site(np.random.default_rng(seed), dims)):
                         assert np.array_equal(f[i], g)
+                product = random_product(SystemShape(dims), seeds[0])
+                for f, g in zip(product.factors, site_by_site(np.random.default_rng(seeds[0]), dims)):
+                    assert np.array_equal(f, canonical_phase(g))
 
 
 # A serial copy of the one-restart-at-a-time optimizer that the batched
@@ -753,10 +755,6 @@ def serial_mixed_site(left, factors, j):
     return e, float(vals[-1]), np.matmul(e, ket)
 
 
-def one_draw(dims, seed):
-    return [f[0] for f in _random_factors(dims, [seed])]
-
-
 def site_by_site(rng, dims):
     """One start drawn from ``rng`` site by site: d_j real parts, then d_j
     imaginary parts, normalized with ``np.linalg.norm``."""
@@ -767,10 +765,11 @@ def site_by_site(rng, dims):
     return factors
 
 
-def serial_climb(site, target, factors, dims, cfg, restart):
-    """Returns (objective, sweeps, degenerate) of one restart."""
+def serial_climb(site, target, factors, basis, cfg):
+    """Returns (objective, sweeps, degenerate) of one restart; a vanished
+    contraction climbs again from the ``basis`` factors."""
     factors = [f.copy() for f in factors]
-    prev, sweeps, attempt = -math.inf, 0, 0
+    prev, sweeps = -math.inf, 0
     while sweeps < cfg.max_sweeps:
         sweeps += 1
         left, objectives = target, []
@@ -781,10 +780,9 @@ def serial_climb(site, target, factors, dims, cfg, restart):
             factors[j], objective, left = step
             objectives.append(objective)
         if len(objectives) < len(factors):
-            attempt += 1
-            if attempt > 3:
+            if sweeps == cfg.max_sweeps:
                 return 0.0, sweeps, True
-            factors = one_draw(dims, seed_sequence(cfg.seed, restart, attempt))
+            factors = [f.copy() for f in basis]
             prev = -math.inf
             continue
         if objectives[-1] - prev < cfg.tol:
@@ -802,20 +800,22 @@ def serial_optimize(target, mixed, shape, cfg):
     else:
         weights = np.abs(target.reshape(-1)) ** 2
     floor_index = int(np.argmax(weights))
+    digits = np.unravel_index(floor_index, dims)
+    basis = [np.eye(d, dtype=np.complex128)[x] for d, x in zip(dims, digits)]
     # Restart r reads the r-th draw of the input's one stream; the first
-    # draw is replaced by the uniform start.  Reseeds keep their own keys.
+    # draw is replaced by the uniform start.  A vanished restart and the
+    # floor both climb from the best basis product.
     stream = np.random.default_rng(seed_sequence(cfg.seed, 0, 0))
     starts = [site_by_site(stream, dims) for _ in range(cfg.restarts)]
     starts[0] = [uniform_factor(d) for d in dims]
     per_restart, best = [], None
-    for r, start in enumerate(starts, start=1):
-        objective, _, degenerate = serial_climb(site, target, start, dims, cfg, r)
+    for start in starts:
+        objective, _, degenerate = serial_climb(site, target, start, basis, cfg)
         per_restart.append(0.0 if degenerate else objective)
         if not degenerate and (best is None or objective > best):
             best = objective
-    if best < weights[floor_index] - 1e-15:
-        basis = [np.eye(d, dtype=np.complex128)[x] for d, x in zip(dims, shape.digits_of(floor_index))]
-        objective, _, degenerate = serial_climb(site, target, basis, dims, cfg, len(starts) + 1)
+    if best is None or best < weights[floor_index] - 1e-15:
+        objective, _, degenerate = serial_climb(site, target, basis, basis, cfg)
         per_restart.append(0.0 if degenerate else objective)
     return len(per_restart), per_restart
 
@@ -851,17 +851,17 @@ class TestBatchedAgainstSerial:
         state = random_state(shape, 330)
         real, starts, targets = product_opt._climb_rows, [], []
 
-        def undershooting(target, factors, restarts, cfgs):
+        def undershooting(target, factors, cfgs):
             starts.append([f.copy() for f in factors])
             targets.append(target)
-            climbs = real(target, factors, restarts, cfgs)
+            climbs = real(target, factors, cfgs)
             if len(starts) == 1:
                 climbs.objective[:] = 0.0
             return climbs
 
         monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
         result = pmax_overlap(state, OptimizerConfig(restarts=3, seed=1))
-        digits = shape.digits_of(int(np.argmax(state.probabilities())))
+        digits = np.unravel_index(int(np.argmax(state.probabilities())), shape.dims)
         assert len(starts) == 2 and result.restarts_used == 4
         for f, d, x in zip(starts[1], shape.dims, digits):
             assert np.array_equal(f, np.eye(d)[[x]])
@@ -877,17 +877,17 @@ class TestBatchedAgainstSerial:
         assert np.argmax(np.abs(rho.factor[0])) != np.argmax(diag)
         real, starts, targets = product_opt._climb_rows, [], []
 
-        def undershooting(target, factors, restarts, cfgs):
+        def undershooting(target, factors, cfgs):
             starts.append([f.copy() for f in factors])
             targets.append(target)
-            climbs = real(target, factors, restarts, cfgs)
+            climbs = real(target, factors, cfgs)
             if len(starts) == 1:
                 climbs.objective[:] = 0.0
             return climbs
 
         monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
         result = pmax_mixed(rho, OptimizerConfig(restarts=3, seed=1))
-        digits = shape.digits_of(int(np.argmax(diag)))
+        digits = np.unravel_index(int(np.argmax(diag)), shape.dims)
         assert len(starts) == 2 and result.restarts_used == 4
         for f, d, x in zip(starts[1], shape.dims, digits):
             assert np.array_equal(f, np.eye(d)[[x]])
@@ -909,10 +909,10 @@ class TestBatchedAgainstSerial:
         whole = run()
         real, batches = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, cfgs):
+        def counted(target, factors, cfgs):
             assert len(target) * shape.total == size
-            batches.append(len(restarts))
-            return real(target, factors, restarts, cfgs)
+            batches.append(len(factors[0]))
+            return real(target, factors, cfgs)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk * size)
@@ -921,6 +921,12 @@ class TestBatchedAgainstSerial:
         assert batches[: len(expected)] == expected
         assert chunked.restarts_used == whole.restarts_used
         assert np.allclose(chunked.best_per_restart, whole.best_per_restart, rtol=0, atol=1e-12)
+
+
+def one_hot(factors):
+    """Whether every row of the (R, d_j) start stacks is a basis vector, as
+    a floor climb's is; uniform and random starts have no 0 or 1 entry."""
+    return all(np.isin(f, (0, 1)).all() for f in factors)
 
 
 def assert_same_result(a, b):
@@ -935,9 +941,10 @@ def assert_same_result(a, b):
 class TestManyInputs:
     def test_batch_equals_one_by_one(self, two_qubits, three_qubits, monkeypatch):
         # Inputs 0 and 1 share a chunk and differ in tol and sweep budget; the
-        # vanishing state is reseeded while the row ahead of it is another
-        # input's; both inputs seeded floor_seed take the basis-floor climb,
-        # which forces every scheduled restart of theirs to undershoot.
+        # vanishing state climbs again from its own best basis product while
+        # the row ahead of it is another input's; both inputs seeded
+        # floor_seed take the basis-floor climb, which forces every scheduled
+        # restart of theirs to undershoot.
         floor_seed = 99
         vanishing = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)  # uniform start vanishes
         batch = [
@@ -953,37 +960,40 @@ class TestManyInputs:
             (random_state(three_qubits, 508), OptimizerConfig(restarts=3, seed=floor_seed)),
             (random_state(three_qubits, 509), OptimizerConfig(restarts=2, seed=floor_seed)),
         ]
-        real_climb, real_starts = product_opt._climb_rows, product_opt._starts
-        batches, reseeds, floors = [], [], []
+        real_climb, real_basis = product_opt._climb_rows, product_opt._basis_start
+        batches, restarted, floors, climbing = [], [], [], []
 
-        def undershooting(target, factors, restarts, cfgs):
+        def undershooting(target, factors, cfgs):
+            floor = one_hot(factors)
             batches.append((target.ndim > len(factors) + 1, [c.seed for c in cfgs]))
-            if any(r > c.restarts for r, c in zip(restarts, cfgs)):
-                floors.append((target, list(restarts)))
-            climbs = real_climb(target, factors, restarts, cfgs)
+            if floor:
+                floors.append((target, len(factors[0])))
+            climbing.append(True)
+            climbs = real_climb(target, factors, cfgs)
+            climbing.pop()
             for k, cfg in enumerate(cfgs):
-                if cfg.seed == floor_seed and restarts[k] <= cfg.restarts:
+                if cfg.seed == floor_seed and not floor:
                     climbs.objective[k] = 0.0
             return climbs
 
-        def recorded(keys, dims):
-            keys = list(keys)
-            reseeds.extend(seed for seed, _, attempt in keys if attempt > 0)
-            return real_starts(keys, dims)
+        def recorded(block):
+            if climbing:  # a vanished row's restart, not the floor check
+                restarted.append(block)
+            return real_basis(block)
 
         monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
-        monkeypatch.setattr(product_opt, "_starts", recorded)
+        monkeypatch.setattr(product_opt, "_basis_start", recorded)
         # Three rows of a three-qubit state per chunk: the first input's five
         # restarts split over two chunks, and the second chunk holds rows of
         # two inputs on a per-row target.  A rank-2 density climbs a row at
         # a time.
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 24)
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
-        assert 8 in reseeds
+        assert restarted and all(np.array_equal(b, vanishing.tensor()[None]) for b in restarted)
         assert any(per_row for per_row, _ in batches)
         assert len(floors) == 2  # one one-row call per floor input, on its own target
-        for (target, restarts), (x, cfg) in zip(floors, batch[-2:]):
-            assert restarts == [cfg.restarts + 1]
+        for (target, rows), (x, cfg) in zip(floors, batch[-2:]):
+            assert rows == 1
             assert np.shares_memory(target, x.amps)
         assert sum(1 in seeds for _, seeds in batches) == 2  # input 0 spans two chunks
         assert [r.restarts_used for r in many[-2:]] == [4, 3]
@@ -1001,9 +1011,9 @@ class TestManyInputs:
         one = pmax_overlap(state, cfg)
         real, batches = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, cfgs):
-            batches.append(len(restarts))
-            return real(target, factors, restarts, cfgs)
+        def counted(target, factors, cfgs):
+            batches.append(len(factors[0]))
+            return real(target, factors, cfgs)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         many = pmax_overlap_many([state, rho], [cfg, cfg])
@@ -1015,6 +1025,97 @@ class TestManyInputs:
         with pytest.raises(DimensionMismatch):
             pmax_overlap_many([bell()], [None, None])
         assert pmax_overlap_many([], []) == []
+
+
+# Two-qubit inputs whose uniform start's first contraction vanishes: every
+# column has zero row sums, so site 1's environment is zero.
+VANISHING = {
+    "zero-minus": [np.array([1, -1, 0, 0]) / math.sqrt(2)],  # |0> (x) |->
+    "plus-minus": [np.array([-1, 1, -1, 1]) / 2],
+    "rank-2": [np.array([1, -1, 0, 0]) / 2, np.array([0, 0, 1, -1]) / 2],  # I/2 (x) |-><-|
+}
+
+
+def vanishing_input(name):
+    """The named input, its (K, 2, 2) target and its P_max."""
+    shape = SystemShape([2, 2])
+    columns = VANISHING[name]
+    if len(columns) == 1:
+        x = StateVector(shape, columns[0])
+        return x, x.tensor()[None], 1.0
+    x = DensityMatrix.from_factor(shape, np.array(columns, dtype=complex))
+    return x, x.factor.reshape(2, 2, 2), 0.5
+
+
+class TestBasisRestart:
+    """A row whose contraction vanishes climbs again, from its next sweep,
+    from its own input's best basis product (``_basis_start``), which
+    cannot vanish; with no sweep left it is degenerate."""
+
+    @staticmethod
+    def run(x, cfg):
+        return pmax_mixed(x, cfg) if isinstance(x, DensityMatrix) else pmax_overlap(x, cfg)
+
+    @pytest.mark.parametrize("name", VANISHING)
+    def test_vanished_start_climbs_from_the_basis_product(self, name):
+        x, target, pmax = vanishing_input(name)
+        cfg = OptimizerConfig(restarts=1, seed=8)
+        uniform = [uniform_factor(2)[None] for _ in range(2)]
+        assert _climb_rows(target, uniform, [OptimizerConfig(max_sweeps=1)]).degenerate[0]
+        result = self.run(x, cfg)
+        restart = _climb_rows(target, _basis_start(target)[1], [cfg])
+        assert abs(result.value - pmax) <= 1e-15
+        assert result.restarts_used == 1
+        assert result.best_per_restart == (restart.objective[0],)
+        assert result.sweeps == restart.sweeps[0] + 1
+        for f, g in zip(result.argmax.factors, restart.factors, strict=True):
+            assert np.array_equal(f, canonical_phase(g[0]))
+
+    @pytest.mark.parametrize("name", VANISHING)
+    def test_no_sweep_left_is_degenerate_and_the_floor_climbs(self, name):
+        x, target, pmax = vanishing_input(name)
+        cfg = OptimizerConfig(restarts=1, max_sweeps=1)
+        result = self.run(x, cfg)
+        floor = _climb_rows(target, _basis_start(target)[1], [cfg])
+        assert result.restarts_used == 2  # restart R + 1 is the floor
+        assert result.best_per_restart == (0.0, floor.objective[0])
+        assert result.value >= _basis_start(target)[0] - 1e-15
+        assert abs(result.value - pmax) <= 1e-15
+
+    def test_row_restarts_from_its_own_input_in_a_stacked_chunk(self, two_qubits, monkeypatch):
+        # The chunk stacks two restarts of `first`, whose best basis product
+        # is |01>, ahead of the vanishing input's one row, whose is |00>.
+        first = StateVector(two_qubits, np.array([0.1, 0.9, 0.3, 0.3]))  # unit norm
+        vanishing, target, _ = vanishing_input("plus-minus")
+        cfgs = [OptimizerConfig(restarts=2, seed=3), OptimizerConfig(restarts=1, seed=4)]
+        ones = [pmax_overlap(x, cfg) for x, cfg in zip((first, vanishing), cfgs)]
+        real_climb, real_basis = product_opt._climb_rows, product_opt._basis_start
+        stacked_rows, restarted, climbing = [], [], []
+
+        def recorded_climb(target, factors, cfgs):
+            if target.ndim == 4:
+                stacked_rows.append(len(factors[0]))
+            climbing.append(True)
+            climbs = real_climb(target, factors, cfgs)
+            climbing.pop()
+            return climbs
+
+        def recorded_basis(block):
+            if climbing:
+                restarted.append(block.copy())
+            return real_basis(block)
+
+        monkeypatch.setattr(product_opt, "_climb_rows", recorded_climb)
+        monkeypatch.setattr(product_opt, "_basis_start", recorded_basis)
+        monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 3 * 4)
+        many = pmax_overlap_many([first, vanishing], cfgs)
+        assert stacked_rows == [3]
+        assert len(restarted) == 1 and np.array_equal(restarted[0], target)
+        assert not np.array_equal(restarted[0], first.tensor()[None])
+        assert np.array_equal(real_basis(target)[1][1], [[1, 0]])
+        assert np.array_equal(real_basis(first.tensor()[None])[1][1], [[0, 1]])
+        for result, one in zip(many, ones, strict=True):
+            assert_same_result(result, one)
 
 
 def start_stream_cases():
@@ -1036,9 +1137,9 @@ class TestStartStreams:
         run = pmax_mixed if isinstance(x, DensityMatrix) else pmax_overlap
         real, batches = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, cfgs):
-            batches[-1].append(len(restarts))
-            return real(target, factors, restarts, cfgs)
+        def counted(target, factors, cfgs):
+            batches[-1].append(len(factors[0]))
+            return real(target, factors, cfgs)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         results = []
@@ -1067,9 +1168,9 @@ class TestStartStreams:
         ]
         real, per_row = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, cfgs):
+        def counted(target, factors, cfgs):
             per_row.append(target.ndim > len(factors) + 1)
-            return real(target, factors, restarts, cfgs)
+            return real(target, factors, cfgs)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 2**4)
@@ -1089,9 +1190,9 @@ class TestSharedTargetChunks:
     def recorded(monkeypatch):
         real, calls = product_opt._climb_rows, []
 
-        def counted(target, factors, restarts, cfgs):
-            calls.append((target, len(restarts)))
-            return real(target, factors, restarts, cfgs)
+        def counted(target, factors, cfgs):
+            calls.append((target, len(factors[0])))
+            return real(target, factors, cfgs)
 
         monkeypatch.setattr(product_opt, "_climb_rows", counted)
         return calls

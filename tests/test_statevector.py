@@ -80,14 +80,6 @@ class TestSystemShape:
         shape = SystemShape([2, 3])
         # site 1 is most significant: (x1, x2) -> 3*x1 + x2
         assert np.ravel_multi_index((1, 2), shape.dims) == 5
-        assert shape.digits_of(5) == (1, 2)
-
-    @given(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=6))
-    @settings(max_examples=50, derandomize=True)
-    def test_index_roundtrip(self, dims):
-        shape = SystemShape(dims)
-        for x in (0, shape.total // 2, shape.total - 1):
-            assert np.ravel_multi_index(shape.digits_of(x), shape.dims) == x
 
 
 class TestMakeState:
