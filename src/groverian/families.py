@@ -33,6 +33,7 @@ from .statevector import (
     product_to_state,
     qubit_shape,
     random_product,
+    _complex_normals,
     _readonly,
     random_state,
     uniform_state,
@@ -183,9 +184,7 @@ def random_rank_density(shape: SystemShape, rank: int, seed) -> DensityMatrix:
     if not 1 <= rank <= shape.total:
         raise DimensionMismatch(f"rank must be in 1..{shape.total}, got {rank}")
     rng = np.random.default_rng(seed)
-    b = np.empty((rank, shape.total), dtype=np.complex128)
-    b.real = rng.standard_normal(b.shape)
-    b.imag = rng.standard_normal(b.shape)
+    b = _complex_normals(rng, rank * shape.total).reshape(rank, shape.total)
     b /= np.linalg.norm(b)
     return DensityMatrix.from_factor(shape, _readonly(b))
 

@@ -8,10 +8,21 @@ views the (count, 2) result as complex128; an entry is whatever ``float``
 accepts (a number, a numeric string or a boolean).  ``null`` reads as NaN,
 which the state and density constructors refuse.  Writers emit every float
 with 17 significant digits so files round-trip bit exactly.
+
+The text is parsed with the cyclic garbage collector paused and restored
+as it was on every exit.  A large file is mostly small lists, N of them for
+N pairs, and each one counts toward the collector's thresholds, so a parse
+left running would start hundreds of collections that rescan those lists.
+Pausing is safe because ``json.loads`` builds only lists, dicts, strings
+and numbers, each new object owned by one parent, so the parse can make no
+reference cycle for a collection to free.  A file that is not UTF-8, nests
+deeper than the parser's recursion limit or holds an integer past Python's
+digit limit is a ``FileFormatError``, as malformed JSON is.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from pathlib import Path
@@ -79,11 +90,24 @@ def canonical_json(obj, indent: int = 0) -> str:
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        enabled = gc.isenabled()
+        gc.disable()  # the parse builds only acyclic lists; see the module docstring
+        try:
+            doc = json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nests too deeply") from exc
+    except ValueError as exc:  # the one ValueError left: int's digit limit
+        raise FileFormatError(f"{path}: an integer has more digits than Python converts") from exc
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
     if not isinstance(doc, dict):

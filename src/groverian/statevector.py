@@ -301,13 +301,15 @@ class DensityMatrix:
     def from_factor(cls, shape: SystemShape, factor) -> "DensityMatrix":
         """The density B B^+ of a (K, N) factor, which is positive
         semidefinite by construction; only its shape, finiteness and unit
-        trace sum_k |b_k|^2 are checked, in O(K * N)."""
+        trace sum_k |b_k|^2 are checked, in O(K * N) with no K x N temporary."""
         b = np.ascontiguousarray(factor, dtype=np.complex128)
         if b.ndim != 2 or b.shape[1] != shape.total:
             raise DimensionMismatch(f"density factor must have {shape.total} columns")
-        if not np.isfinite(b).all():
+        trace = float(np.vdot(b, b).real)
+        # a finite trace needs no scan; an overflowed one may hold no inf
+        if not math.isfinite(trace) and not np.isfinite(b).all():
             raise InvalidDensity("density factor has a non-finite entry")
-        if not abs(float(np.vdot(b, b).real) - 1.0) <= DENSITY_TOL:
+        if not abs(trace - 1.0) <= DENSITY_TOL:
             raise InvalidDensity("trace differs from 1")
         rho = object.__new__(cls)
         object.__setattr__(rho, "shape", shape)
@@ -499,12 +501,34 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     return DensityMatrix(kept_shape, _readonly(rho))
 
 
+# Floats drawn per ``standard_normal`` call in ``_complex_normals``: 128 KiB,
+# small enough to stay in L2 and to keep the draw's only large allocation
+# its result.
+_DRAW_BUFFER = 2**14
+
+
+def _complex_normals(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` complex Gaussians: all real parts, then all imaginary parts.
+
+    Each part is drawn in pieces through one small buffer and copied into
+    place, so the result is the only ``count``-sized allocation.  A
+    ``Generator`` gives the same values, and ends in the same state, whether
+    it draws in pieces or in one call, so this equals two whole-size draws,
+    the real parts and then the imaginary parts, bit for bit.
+    """
+    z = np.empty(count, dtype=np.complex128)
+    buffer = np.empty(min(count, _DRAW_BUFFER))
+    for part in (z.real, z.imag):
+        for start in range(0, count, _DRAW_BUFFER):
+            piece = buffer[: count - start]
+            rng.standard_normal(out=piece)
+            part[start : start + len(piece)] = piece
+    return z
+
+
 def random_state(shape: SystemShape, seed) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
-    rng = np.random.default_rng(seed)
-    z = np.empty(shape.total, dtype=np.complex128)  # one N-sized buffer
-    z.real = rng.standard_normal(shape.total)
-    z.imag = rng.standard_normal(shape.total)
+    z = _complex_normals(np.random.default_rng(seed), shape.total)
     z /= np.linalg.norm(z)
     return StateVector(shape, _readonly(z))
 

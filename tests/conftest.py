@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -27,6 +28,22 @@ def dense_environment(state, factors, j):
     rows = np.moveaxis(state.tensor(), j, 0).reshape(state.shape.dims[j], -1)
     others = [np.conj(f) for i, f in enumerate(factors) if i != j]
     return rows @ reduce(np.kron, others, np.ones(1, dtype=complex))
+
+
+def same_bits(a, b):
+    """Equal bit for bit: -0.0 differs from 0.0, and a NaN equals itself."""
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 import contextlib
 import dataclasses
+import gc
 import importlib.util
 import io
 import json
 import math
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits, traced_peak
 from groverian import (
     DensityMatrix,
     NonFiniteResult,
@@ -33,7 +34,7 @@ from groverian import (
     uniform_state,
     w_state,
 )
-from groverian import OptimizerConfig, cli
+from groverian import OptimizerConfig, cli, fileio
 from groverian.cli import main
 from groverian.errors import OutOfRange
 from groverian.families import (
@@ -181,6 +182,79 @@ class TestStateFiles:
             load_state("/definitely/not/here.json")
 
 
+# Files the JSON reader cannot read, each a FileFormatError.
+UNREADABLE_FILES = {
+    "not-utf-8": b"\xff\xfe" + '{"dims": [2], "amps": [[1, 0], [0, 0]]}'.encode("utf-16-le"),
+    "over-deep": b"[" * 100_000,
+    "over-long-integer": b'{"dims": [2], "amps": [[1' + b"0" * 5000 + b", 0], [0, 0]]}",
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as it was once the test ends."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestParseWithCollectorPaused:
+    """The reader parses with the cyclic collector paused and puts it back
+    as it found it, on success and on every error."""
+
+    def test_no_collection_during_parse(self, tmp_path, monkeypatch, collector_state):
+        path = tmp_path / "state.json"
+        save_state(random_state(SystemShape([2] * 14), 1), path)
+        real, events = json.loads, []
+
+        def parse(text):
+            events.append("parse")
+            doc = real(text)
+            events.append("parsed")
+            return doc
+
+        def record(phase, info):
+            if phase == "start":
+                events.append(info["generation"])
+
+        gc.enable()
+        monkeypatch.setattr(fileio.json, "loads", parse)
+        gc.callbacks.append(record)
+        try:
+            load_state(path)
+            during = events[events.index("parse") + 1 : events.index("parsed")]
+            events.clear()
+            real(path.read_text())  # the same parse with the collector running
+        finally:
+            gc.callbacks.remove(record)
+        assert during == []
+        assert events, "the same parse collects when the collector runs"
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case", ["valid", "bad-json", "missing", "non-object", *UNREADABLE_FILES]
+    )
+    def test_collector_restored(self, tmp_path, collector_state, case, enabled):
+        path = tmp_path / "state.json"
+        if case == "valid":
+            save_state(bell(), path)
+        elif case != "missing":
+            contents = {"bad-json": b'{"dims": [2],', "non-object": b"[1, 2]"}
+            path.write_bytes({**contents, **UNREADABLE_FILES}[case])
+        (gc.enable if enabled else gc.disable)()
+        if case == "valid":
+            load_state(path)
+        else:
+            with pytest.raises(FileFormatError) as refused:
+                load_state(path)
+            assert str(path) in str(refused.value)
+        assert gc.isenabled() is enabled
+
+
 def per_pair_reference(raw, count):
     """The reader's former per-pair loop, kept as the slow reference."""
     assert isinstance(raw, list) and len(raw) == count
@@ -189,10 +263,6 @@ def per_pair_reference(raw, count):
         assert isinstance(pair, list) and len(pair) == 2
         out[i] = complex(float(pair[0]), float(pair[1]))
     return out
-
-
-def same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
 # Valid dims-[2] documents, one kind of entry each; "rho" is row-major.
@@ -406,14 +476,11 @@ class TestCliPureSpec:
     def test_builds_no_density_matrix(self, capsys):
         # The 2^11 x 2^11 entries would take 64 MiB.
         spec = "pure:random:" + ",".join(["2"] * 11) + ":3"
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(
                 capsys, "groverian", "--mixed", spec, "--restarts", "1", "--max-sweeps", "1"
             )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        )
         assert code == 0, err
         assert peak < 8 * 2**20
 
@@ -793,17 +860,27 @@ class TestCliErrors:
         ],
     )
     def test_oversize_input_refused_before_allocation(self, capsys, argv, budget, message):
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, *argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced_peak(lambda: run_cli(capsys, *argv))
         assert code == 2
         assert message in err
         assert "Traceback" not in err
         assert out == ""
         assert peak < budget
+
+    @pytest.mark.parametrize("kind", UNREADABLE_FILES)
+    @pytest.mark.parametrize(
+        "argv",
+        [("pmax", "--state", ""), ("groverian", "--mixed", ""), ("groverian", "--mixed", "pure:")],
+        ids=["state", "mixed", "pure"],
+    )
+    def test_unreadable_file(self, capsys, tmp_path, argv, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(UNREADABLE_FILES[kind])
+        code, out, err = run_cli(capsys, *argv[:2], argv[2] + str(path))
+        assert code == 2
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert "null" not in out
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -817,12 +894,7 @@ class TestCliErrors:
         ids=["rank-0", "rank-above-N", "rank-not-a-number", "2^32-entries", "missing-file"],
     )
     def test_bad_density_spec(self, capsys, spec, message):
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "groverian", "--mixed", spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced_peak(lambda: run_cli(capsys, "groverian", "--mixed", spec))
         assert code == 2
         assert message in err
         assert "Traceback" not in err

@@ -5,11 +5,11 @@ refused one allocates less than 1 MiB on its way to exit 2."""
 import contextlib
 import io
 import itertools
-import tracemalloc
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from groverian.cli import main
 from groverian.errors import GroverianError
 from groverian.families import SWEEP_FAMILIES, _state_family, integer, real
@@ -144,12 +144,7 @@ def test_every_command_line_ends_in_a_contract_exit(argv):
     assert "Traceback" not in err
     assert "null" not in out
     if code == 2:
-        tracemalloc.start()
-        try:
-            _run(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _run(argv))[1]
         assert peak < BUDGET, (argv, peak)
 
 

@@ -1,9 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from groverian import (
     DimensionMismatch,
     LocalUnitaryLayer,
@@ -272,12 +272,7 @@ class TestOptimalIterations:
         shape = SystemShape([2] * 28)
         for r in (1, 2**16):
             oracle = OracleSpec(shape, range(r))
-            tracemalloc.start()
-            try:
-                m = optimal_iterations(shape, oracle)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            m, peak = traced_peak(lambda: optimal_iterations(shape, oracle))
             assert m == iteration_bound(shape.total, r) - 1  # floor(pi/4 sqrt(N/r))
             assert peak < 2**20
 
@@ -338,12 +333,7 @@ class TestRunGrover:
         shape = SystemShape([2] * 20)
         state = random_state(shape, 15)
         oracle = OracleSpec(shape, (12345,))
-        tracemalloc.start()
-        try:
-            curve = run_grover(state, oracle, 800).prob_curve
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        curve, peak = traced_peak(lambda: run_grover(state, oracle, 800).prob_curve)
         assert len(curve) == 801
         assert peak < 2**20
 

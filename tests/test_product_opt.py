@@ -1,12 +1,11 @@
 import gc
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import dense_environment
+from conftest import dense_environment, traced_peak
 from groverian import (
     DensityMatrix,
     DimensionMismatch,
@@ -292,12 +291,7 @@ class TestGridOracle:
         states = [basis_state(three_qubits, 0)]
         states += [random_state(three_qubits, 110 + i) for i in range(3)]
         for state in states:
-            tracemalloc.start()
-            try:
-                pmax_grid_oracle(state, 128)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: pmax_grid_oracle(state, 128))[1]
             assert peak < 16 * 2**20
 
     def test_single_qubit(self):
@@ -320,13 +314,12 @@ class TestGridOracle:
     @pytest.mark.parametrize("resolution", [2**14 + 1, 10**20])
     def test_rejects_oversize_resolution_before_allocating(self, three_qubits, resolution):
         state = random_state(three_qubits, 0)
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(OutOfRange):
                 pmax_grid_oracle(state, resolution)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(refuse)[1]
         assert peak < 2**20
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_environment
+from conftest import dense_environment, same_bits, traced_peak
 from groverian import (
     BadSplit,
     BadSubset,
@@ -32,10 +31,12 @@ from groverian import (
     schmidt_reconstruction_error,
     uniform_state,
 )
+from groverian.families import random_rank_density
 from groverian.fileio import load_state, save_state
 from groverian.grover import OracleSpec, run_grover
 from groverian.statevector import (
     DENSITY_TOL,
+    _complex_normals,
     _contract_all_but,
     haar_unitary,
     product_amps,
@@ -193,12 +194,7 @@ class TestBuildersMakeNoCopy:
         growth = []
 
         def traced(self):
-            tracemalloc.start()
-            try:
-                real(self)
-                growth.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            growth.append(traced_peak(lambda: real(self))[1])
 
         monkeypatch.setattr(StateVector, "__post_init__", traced)
         state = inputs[builder]()
@@ -669,6 +665,19 @@ class TestFactorFirstDensity:
         assert factored.expectation(e) == abs(complex(np.vdot(e, amps))) ** 2
 
 
+def two_draw_reference(rng, shape):
+    """The former draw: every real part in one call, then every imaginary part."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
+# Around the draw buffer of 2^14 floats: one piece short of, at and past a
+# whole buffer, and several buffers with a remainder.
+DRAW_COUNTS = [2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5]
+
+
 class TestRandomGeneration:
     def test_deterministic(self, two_qubits):
         a = random_state(two_qubits, 42)
@@ -682,11 +691,13 @@ class TestRandomGeneration:
         assert all(np.array_equal(x, y) for x, y in zip(pa.factors, pb.factors))
 
     @pytest.mark.parametrize(
-        "dims,seed", [([2], 0), ([2, 2], 42), ([3, 2, 2], 7), ([2] * 10, 12345)]
+        "dims,seed",
+        [([2], 0), ([2, 2], 42), ([3, 2, 2], 7), ([2] * 10, 12345), ([3, 5, 7], 5)]
+        + [([count], 5) for count in DRAW_COUNTS],
     )
     def test_bits_match_two_draw_expression(self, dims, seed):
-        # one preallocated buffer against drawing the real and imaginary parts
-        # into separate arrays and dividing into a new one
+        # a draw through one small buffer into the result, against drawing
+        # all real and all imaginary parts whole and dividing into a new array
         shape = SystemShape(dims)
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
@@ -712,6 +723,46 @@ class TestRandomGeneration:
         for i in range(draws):
             total += abs(random_state(two_qubits, np.random.SeedSequence((99, i))).amps[0]) ** 2
         assert abs(total / draws - 0.25) < 0.02
+
+
+class TestPiecewiseDraw:
+    """Gaussian amplitudes drawn through one small buffer equal two
+    whole-size draws bit for bit, and leave the generator where they did."""
+
+    @pytest.mark.parametrize("count", [1, *DRAW_COUNTS])
+    def test_helper_equals_two_whole_draws(self, count):
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        assert same_bits(_complex_normals(rng, count), two_draw_reference(reference, count))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("dims", [[3, 5, 7], [2**14 + 1]])
+    def test_random_rank_density(self, dims, rank):
+        shape = SystemShape(dims)
+        b = two_draw_reference(np.random.default_rng(6), (rank, shape.total))
+        rho = random_rank_density(shape, rank, 6)
+        assert same_bits(rho.factor, b / np.linalg.norm(b))
+
+
+class TestDrawPeak:
+    """A random input's result is the only input-sized allocation its draw
+    makes: the traced peak is its bytes plus a small buffer."""
+
+    SLACK = 256 * 2**10
+
+    def test_random_state(self):
+        random_state(SystemShape([2, 2]), 1)  # warm-up
+        shape = SystemShape([2] * 20)
+        state, peak = traced_peak(lambda: random_state(shape, 1))
+        assert state.amps.nbytes == 16 * shape.total
+        assert peak <= 16 * shape.total + self.SLACK
+
+    def test_random_rank_density(self):
+        random_rank_density(SystemShape([2, 2]), 2, 1)  # warm-up
+        shape = SystemShape([2] * 18)
+        rho, peak = traced_peak(lambda: random_rank_density(shape, 4, 1))
+        assert rho.factor.shape == (4, shape.total)
+        assert peak <= 16 * 4 * shape.total + self.SLACK
 
 
 class TestFourierGate:
