@@ -9,13 +9,15 @@ accepts (a number, a numeric string or a boolean).  ``null`` reads as NaN,
 which the state and density constructors refuse.  Writers emit every float
 with 17 significant digits so files round-trip bit exactly.
 
-The text is parsed with the cyclic garbage collector paused and restored
-as it was on every exit.  A large file is mostly small lists, N of them for
-N pairs, and each one counts toward the collector's thresholds, so a parse
-left running would start hundreds of collections that rescan those lists.
-Pausing is safe because ``json.loads`` builds only lists, dicts, strings
-and numbers, each new object owned by one parent, so the parse can make no
-reference cycle for a collection to free.  A file that is not UTF-8, nests
+A file is read with the cyclic garbage collector paused, from the parse
+until the parsed document is dropped, and restored as it was on every exit.
+A large file is mostly small lists, N of them for N pairs, and each one
+counts toward the collector's thresholds, so a parse left running would
+start hundreds of collections that rescan those lists, and a collector
+resumed while the document lives would rescan them once more.  Pausing is
+safe because ``json.loads`` builds only lists, dicts, strings and numbers,
+each new object owned by one parent, so the read can make no reference
+cycle for a collection to free.  A file that is not UTF-8, nests
 deeper than the parser's recursion limit or holds an integer past Python's
 digit limit is a ``FileFormatError``, as malformed JSON is.
 """
@@ -90,14 +92,7 @@ def canonical_json(obj, indent: int = 0) -> str:
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        enabled = gc.isenabled()
-        gc.disable()  # the parse builds only acyclic lists; see the module docstring
-        try:
-            doc = json.loads(text)
-        finally:
-            if enabled:
-                gc.enable()
+            doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -135,10 +130,26 @@ def _parse_dims(doc, path) -> SystemShape:
     return SystemShape(dims)
 
 
+def _read(path, key: str, power: int) -> tuple[SystemShape, np.ndarray]:
+    """The file's shape and its N^power entries under ``key``, read with the
+    collector paused until the document is dropped (module docstring)."""
+
+    def parse():  # the document dies with this frame
+        doc = _load_json(path)
+        shape = _parse_dims(doc, path)
+        return shape, _parse_pairs(doc.get(key), shape.total**power, path, key)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_state(path) -> StateVector:
-    doc = _load_json(path)
-    shape = _parse_dims(doc, path)
-    amps = _parse_pairs(doc.get("amps"), shape.total, path, "amps")
+    shape, amps = _read(path, "amps", 1)
     return StateVector(shape, _readonly(amps))
 
 
@@ -157,11 +168,8 @@ def save_state(state: StateVector, path) -> None:
 
 
 def load_density(path) -> DensityMatrix:
-    doc = _load_json(path)
-    shape = _parse_dims(doc, path)
-    total = shape.total
-    entries = _parse_pairs(doc.get("rho"), total * total, path, "rho")
-    return DensityMatrix(shape, _readonly(entries).reshape(total, total))
+    shape, entries = _read(path, "rho", 2)
+    return DensityMatrix(shape, _readonly(entries).reshape(shape.total, shape.total))
 
 
 def save_density(rho: DensityMatrix, path) -> None:

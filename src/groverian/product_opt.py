@@ -19,27 +19,18 @@ out for the right half, and sweeps that, each half splitting again down to
 one site.  So a sweep reads the target twice, whatever n is, and the
 partial contractions are reused across site updates (as Phan, Tichavsky
 and Cichocki do for CP alternating least squares, IEEE TSP 61, 4834
-(2013)).  Restarts climb together: each site's factors for a batch of rows
-are stacked into an (R, d_j) array, and one sweep updates every row still
-climbing with batched contractions.  The target is shared by every row,
-or is an (R, K, d_1, ..., d_n) stack with one block per row, which lets
-``pmax_overlap_many`` stack the restarts of many inputs of equal dims and
-K into one batch.  A row leaves the batch when it converges or runs out of
-sweeps.  Rows run in chunks: CHUNK_AMPLITUDES // (K * N) rows of any
-inputs when K * N <= CHUNK_AMPLITUDES, so a per-row stack never holds more;
-for a larger target, one input's rows at a time on its shared target,
-CHUNK_AMPLITUDES // (K * H) of them and at least one, H the larger half
-environment of a sweep's top split.  Pure and mixed input share one sweep
-engine, and ``pmax_overlap`` and ``pmax_mixed`` are its one-input calls.
-An input's random starts are read in restart order from one generator
-keyed (its seed, 0, 0), so they do not depend on the chunks.  Every basis
-product is a feasible point, and a climb from the best one, x maximizing
-sum_k |b_k(x)|^2 (``_basis_start``), can neither end below that weight nor
-vanish on nonzero input.  So a row whose contraction vanishes climbs again
-from its input's best basis product from its next sweep, and an input whose
-R restarts all end below that product climbs once more from it, alone on
-its own target, as restart R + 1.  At most MAX_RESTARTS restarts are
-accepted.
+(2013)).  Restarts climb together (``_climb_rows``): each site's factors
+for a batch of rows are stacked into an (R, d_j) array, and one sweep
+updates every row still climbing with batched contractions.  A batch holds
+the restarts of inputs of equal dims, K, ``tol`` and ``max_sweeps``, so
+its rows climb under one config; it runs in chunks (``_chunks``), and an
+input's starts (``_climb_all``) do not depend on them.  Pure and mixed
+input share one sweep engine, and ``pmax_overlap`` and ``pmax_mixed`` are
+the one-input calls of ``pmax_overlap_many``.  Every basis product is a
+feasible point, and a climb from the best one (``_basis_start``) can
+neither end below its weight nor vanish on nonzero input: it is where a
+vanished row climbs again, and the floor of every input's value.  At most
+MAX_RESTARTS restarts are accepted.
 
 Two independent references are provided: a Bloch-angle grid over site 1
 with the other sites exact (a lower bound), for up to three qubits, and the
@@ -69,15 +60,11 @@ from .statevector import (
     uniform_factor,
 )
 
-# A contraction below this norm carries no gradient information; rather than
-# divide by noise, the row climbs again from its input's best basis product.
+# A contraction below this norm carries no gradient information, so its row
+# climbs again (``_climb_rows``) rather than divide by noise.
 CONTRACTION_EPS = 1e-14
 
-# Restarts run together in chunks of at most this many amplitudes.  A chunk
-# may span inputs while a row's target, N amplitudes in K columns, fits: its
-# per-row stack holds chunk * K * N.  A larger target is never stacked; its
-# own restarts climb on it together, holding chunk * K * H amplitudes of half
-# environments, H the larger half of the sweep's top split.
+# The amplitudes a chunk of restarts may hold (``_chunks``).
 CHUNK_AMPLITUDES = 2**16
 
 # The restart schedule, and the report that lists every restart, grow with
@@ -131,17 +118,15 @@ class PmaxResult:
 class _Climbs:
     """Per-restart outcome of a batch of climbs, one row per restart.
 
-    A degenerate restart has objective 0.0 and is never chosen as best."""
+    A row that vanished on its last sweep has objective 0.0.  Every other
+    row's is positive: at least CONTRACTION_EPS^2 for one column, the top
+    eigenvalue of a nonzero Gram matrix for several.  So the first argmax
+    of ``objective`` is the best row."""
 
     objective: np.ndarray
     sweeps: np.ndarray
     converged: np.ndarray
-    degenerate: np.ndarray
     factors: list[np.ndarray]  # (R, d_j) final factors per site, the last field
-
-    def best(self) -> int:
-        """The first row of largest objective among non-degenerate rows."""
-        return int(np.argmax(np.where(self.degenerate, -math.inf, self.objective)))
 
     def __getitem__(self, rows: slice) -> _Climbs:
         *arrays, factors = vars(self).values()
@@ -218,59 +203,51 @@ def _basis_start(block):
     return weights[top], [np.eye(d, dtype=np.complex128)[[k]] for d, k in zip(weights.shape, top)]
 
 
-def _climb_rows(target, factors, cfgs) -> _Climbs:
-    """Alternating sweeps from R starting points at once.
+def _climb_rows(target, factors, cfg) -> _Climbs:
+    """Alternating sweeps from R starting points at once, under one config.
 
     ``target`` is shared by every row or holds one block per row, as in
-    ``_sweep_rows``.  ``factors`` holds the (R, d_j) starting stacks and
-    ``cfgs`` the config of each row's input.  A row leaves the batch, with
-    its factors and its block of a per-row target, when its last-site
-    objective gains less than its ``tol`` over the previous sweep, or when
-    its sweep budget runs out.  A row whose contraction vanishes climbs
-    again from its next sweep from the ``_basis_start`` of its block, which
-    cannot vanish; it counts as degenerate only when no sweep is left.
+    ``_sweep_rows``, and ``factors`` holds the (R, d_j) starting stacks.  A
+    row leaves the batch, with its factors and its block of a per-row
+    target, when its last-site objective gains less than ``cfg.tol`` over
+    the previous sweep, or at sweep ``cfg.max_sweeps``.  A row whose
+    contraction vanishes climbs again from its next sweep from the
+    ``_basis_start`` of its block, which cannot vanish; on the last sweep
+    it reports objective 0.0.
     """
     rows = len(factors[0])
     out = _Climbs(
         np.zeros(rows),
         np.zeros(rows, dtype=int),
         np.zeros(rows, dtype=bool),
-        np.zeros(rows, dtype=bool),
         [np.empty_like(f) for f in factors],
     )
     live = np.arange(rows)
-    tol = np.array([c.tol for c in cfgs])
-    budget = np.array([c.max_sweeps for c in cfgs])
     per_row = target.ndim > len(factors) + 1
     current = [f.copy() for f in factors]
     prev = np.full(rows, -math.inf)
-    for sweep in range(1, int(budget.max()) + 1):
+    for sweep in range(1, cfg.max_sweeps + 1):
         objectives, bad = _sweep_rows(target, current)
         obj = objectives[:, -1]
-        converged = ~bad & (obj - prev < tol)
-        last = sweep == budget
-        if not (last | bad | converged).any():
+        converged = ~bad & (obj - prev < cfg.tol)
+        done = converged | (sweep == cfg.max_sweeps)
+        if not (bad | done).any():
             prev = obj
             continue
-        prev = np.where(bad, -math.inf, obj)
-        failed = bad & last
-        done = converged | last
         rows_done = live[done]
-        out.objective[rows_done] = np.where(failed, 0.0, obj)[done]
+        out.objective[rows_done] = np.where(bad, 0.0, obj)[done]
         out.sweeps[rows_done] = sweep
         out.converged[rows_done] = converged[done]
-        out.degenerate[rows_done] = failed[done]
         for j, f in enumerate(current):
             out.factors[j][rows_done] = f[done]
-        for k in np.flatnonzero(bad & ~last):
+        if done.all():
+            break
+        for k in np.flatnonzero(bad):
             basis = _basis_start(target[k] if per_row else target)[1]
             for f, g in zip(current, basis):
                 f[k] = g[0]
         keep = ~done
-        if not keep.any():
-            break
-        live, prev = live[keep], prev[keep]
-        tol, budget = tol[keep], budget[keep]
+        live, prev = live[keep], np.where(bad, -math.inf, obj)[keep]
         current = [f[keep] for f in current]
         if per_row:
             target = target[keep]
@@ -279,13 +256,8 @@ def _climb_rows(target, factors, cfgs) -> _Climbs:
 
 def _climb_all(targets, cfgs) -> list[_Climbs]:
     """Climb restarts 1..R of every input, R its config's ``restarts``, with
-    the inputs of one target shape (dims and K) as rows of a batch, in the
-    chunks of ``_chunks``: CHUNK_AMPLITUDES // (K * N) rows of any inputs
-    for a target of at most CHUNK_AMPLITUDES amplitudes, and one input's
-    rows, CHUNK_AMPLITUDES // (K * H) of them and at least one, for a larger
-    one.  A chunk of one input's rows climbs on its shared target, so no
-    restart copies it; a chunk spanning inputs, on the per-row stack of
-    targets.
+    the inputs of one target shape (dims and K), ``tol`` and ``max_sweeps``
+    as rows of one batch, in the chunks of ``_chunks``.
 
     Restart 1 starts from the uniform product, restart r > 1 from row r of
     the (R, 2 * sum(d_j)) standard normals that the input's one stream, the
@@ -297,10 +269,10 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
     """
     found: list[list[_Climbs]] = [[] for _ in targets]
     groups: dict[tuple, list[int]] = {}
-    for i, target in enumerate(targets):
-        groups.setdefault(target.shape, []).append(i)
-    for shape, members in groups.items():
-        dims = shape[1:]
+    for i, (target, cfg) in enumerate(zip(targets, cfgs)):
+        groups.setdefault((target.shape, cfg.tol, cfg.max_sweeps), []).append(i)
+    for (shape, *_), members in groups.items():
+        dims, cfg = shape[1:], cfgs[members[0]]
         streams = {i: np.random.default_rng(seed_sequence(cfgs[i].seed, 0, 0)) for i in members}
         inputs = np.repeat(members, [cfgs[i].restarts for i in members])
         restarts = np.concatenate([np.arange(1, cfgs[i].restarts + 1) for i in members])
@@ -311,7 +283,7 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
             for f, d in zip(starts, dims):
                 f[rs == 1] = uniform_factor(d)
             target = targets[ins[0]] if ins[0] == ins[-1] else np.stack([targets[i] for i in ins])
-            climbs = _climb_rows(target, starts, [cfgs[i] for i in ins])
+            climbs = _climb_rows(target, starts, cfg)
             for a, b in _runs(ins):
                 found[ins[a]].append(climbs[a:b])
     return [_join(c) for c in found]
@@ -319,11 +291,13 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
 
 def _chunks(inputs, shape):
     """(start, stop) of each chunk of the batch rows ``inputs``, on targets
-    of ``shape`` (K, d_1, ..., d_n).  A target of K * N <= CHUNK_AMPLITUDES
+    of ``shape`` (K, d_1, ..., d_n).  A chunk holds at most about
+    CHUNK_AMPLITUDES amplitudes.  A target of K * N <= CHUNK_AMPLITUDES
     amplitudes runs CHUNK_AMPLITUDES // (K * N) rows per chunk, whatever
-    their inputs.  A larger one climbs one input's rows per chunk, on its
-    shared target, CHUNK_AMPLITUDES // (K * H) at a time and at least one,
-    H the larger half environment of a sweep's top split (``_sweep_block``).
+    their inputs, on a per-row stack of targets.  A larger one is never
+    stacked: a chunk takes one input's rows, on its shared target,
+    CHUNK_AMPLITUDES // (K * H) at a time and at least one, H the larger
+    half environment of a sweep's top split (``_sweep_block``).
     """
     size, dims = math.prod(shape), shape[1:]
     if size <= CHUNK_AMPLITUDES:
@@ -346,7 +320,7 @@ def _runs(inputs):
 def _result(climbs: _Climbs, x) -> PmaxResult:
     """The best restart as the result for the state or density ``x``; the
     value is recomputed from the joint amplitudes of the argmax."""
-    best = climbs.best()
+    best = int(np.argmax(climbs.objective))
     argmax = ProductState(x.shape, tuple(f[best] for f in climbs.factors))
     e = product_amps(argmax.factors)
     value = x.expectation(e) if isinstance(x, DensityMatrix) else abs(complex(np.vdot(e, x.amps))) ** 2
@@ -364,12 +338,13 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     """``pmax_overlap`` of every state and ``pmax_mixed`` of every density
     in ``inputs``, in input order, with one config (or None) each in ``cfgs``.
 
-    Inputs of equal dims and K climb as rows of one batch, and a row's
-    arithmetic does not depend on its batch: each result equals the input's
-    own one-input call bit for bit, at a fraction of the per-call overhead.
-    An input whose restarts all undershoot its best basis product
-    (``_basis_start``) climbs once more, as one row on its own target, from
-    that basis state's one-hot product.
+    Inputs of equal dims, K, ``tol`` and ``max_sweeps`` climb as rows of one
+    batch, and a row's arithmetic does not depend on its batch: each result
+    equals the input's own one-input call bit for bit, at a fraction of the
+    per-call overhead.  An input whose restarts all end below its best
+    basis product (``_basis_start``; a row that vanished on its last sweep
+    reports 0.0) climbs once more from it, as restart R + 1, alone on its
+    own target, so its value is at least that product's weight.
     """
     inputs, cfgs = list(inputs), [cfg or OptimizerConfig() for cfg in cfgs]
     if len(inputs) != len(cfgs):
@@ -379,11 +354,8 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     climbs = _climb_all(targets, cfgs)
     for i, target in enumerate(targets):
         weight, basis = _basis_start(target)
-        if climbs[i].objective[climbs[i].best()] < weight - 1e-15:
-            # Every restart undershot the best basis product (a degenerate one
-            # reports 0.0): a climb from it cannot descend below it or vanish
-            # on nonzero input, so value >= max_x diag_x unconditionally.
-            climbs[i] = _join([climbs[i], _climb_rows(target, basis, [cfgs[i]])])
+        if climbs[i].objective.max() < weight - 1e-15:
+            climbs[i] = _join([climbs[i], _climb_rows(target, basis, cfgs[i])])
     return [_result(c, x) for c, x in zip(climbs, inputs)]
 
 

@@ -403,7 +403,7 @@ def product_amps(factors) -> np.ndarray:
     return amps
 
 
-def _contract_all_but(tensor: np.ndarray, factors, keep: slice = slice(0, 1)) -> np.ndarray:
+def _contract_all_but(tensor: np.ndarray, factors, keep: slice) -> np.ndarray:
     """Contract conj(factors[j]) onto every site axis but those in ``keep``, per row.
 
     ``factors[j]`` is an (R, d_j) stack with one row per member of a batch,

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -64,4 +65,55 @@ def optimizer_calls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "groverian" and hasattr(module, "pmax_overlap_many"):
             monkeypatch.setattr(module, "pmax_overlap_many", counted)
+    return calls
+
+
+@dataclass
+class ClimbCall:
+    """One ``product_opt._climb_rows`` call: its target, a copy of its
+    starting stacks and its config."""
+
+    target: np.ndarray
+    starts: list
+    cfg: object
+
+    @property
+    def rows(self):
+        return len(self.starts[0])
+
+    @property
+    def per_row(self):
+        """Whether the target is a stack with one block per row."""
+        return self.target.ndim > len(self.starts) + 1
+
+
+class ClimbCalls(list):
+    """The ``ClimbCall`` of every climb so far.  ``climbing`` is true while a
+    call runs, and ``edit(call, climbs)``, when set, may change each call's
+    returned climbs in place."""
+
+    climbing = False
+    edit = None
+
+
+@pytest.fixture
+def climb_calls(monkeypatch):
+    """Records every ``product_opt._climb_rows`` call in a ``ClimbCalls``."""
+    from groverian import product_opt
+
+    real, calls = product_opt._climb_rows, ClimbCalls()
+
+    def recorded(target, factors, cfg):
+        call = ClimbCall(target, [f.copy() for f in factors], cfg)
+        calls.append(call)
+        calls.climbing = True
+        try:
+            climbs = real(target, factors, cfg)
+        finally:
+            calls.climbing = False
+        if calls.edit is not None:
+            calls.edit(call, climbs)
+        return climbs
+
+    monkeypatch.setattr(product_opt, "_climb_rows", recorded)
     return calls

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from groverian import product_opt
 from groverian.cli import main
 from groverian.verify import (
     check_average_vs_overlap,
@@ -177,21 +176,14 @@ VERIFY_CHECKS = [
 ]
 
 
-def test_verify_suite_checks_and_batches(monkeypatch):
+def test_verify_suite_checks_and_batches(climb_calls):
     """Every check of the full suite passes, under its pinned name and
     tolerance, and the optimizer checks batch their inputs: the suite
     climbs in at most 100 batches (607 when each input ran alone)."""
-    real, batches = product_opt._climb_rows, []
-
-    def counted(target, factors, cfgs):
-        batches.append(len(factors[0]))
-        return real(target, factors, cfgs)
-
-    monkeypatch.setattr(product_opt, "_climb_rows", counted)
     results = run_suite("all", SEED)
     assert [(r.name, r.tolerance) for r in results] == VERIFY_CHECKS
     assert [r.name for r in results if not r.passed] == []
-    assert len(batches) <= 100
+    assert len(climb_calls) <= 100
 
 
 def test_verify_suite_draws_starts_from_one_stream_per_input(monkeypatch):

@@ -202,37 +202,48 @@ def collector_state():
 
 
 class TestParseWithCollectorPaused:
-    """The reader parses with the cyclic collector paused and puts it back
-    as it found it, on success and on every error."""
+    """The reader parses with the cyclic collector paused, keeps it paused
+    until the parsed document is dropped, and puts it back as it found it,
+    on success and on every error."""
 
-    def test_no_collection_during_parse(self, tmp_path, monkeypatch, collector_state):
-        path = tmp_path / "state.json"
-        save_state(random_state(SystemShape([2] * 14), 1), path)
-        real, events = json.loads, []
-
-        def parse(text):
-            events.append("parse")
-            doc = real(text)
-            events.append("parsed")
-            return doc
+    @staticmethod
+    def collections_in(fn):
+        """The generation of each collection that starts while ``fn()`` runs,
+        from an empty youngest generation."""
+        starts = []
 
         def record(phase, info):
             if phase == "start":
-                events.append(info["generation"])
+                starts.append(info["generation"])
 
-        gc.enable()
-        monkeypatch.setattr(fileio.json, "loads", parse)
+        gc.collect()
         gc.callbacks.append(record)
         try:
-            load_state(path)
-            during = events[events.index("parse") + 1 : events.index("parsed")]
-            events.clear()
-            real(path.read_text())  # the same parse with the collector running
+            fn()
         finally:
             gc.callbacks.remove(record)
-        assert during == []
-        assert events, "the same parse collects when the collector runs"
+        return starts
+
+    def assert_read_collects_nothing(self, path, load):
+        gc.enable()
+        assert self.collections_in(lambda: load(path)) == []
+        text = path.read_text()
+        assert self.collections_in(lambda: json.loads(text)), "a running collector collects"
         assert gc.isenabled()
+
+    def test_no_collection_during_parse(self, tmp_path, collector_state):
+        # None in the parse, and none once the collector resumes: the 2^14
+        # pair lists are gone by then, so no collection rescans them.
+        path = tmp_path / "state.json"
+        save_state(random_state(SystemShape([2] * 14), 1), path)
+        self.assert_read_collects_nothing(path, load_state)
+
+    def test_no_collection_during_density_read(self, tmp_path, collector_state):
+        shape = SystemShape([2] * 7)  # 2^14 entry pairs
+        amps = random_state(shape, 2).amps
+        path = tmp_path / "rho.json"
+        save_density(DensityMatrix(shape, np.outer(amps, amps.conj())), path)
+        self.assert_read_collects_nothing(path, load_density)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(

@@ -206,8 +206,8 @@ class TestPmaxOverlap:
         state = StateVector(two_qubits, np.array([1, -1, -1, 1]) / 2)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         start = [uniform_factor(2)[None] for _ in range(2)]
-        climbs = _climb_rows(state.tensor()[None], start, [cfg])
-        assert climbs.degenerate[0] and climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
+        climbs = _climb_rows(state.tensor()[None], start, cfg)
+        assert climbs.objective[0] == 0.0 and climbs.sweeps[0] == 1
         result = pmax_overlap(state, cfg)
         assert result.restarts_used == 2
         assert result.best_per_restart[0] == 0.0
@@ -630,7 +630,7 @@ def editing_middle_site(edit, calls):
     ``edit``."""
     real = product_opt._contract_all_but
 
-    def contract(tensor, factors, keep=slice(0, 1)):
+    def contract(tensor, factors, keep):
         v = real(tensor, factors, keep)
         calls.append((len(factors), keep))
         return edit(v.copy()) if len(calls) == 3 else v
@@ -645,8 +645,8 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     are unaffected."""
     cfg = OptimizerConfig(seed=9)
     starts = stacked([random_product(shape, 206 + i) for i in range(3)])
-    plain = _climb_rows(target, starts, [cfg] * 3)
-    restart = _climb_rows(target, _basis_start(target)[1], [cfg])
+    plain = _climb_rows(target, starts, cfg)
+    restart = _climb_rows(target, _basis_start(target)[1], cfg)
 
     def vanishing(v):
         v[list(vanish)] = 0.0
@@ -656,10 +656,10 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     monkeypatch.setattr(product_opt, "_contract_all_but", editing_middle_site(vanishing, calls))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        climbs = _climb_rows(target, starts, [cfg] * 3)
+        climbs = _climb_rows(target, starts, cfg)
 
     assert calls[:4] == THREE_SITE_CALLS
-    assert not climbs.degenerate.any()
+    assert (climbs.objective > 0.0).all()  # no row vanished on its last sweep
     for i in vanish:
         assert climbs.sweeps[i] == restart.sweeps[0] + 1
         assert climbs.objective[i] == restart.objective[0]
@@ -837,59 +837,49 @@ class TestBatchedAgainstSerial:
         assert result.restarts_used == used
         assert np.allclose(result.best_per_restart, per_restart, rtol=0, atol=1e-12)
 
-    def test_basis_floor_is_a_one_hot_start(self, monkeypatch):
+    @staticmethod
+    def undershooting(climb_calls):
+        """Makes the first climb's restarts all report 0.0."""
+
+        def edit(call, climbs):
+            if len(climb_calls) == 1:
+                climbs.objective[:] = 0.0
+
+        climb_calls.edit = edit
+
+    def test_basis_floor_is_a_one_hot_start(self, climb_calls):
         # When every scheduled restart undershoots the best basis product,
         # one more climb starts from that basis state's one-hot rows.
         shape = SystemShape([2, 3, 2])
         state = random_state(shape, 330)
-        real, starts, targets = product_opt._climb_rows, [], []
-
-        def undershooting(target, factors, cfgs):
-            starts.append([f.copy() for f in factors])
-            targets.append(target)
-            climbs = real(target, factors, cfgs)
-            if len(starts) == 1:
-                climbs.objective[:] = 0.0
-            return climbs
-
-        monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
+        self.undershooting(climb_calls)
         result = pmax_overlap(state, OptimizerConfig(restarts=3, seed=1))
         digits = np.unravel_index(int(np.argmax(state.probabilities())), shape.dims)
-        assert len(starts) == 2 and result.restarts_used == 4
-        for f, d, x in zip(starts[1], shape.dims, digits):
+        assert len(climb_calls) == 2 and result.restarts_used == 4
+        for f, d, x in zip(climb_calls[1].starts, shape.dims, digits):
             assert np.array_equal(f, np.eye(d)[[x]])
-        assert np.shares_memory(targets[1], state.amps)
+        assert np.shares_memory(climb_calls[1].target, state.amps)
         assert result.value >= float(state.probabilities().max())
 
-    def test_mixed_basis_floor_is_the_largest_diagonal_entry(self, monkeypatch):
+    def test_mixed_basis_floor_is_the_largest_diagonal_entry(self, climb_calls):
         # A Gaussian factor is not pivoted, so its first row's largest entry
         # need not sit at rho's largest diagonal entry.
         shape = SystemShape([2, 3, 2])
         rho = random_rank_density(shape, 3, 331)
         diag = np.real(np.diagonal(rho.entries))
         assert np.argmax(np.abs(rho.factor[0])) != np.argmax(diag)
-        real, starts, targets = product_opt._climb_rows, [], []
-
-        def undershooting(target, factors, cfgs):
-            starts.append([f.copy() for f in factors])
-            targets.append(target)
-            climbs = real(target, factors, cfgs)
-            if len(starts) == 1:
-                climbs.objective[:] = 0.0
-            return climbs
-
-        monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
+        self.undershooting(climb_calls)
         result = pmax_mixed(rho, OptimizerConfig(restarts=3, seed=1))
         digits = np.unravel_index(int(np.argmax(diag)), shape.dims)
-        assert len(starts) == 2 and result.restarts_used == 4
-        for f, d, x in zip(starts[1], shape.dims, digits):
+        assert len(climb_calls) == 2 and result.restarts_used == 4
+        for f, d, x in zip(climb_calls[1].starts, shape.dims, digits):
             assert np.array_equal(f, np.eye(d)[[x]])
-        assert np.shares_memory(targets[1], rho.factor)
+        assert np.shares_memory(climb_calls[1].target, rho.factor)
         assert result.value >= diag.max() - 1e-15
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
-    def test_chunks_match_one_batch(self, monkeypatch, chunk, mixed):
+    def test_chunks_match_one_batch(self, monkeypatch, climb_calls, chunk, mixed):
         # A chunk holds chunk * N * K amplitudes: K = 1 for the state, K = 2
         # for the rank-2 density.
         shape = SystemShape([2, 3, 2])
@@ -900,18 +890,12 @@ class TestBatchedAgainstSerial:
         run = (lambda: pmax_mixed(rho, cfg)) if mixed else (lambda: pmax_overlap(state, cfg))
         assert product_opt.CHUNK_AMPLITUDES >= cfg.restarts * size  # one batch
         whole = run()
-        real, batches = product_opt._climb_rows, []
-
-        def counted(target, factors, cfgs):
-            assert len(target) * shape.total == size
-            batches.append(len(factors[0]))
-            return real(target, factors, cfgs)
-
-        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        climb_calls.clear()
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk * size)
         chunked = run()
+        assert all(len(c.target) * shape.total == size for c in climb_calls)
         expected = {1: [1] * 7, 3: [3, 3, 1]}[chunk]
-        assert batches[: len(expected)] == expected
+        assert [c.rows for c in climb_calls[: len(expected)]] == expected
         assert chunked.restarts_used == whole.restarts_used
         assert np.allclose(chunked.best_per_restart, whole.best_per_restart, rtol=0, atol=1e-12)
 
@@ -931,13 +915,31 @@ def assert_same_result(a, b):
         assert np.array_equal(f, g)
 
 
+def held_target(x):
+    """The (K, d_1, ..., d_n) target the optimizer climbs for ``x``, a view
+    of the amplitudes or factor that ``x`` holds."""
+    block = x.factor if isinstance(x, DensityMatrix) else x.amps[None]
+    return block.reshape((len(block),) + x.shape.dims)
+
+
+def row_inputs(call, held):
+    """The index in ``held`` of each row's input in the ``ClimbCall``, found
+    by its target: a shared target's memory, or a stacked row's block."""
+    if not call.per_row:
+        return [next(i for i, h in enumerate(held) if np.shares_memory(call.target, h))] * call.rows
+    return [
+        next(i for i, h in enumerate(held) if h.shape == block.shape and np.array_equal(block, h))
+        for block in call.target
+    ]
+
+
 class TestManyInputs:
-    def test_batch_equals_one_by_one(self, two_qubits, three_qubits, monkeypatch):
-        # Inputs 0 and 1 share a chunk and differ in tol and sweep budget; the
-        # vanishing state climbs again from its own best basis product while
-        # the row ahead of it is another input's; both inputs seeded
-        # floor_seed take the basis-floor climb, which forces every scheduled
-        # restart of theirs to undershoot.
+    def test_batch_equals_one_by_one(self, two_qubits, three_qubits, monkeypatch, climb_calls):
+        # Inputs 0 and 1 differ in tol and sweep budget, so no chunk holds
+        # rows of both; the vanishing state climbs again from its own best
+        # basis product while the row ahead of it is another input's; both
+        # inputs seeded floor_seed take the basis-floor climb, which forces
+        # every scheduled restart of theirs to undershoot.
         floor_seed = 99
         vanishing = StateVector(two_qubits, np.array([-1, 1, -1, 1]) / 2)  # uniform start vanishes
         batch = [
@@ -953,64 +955,59 @@ class TestManyInputs:
             (random_state(three_qubits, 508), OptimizerConfig(restarts=3, seed=floor_seed)),
             (random_state(three_qubits, 509), OptimizerConfig(restarts=2, seed=floor_seed)),
         ]
-        real_climb, real_basis = product_opt._climb_rows, product_opt._basis_start
-        batches, restarted, floors, climbing = [], [], [], []
+        held = [held_target(x) for x, _ in batch]
+        floor_inputs = [i for i, (_, cfg) in enumerate(batch) if cfg.seed == floor_seed]
+        real_basis, restarted = product_opt._basis_start, []
 
-        def undershooting(target, factors, cfgs):
-            floor = one_hot(factors)
-            batches.append((target.ndim > len(factors) + 1, [c.seed for c in cfgs]))
-            if floor:
-                floors.append((target, len(factors[0])))
-            climbing.append(True)
-            climbs = real_climb(target, factors, cfgs)
-            climbing.pop()
-            for k, cfg in enumerate(cfgs):
-                if cfg.seed == floor_seed and not floor:
-                    climbs.objective[k] = 0.0
-            return climbs
+        def undershooting(call, climbs):
+            if not one_hot(call.starts):
+                for k, i in enumerate(row_inputs(call, held)):
+                    if i in floor_inputs:
+                        climbs.objective[k] = 0.0
 
         def recorded(block):
-            if climbing:  # a vanished row's restart, not the floor check
+            if climb_calls.climbing:  # a vanished row's restart, not the floor check
                 restarted.append(block)
             return real_basis(block)
 
-        monkeypatch.setattr(product_opt, "_climb_rows", undershooting)
+        climb_calls.edit = undershooting
         monkeypatch.setattr(product_opt, "_basis_start", recorded)
         # Three rows of a three-qubit state per chunk: the first input's five
-        # restarts split over two chunks, and the second chunk holds rows of
-        # two inputs on a per-row target.  A rank-2 density climbs a row at
-        # a time.
+        # restarts split over two chunks, and the [3, 2] states' second chunk
+        # holds rows of two inputs on a per-row target.  A rank-2 density
+        # climbs a row at a time.
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 24)
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
         assert restarted and all(np.array_equal(b, vanishing.tensor()[None]) for b in restarted)
-        assert any(per_row for per_row, _ in batches)
-        assert len(floors) == 2  # one one-row call per floor input, on its own target
-        for (target, rows), (x, cfg) in zip(floors, batch[-2:]):
-            assert rows == 1
-            assert np.shares_memory(target, x.amps)
-        assert sum(1 in seeds for _, seeds in batches) == 2  # input 0 spans two chunks
+        assert any(c.per_row for c in climb_calls)
+        rows_of = [row_inputs(c, held) for c in climb_calls]
+        for call, ins in zip(climb_calls, rows_of):
+            assert isinstance(call.cfg, OptimizerConfig)  # one config per call
+            budgets = {(batch[i][1].tol, batch[i][1].max_sweeps) for i in ins}
+            assert budgets == {(call.cfg.tol, call.cfg.max_sweeps)}
+        assert not any(0 in ins and 1 in ins for ins in rows_of)
+        floors = [(c, ins) for c, ins in zip(climb_calls, rows_of) if one_hot(c.starts)]
+        # one one-row call per floor input, on its own target
+        assert [ins for _, ins in floors] == [[i] for i in floor_inputs]
+        for call, (i,) in floors:
+            assert np.shares_memory(call.target, batch[i][0].amps)
+        assert sum(0 in ins for ins in rows_of) == 2  # input 0 spans two chunks
         assert [r.restarts_used for r in many[-2:]] == [4, 3]
 
         for (x, cfg), result in zip(batch, many, strict=True):
             one = pmax_mixed(x, cfg) if isinstance(x, DensityMatrix) else pmax_overlap(x, cfg)
             assert_same_result(result, one)
 
-    def test_state_and_its_one_row_density_share_a_chunk(self, three_qubits, monkeypatch):
+    def test_state_and_its_one_row_density_share_a_chunk(self, three_qubits, climb_calls):
         # Both targets are (1, 2, 2, 2), so the restarts of both inputs climb
         # as one chunk, and both equal the state's own call bit for bit.
         state = random_state(three_qubits, 510)
         rho = DensityMatrix.from_factor(three_qubits, state.amps[None])
         cfg = OptimizerConfig(restarts=4, seed=12)
         one = pmax_overlap(state, cfg)
-        real, batches = product_opt._climb_rows, []
-
-        def counted(target, factors, cfgs):
-            batches.append(len(factors[0]))
-            return real(target, factors, cfgs)
-
-        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        climb_calls.clear()
         many = pmax_overlap_many([state, rho], [cfg, cfg])
-        assert batches == [8]
+        assert [c.rows for c in climb_calls] == [8]
         for result in many:
             assert_same_result(result, one)
 
@@ -1043,7 +1040,7 @@ def vanishing_input(name):
 class TestBasisRestart:
     """A row whose contraction vanishes climbs again, from its next sweep,
     from its own input's best basis product (``_basis_start``), which
-    cannot vanish; with no sweep left it is degenerate."""
+    cannot vanish; with no sweep left it reports 0.0."""
 
     @staticmethod
     def run(x, cfg):
@@ -1054,9 +1051,9 @@ class TestBasisRestart:
         x, target, pmax = vanishing_input(name)
         cfg = OptimizerConfig(restarts=1, seed=8)
         uniform = [uniform_factor(2)[None] for _ in range(2)]
-        assert _climb_rows(target, uniform, [OptimizerConfig(max_sweeps=1)]).degenerate[0]
+        assert _climb_rows(target, uniform, OptimizerConfig(max_sweeps=1)).objective[0] == 0.0
         result = self.run(x, cfg)
-        restart = _climb_rows(target, _basis_start(target)[1], [cfg])
+        restart = _climb_rows(target, _basis_start(target)[1], cfg)
         assert abs(result.value - pmax) <= 1e-15
         assert result.restarts_used == 1
         assert result.best_per_restart == (restart.objective[0],)
@@ -1069,40 +1066,33 @@ class TestBasisRestart:
         x, target, pmax = vanishing_input(name)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         result = self.run(x, cfg)
-        floor = _climb_rows(target, _basis_start(target)[1], [cfg])
+        floor = _climb_rows(target, _basis_start(target)[1], cfg)
         assert result.restarts_used == 2  # restart R + 1 is the floor
         assert result.best_per_restart == (0.0, floor.objective[0])
         assert result.value >= _basis_start(target)[0] - 1e-15
         assert abs(result.value - pmax) <= 1e-15
 
-    def test_row_restarts_from_its_own_input_in_a_stacked_chunk(self, two_qubits, monkeypatch):
+    def test_row_restarts_from_its_own_input_in_a_stacked_chunk(
+        self, two_qubits, monkeypatch, climb_calls
+    ):
         # The chunk stacks two restarts of `first`, whose best basis product
         # is |01>, ahead of the vanishing input's one row, whose is |00>.
         first = StateVector(two_qubits, np.array([0.1, 0.9, 0.3, 0.3]))  # unit norm
         vanishing, target, _ = vanishing_input("plus-minus")
         cfgs = [OptimizerConfig(restarts=2, seed=3), OptimizerConfig(restarts=1, seed=4)]
         ones = [pmax_overlap(x, cfg) for x, cfg in zip((first, vanishing), cfgs)]
-        real_climb, real_basis = product_opt._climb_rows, product_opt._basis_start
-        stacked_rows, restarted, climbing = [], [], []
-
-        def recorded_climb(target, factors, cfgs):
-            if target.ndim == 4:
-                stacked_rows.append(len(factors[0]))
-            climbing.append(True)
-            climbs = real_climb(target, factors, cfgs)
-            climbing.pop()
-            return climbs
+        real_basis, restarted = product_opt._basis_start, []
 
         def recorded_basis(block):
-            if climbing:
+            if climb_calls.climbing:
                 restarted.append(block.copy())
             return real_basis(block)
 
-        monkeypatch.setattr(product_opt, "_climb_rows", recorded_climb)
+        climb_calls.clear()
         monkeypatch.setattr(product_opt, "_basis_start", recorded_basis)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 3 * 4)
         many = pmax_overlap_many([first, vanishing], cfgs)
-        assert stacked_rows == [3]
+        assert [c.rows for c in climb_calls if c.target.ndim == 4] == [3]
         assert len(restarted) == 1 and np.array_equal(restarted[0], target)
         assert not np.array_equal(restarted[0], first.tensor()[None])
         assert np.array_equal(real_basis(target)[1][1], [[1, 0]])
@@ -1124,27 +1114,23 @@ class TestStartStreams:
     inputs that share its batch."""
 
     @pytest.mark.parametrize("case", start_stream_cases(), ids=lambda c: c[0])
-    def test_starts_do_not_depend_on_chunking(self, monkeypatch, case):
+    def test_starts_do_not_depend_on_chunking(self, monkeypatch, climb_calls, case):
         x = case[1]
         cfg = OptimizerConfig(restarts=9, seed=23)
         run = pmax_mixed if isinstance(x, DensityMatrix) else pmax_overlap
-        real, batches = product_opt._climb_rows, []
-
-        def counted(target, factors, cfgs):
-            batches[-1].append(len(factors[0]))
-            return real(target, factors, cfgs)
-
-        monkeypatch.setattr(product_opt, "_climb_rows", counted)
-        results = []
+        results, batches = [], []
         for chunk in (1, 2**4, product_opt.CHUNK_AMPLITUDES):
             monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk)
-            batches.append([])
+            climb_calls.clear()
             results.append(run(x, cfg))
+            batches.append([c.rows for c in climb_calls])
         assert batches[0][:9] == [1] * 9 and batches[2][0] == 9
         for result in results[1:]:
             assert_same_result(result, results[0])
 
-    def test_batch_equals_one_by_one_under_small_chunk(self, monkeypatch, three_qubits):
+    def test_batch_equals_one_by_one_under_small_chunk(
+        self, monkeypatch, climb_calls, three_qubits
+    ):
         # Inputs 0, 1 and 5 share chunks of two rows, and inputs 0 and 5
         # share a seed but not a stream.
         batch = [
@@ -1159,16 +1145,10 @@ class TestStartStreams:
             pmax_mixed(x, cfg) if isinstance(x, DensityMatrix) else pmax_overlap(x, cfg)
             for x, cfg in batch
         ]
-        real, per_row = product_opt._climb_rows, []
-
-        def counted(target, factors, cfgs):
-            per_row.append(target.ndim > len(factors) + 1)
-            return real(target, factors, cfgs)
-
-        monkeypatch.setattr(product_opt, "_climb_rows", counted)
+        climb_calls.clear()
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 2**4)
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
-        assert any(per_row)
+        assert any(c.per_row for c in climb_calls)
         for result, one in zip(many, ones, strict=True):
             assert_same_result(result, one)
 
@@ -1179,26 +1159,14 @@ class TestSharedTargetChunks:
     a time, H the larger half environment of a sweep's top split; a smaller
     one keeps CHUNK_AMPLITUDES // (K * N) rows per chunk."""
 
-    @staticmethod
-    def recorded(monkeypatch):
-        real, calls = product_opt._climb_rows, []
-
-        def counted(target, factors, cfgs):
-            calls.append((target, len(factors[0])))
-            return real(target, factors, cfgs)
-
-        monkeypatch.setattr(product_opt, "_climb_rows", counted)
-        return calls
-
-    def test_large_state_climbs_its_restarts_together(self, monkeypatch):
+    def test_large_state_climbs_its_restarts_together(self, climb_calls):
         # 2^17 amplitudes pass CHUNK_AMPLITUDES, but a row holds only 2^9
         # amplitude half environments, so all five rows share one chunk.
         state = random_state(SystemShape([2] * 17), 630)
         assert state.shape.total > product_opt.CHUNK_AMPLITUDES
-        calls = self.recorded(monkeypatch)
         result = pmax_overlap(state, OptimizerConfig(restarts=5, max_sweeps=3, seed=4))
-        assert [rows for _, rows in calls] == [5]
-        assert np.shares_memory(calls[0][0], state.amps)
+        assert [c.rows for c in climb_calls] == [5]
+        assert np.shares_memory(climb_calls[0].target, state.amps)
         assert result.restarts_used == 5
 
     @pytest.mark.parametrize(
@@ -1213,25 +1181,26 @@ class TestSharedTargetChunks:
         ],
         ids=["2x6-state", "rank-2-2x3", "rank-2-2x4"],
     )
-    def test_chunks_of_half_environment_size(self, monkeypatch, make, chunk_amplitudes, rows):
+    def test_chunks_of_half_environment_size(
+        self, monkeypatch, climb_calls, make, chunk_amplitudes, rows
+    ):
         x = make()
         run = pmax_mixed if isinstance(x, DensityMatrix) else pmax_overlap
         held = x.factor if isinstance(x, DensityMatrix) else x.amps
         cfg = OptimizerConfig(restarts=7, seed=24)
         assert chunk_amplitudes < len(held.reshape(-1))  # below K * N
-        calls = self.recorded(monkeypatch)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", chunk_amplitudes)
         chunked = run(x, cfg)
         expected = [rows] * (7 // rows) + [7 % rows] * (7 % rows > 0)
-        assert [n for _, n in calls[: len(expected)]] == expected
-        assert all(np.shares_memory(target, held) for target, _ in calls)
+        assert [c.rows for c in climb_calls[: len(expected)]] == expected
+        assert all(np.shares_memory(c.target, held) for c in climb_calls)
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 1)
-        calls.clear()
+        climb_calls.clear()
         one_row = run(x, cfg)
-        assert all(n == 1 for _, n in calls)
+        assert all(c.rows == 1 for c in climb_calls)
         assert_same_result(chunked, one_row)
 
-    def test_large_inputs_never_share_a_stack(self, monkeypatch):
+    def test_large_inputs_never_share_a_stack(self, monkeypatch, climb_calls):
         # Two 64-amplitude states pass CHUNK_AMPLITUDES = 32 and climb on
         # their own targets, four rows a chunk; the 8-amplitude state keeps
         # the per-row rule, and its chunks spanning inputs are stacks.
@@ -1243,15 +1212,16 @@ class TestSharedTargetChunks:
             (random_state(SystemShape([2, 2, 2]), 637), OptimizerConfig(restarts=2, seed=44)),
         ]
         ones = [pmax_overlap(x, cfg) for x, cfg in batch]
-        calls = self.recorded(monkeypatch)
+        climb_calls.clear()
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 32)
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
-        large = [(n, t) for t, n in calls if t.shape[-6:] == six.dims]
+        large = [(c.rows, c.target) for c in climb_calls if c.target.shape[-6:] == six.dims]
         assert [n for n, _ in large[:4]] == [4, 1, 4, 2]
         for _, target in large:
             assert target.ndim == 7  # shared (K, d_1, ..., d_6), never stacked
             assert any(np.shares_memory(target, x.amps) for x, _ in batch[::2])
-        stacks = [t for t, _ in calls if t.ndim > 4 and t.shape[-6:] != six.dims]
+        small = [c.target for c in climb_calls if c.target.shape[-6:] != six.dims]
+        stacks = [t for t in small if t.ndim > 4]
         assert stacks and all(t.size <= 32 for t in stacks)
         for result, one in zip(many, ones, strict=True):
             assert_same_result(result, one)

@@ -345,7 +345,8 @@ def contract_site(state, factors, j):
     (0-based) moved to the front: the environment of site j."""
     order = [j] + [i for i in range(state.shape.n) if i != j]
     tensor = state.tensor().transpose(order)[None]
-    return _contract_all_but(tensor, [np.asarray(factors[i])[None] for i in order])[0, 0]
+    stacks = [np.asarray(factors[i])[None] for i in order]
+    return _contract_all_but(tensor, stacks, slice(0, 1))[0, 0]
 
 
 class TestPartialContract:
@@ -385,7 +386,7 @@ class TestPartialContract:
         factors = [np.array(fs) for fs in zip(*(p.factors for p in products))]
         per_row = np.array([[s.tensor() for s in block] for block in blocks])
         for tensor, row_blocks in ((per_row[0], [blocks[0]] * 3), (per_row, blocks)):
-            v = _contract_all_but(tensor, factors)
+            v = _contract_all_but(tensor, factors, slice(0, 1))
             assert v.shape == (3, 2, dims[0])
             for r, p in enumerate(products):
                 for k, state in enumerate(row_blocks[r]):
