@@ -407,12 +407,14 @@ def _grid_candidates(resolution: int) -> np.ndarray:
 
 
 def _top_sigma_sq_2x2(m: np.ndarray) -> np.ndarray:
-    """Largest squared singular value of a batch of 2x2 matrices: the top
+    """Largest squared singular value of the 2x2 matrices m[:, :, k]: the top
     eigenvalue of m m^+ = [[p, q], [q*, r]], (p + r)/2 + sqrt(((p - r)/2)^2
-    + |q|^2), which keeps full precision for nearly equal singular values."""
-    rows = (np.abs(m) ** 2).sum(axis=-1)
-    p, r = rows[..., 0], rows[..., 1]
-    q = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1)
+    + |q|^2), which keeps full precision for nearly equal singular values.
+    conj(q) is built from views, not as x * y.conj(), which numpy computes
+    in place when large, rounding unlike a small batch."""
+    p, r = (np.abs(m) ** 2).sum(axis=1)
+    top = m[0].conj()
+    q = top[0] * m[1, 0] + top[1] * m[1, 1]
     return (p + r) / 2.0 + np.sqrt(((p - r) / 2.0) ** 2 + np.abs(q) ** 2)
 
 
@@ -425,8 +427,9 @@ def pmax_grid_oracle(state: StateVector, resolution: int) -> float:
     squared singular value for two sites.  The value is attained by a
     product state, so it is a lower bound on P_max independent of the
     sweeps, and at least the full-grid maximum at the same resolution.
-    Resolutions past 2^14 are refused: their (R^2, 2, 2) remainder would
-    pass MAX_TOTAL_DIM entries.
+    Resolutions past 2^14 are refused: their (2, 2, R^2) remainder would
+    pass MAX_TOTAL_DIM entries.  Site 1 is contracted without BLAS, which
+    threads this skinny product at a CPU cost far above its gain.
     """
     shape = state.shape
     if any(d != 2 for d in shape.dims):
@@ -436,7 +439,9 @@ def pmax_grid_oracle(state: StateVector, resolution: int) -> float:
     resolution = _index(resolution, "resolution", OutOfRange)
     if resolution < MIN_GRID_RESOLUTION or 4 * resolution**2 > MAX_TOTAL_DIM:
         raise OutOfRange(f"resolution must be in [{MIN_GRID_RESOLUTION}, 2^14]")
-    rest = np.tensordot(_grid_candidates(resolution).conj(), state.tensor(), axes=([1], [0]))
+    c, t = np.conj(_grid_candidates(resolution).T, order="C"), state.amps.reshape(2, -1, 1)
+    rest = t[0] * c[0]
+    rest += t[1] * c[1]
     if shape.n == 3:
-        return float(_top_sigma_sq_2x2(rest).max())
-    return float((np.abs(rest.reshape(len(rest), -1)) ** 2).sum(axis=1).max())
+        return float(_top_sigma_sq_2x2(rest.reshape(2, 2, -1)).max())
+    return float((np.abs(rest) ** 2).sum(axis=0).max())

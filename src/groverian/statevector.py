@@ -149,7 +149,7 @@ class StateVector:
                 f"expected {self.shape.total} amplitudes, got {amps.size}"
             )
         with np.errstate(over="ignore"):  # an overflowed norm is refused below
-            norm = float(np.linalg.norm(amps))
+            norm = math.sqrt(amps.view(np.float64) @ amps.view(np.float64))
         if norm < ZERO_NORM_TOL:
             raise ZeroVector("state vector has zero norm")
         if not abs(norm - 1.0) <= CONSTRUCT_TOL:
@@ -158,7 +158,7 @@ class StateVector:
                 raise NotNormalized("state has a non-finite amplitude")
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-8")
         if abs(norm - 1.0) > NORM_DRIFT_TOL:
-            amps = amps / norm
+            amps = amps / np.linalg.norm(amps)
         object.__setattr__(self, "amps", _private(amps, self.amps))
 
     def tensor(self) -> np.ndarray:
@@ -529,7 +529,7 @@ def _complex_normals(rng: np.random.Generator, count: int) -> np.ndarray:
 def random_state(shape: SystemShape, seed) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
     z = _complex_normals(np.random.default_rng(seed), shape.total)
-    z /= np.linalg.norm(z)
+    z *= 1.0 / np.linalg.norm(z)
     return StateVector(shape, _readonly(z))
 
 
