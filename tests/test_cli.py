@@ -1201,7 +1201,8 @@ BAD_DIMS = st.one_of(
 
 @st.composite
 def bad_input_files(draw):
-    """A state or density document for dims [2] with exactly one defect."""
+    """A state or density document for dims [2] with exactly one defect, as
+    ``json.dumps`` or the file writers lay it out."""
     key = draw(st.sampled_from(["amps", "rho"]))
     if key == "amps":
         pairs = [[0.6, 0.0], [0.0, 0.8]]
@@ -1222,7 +1223,22 @@ def bad_input_files(draw):
     else:
         doc["dims"] = draw(BAD_DIMS)
     flag = "--state" if key == "amps" else "--mixed"
-    return flag, json.dumps(doc)
+    return flag, draw(st.sampled_from([json.dumps, _writer_layout]))(doc)
+
+
+def _writer_layout(doc):
+    """``doc`` in the layout the file writers emit, each finite float as
+    ``format_float`` writes it, so the reader's direct decoder meets the defect."""
+
+    def number(v):
+        return format_float(v) if isinstance(v, float) and math.isfinite(v) else json.dumps(v)
+
+    (key, pairs), = [(k, v) for k, v in doc.items() if k != "dims"]
+    if isinstance(pairs, list) and pairs and all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        value = "[\n    " + ",\n    ".join(f"[{number(a)}, {number(b)}]" for a, b in pairs) + "\n  ]"
+    else:
+        value = json.dumps(pairs)
+    return f'{{\n  "dims": {json.dumps(doc["dims"])},\n  "{key}": {value}\n}}\n'
 
 
 def _main_quietly(argv):
