@@ -11,7 +11,12 @@ against the layout with vectorized compares, makes each mantissa an exact
 double-double, multiplies it by a double-double power of ten (Dekker's
 product, no FMA) and rounds once, within about 2^-102 of the exact value.  A
 result within 2^-98 of a rounding boundary, or an exponent past 250, is read
-by ``float(token)``, so the result is bit-identical to the JSON route.  Any
+by ``float(token)``, so the result is bit-identical to the JSON route.  It
+makes one pass over the pairs in pieces of at most ``_CHUNK`` lines, each
+piece's newlines found within it, so it holds the file, the output and a
+fixed per-piece allowance: about 3 MiB, under 7 MiB on a piece of short
+lines it declines.  The output is allocated only once the file's size
+leaves room for its pairs at 54 bytes a line.  Any
 other bytes go to ``json.loads``, which reads the whole schema and words each
 error.  That reader turns the pairs into numbers with one ``np.array(pairs,
 dtype=np.float64)`` and views the (count, 2) result as complex128; an entry is
@@ -141,7 +146,8 @@ def _parse_dims(doc, path) -> SystemShape:
     return SystemShape(dims)
 
 
-_CHUNK = 1 << 13  # pairs decoded at a time: 2^14 numbers keep temporaries L2-sized
+_CHUNK = 1 << 13  # most lines in a piece: 2^14 numbers keep temporaries L2-sized
+_LINE = 54  # bytes in the shortest pair line: "    [", two 22-byte tokens, ", ", "],\n"
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
 
@@ -222,29 +228,29 @@ def _decode_canonical(path, key: str, power: int):
         header = f'{{\n  "dims": {dims},\n  "{key}": [\n'.encode()
     except (IndexError, ValueError):
         return None
-    count = math.prod(dims) ** power
-    if bytes(buf[: len(header)]) != header:
+    count, at, stop = math.prod(dims) ** power, len(header), size - 5
+    if bytes(buf[:at]) != header or bytes(buf[size - 7 : size]) != b"\n  ]\n}\n":
         return None
-    newline = buf[:size] == 10
-    if np.count_nonzero(newline) != count + 5:  # so count < size before any count-sized array
+    if not 0 <= count <= (stop - at) // _LINE:  # before the count-sized output
         return None
-    lines = np.flatnonzero(newline)
-    if bytes(buf[lines[-3] : size]) != b"\n  ]\n}\n":
-        return None
-    starts, commas = lines[2:-3] + 1, np.append(lines[3:-3] - 1, lines[-3])
-    buf[lines[-3]] = 44  # the last pair's line ends without a comma: give it one
+    buf[size - 7 : stop] = (44, 10)  # the last pair's line ends ",\n" like the others
     windows = np.ndarray((size + 33,), "V32", buf, strides=(1,))
     out = np.empty((count, 2))
-    for at in range(0, count, _CHUNK):
-        s, comma = starts[at : at + _CHUNK], commas[at : at + _CHUNK]
-        re = _decode_numbers(buf, windows, s + 5, (b"\n    [", b"    [-"))
+    row = 0
+    while at < stop:
+        newlines = np.flatnonzero(buf[at : min(at + _CHUNK * _LINE, stop)] == 10) + at
+        if not 0 < newlines.size <= min(_CHUNK, count - row):  # a short line, or too many
+            return None
+        starts, commas = np.append(at, newlines[:-1] + 1), newlines - 1
+        re = _decode_numbers(buf, windows, starts + 5, (b"\n    [", b"    [-"))
         if re is None or not ((buf[re[1]] == 44) & (buf[re[1] + 1] == 32)).all():
             return None
         im = _decode_numbers(buf, windows, re[1] + 2, (bytes(6), bytes(6)))
-        if im is None or not ((im[1] + 1 == comma) & (buf[im[1]] == 93) & (buf[comma] == 44)).all():
+        if im is None or not ((im[1] + 1 == commas) & (buf[im[1]] == 93) & (buf[commas] == 44)).all():
             return None
-        out[at : at + _CHUNK, 0], out[at : at + _CHUNK, 1] = re[0], im[0]
-    return dims, out
+        out[row : row + newlines.size, 0], out[row : row + newlines.size, 1] = re[0], im[0]
+        row, at = row + newlines.size, newlines[-1] + 1
+    return (dims, out) if row == count else None
 
 
 def _read(path, key: str, power: int) -> tuple[SystemShape, np.ndarray]:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_bits
+from conftest import same_bits, traced_peak
 from groverian import (
     DensityMatrix,
     StateVector,
@@ -23,11 +23,11 @@ from groverian.cli import main
 from groverian.errors import GroverianError
 
 
-def canonical_text(tokens):
+def canonical_text(tokens, key="amps"):
     """``tokens``, two to a line, in the layout ``_write_pairs`` emits, under
     dims that ``_decode_canonical`` takes at their word: one site per pair."""
     body = ",\n    ".join(f"[{a}, {b}]" for a, b in zip(tokens[::2], tokens[1::2]))
-    return f'{{\n  "dims": [{len(tokens) // 2}],\n  "amps": [\n    {body}\n  ]\n}}\n'
+    return f'{{\n  "dims": [{len(tokens) // 2}],\n  "{key}": [\n    {body}\n  ]\n}}\n'
 
 
 def token(negative, mantissa, exponent):
@@ -36,11 +36,11 @@ def token(negative, mantissa, exponent):
     return f"{'-' if negative else ''}{digits[0]}.{digits[1:]}e{sign}{abs(exponent):02d}"
 
 
-def assert_float_exact(tmp_path, tokens):
+def assert_float_exact(tmp_path, tokens, key="amps"):
     tokens = tokens + ["0.0000000000000000e+00"] * (len(tokens) % 2)
     path = tmp_path / "tokens.json"
-    path.write_text(canonical_text(tokens))
-    decoded = fileio._decode_canonical(path, "amps", 1)
+    path.write_text(canonical_text(tokens, key))
+    decoded = fileio._decode_canonical(path, key, 1)
     assert decoded is not None, "the decoder declined a file in the writers' layout"
     got = decoded[1].reshape(-1)
     want = np.array([float(t) for t in tokens])
@@ -109,6 +109,92 @@ class TestExactness:
         assert_float_exact(tmp_path, [f"{s[0]}.{s[1:]}0e+15" for s in ties])
 
 
+def piece_tokens(count, layout, seed):
+    """Two tokens per pair for ``count`` pairs.  "shortest" makes every line
+    the shortest pair line, so each piece holds exactly ``_CHUNK`` of them;
+    "mixed" draws signs and exponents from -300 to 300, 3-digit ones too."""
+    rng = np.random.default_rng(seed)
+    mantissa = rng.integers(0, 10**17, 2 * count)
+    if layout == "shortest":
+        negative, exponent = np.zeros(2 * count, int), rng.integers(-99, 100, 2 * count)
+    else:
+        negative, exponent = rng.integers(0, 2, 2 * count), rng.integers(-300, 301, 2 * count)
+    return list(map(token, negative, mantissa, exponent))
+
+
+PIECE_COUNTS = [fileio._CHUNK - 1, fileio._CHUNK, fileio._CHUNK + 1, 3 * fileio._CHUNK + 7]
+
+
+class TestPieces:
+    """Pairs on either side of a piece boundary decode like all others."""
+
+    @pytest.mark.parametrize("key", ["amps", "rho"])
+    @pytest.mark.parametrize("layout", ["shortest", "mixed"])
+    @pytest.mark.parametrize("count", PIECE_COUNTS)
+    def test_decodes_like_float(self, tmp_path, key, layout, count):
+        tokens = piece_tokens(count, layout, count)
+        if layout == "shortest":
+            text = canonical_text(tokens, key)
+            assert len(text) == text.index("[\n") + 2 + count * fileio._LINE + 5
+        assert_float_exact(tmp_path, tokens, key)
+
+    # Offsets into a shortest pair line "    [A, B],\n": A's "e", the comma
+    # between the numbers, the comma that ends the line, the newline.
+    @pytest.mark.parametrize("key", ["amps", "rho"])
+    @pytest.mark.parametrize(
+        "offset, old, new", [(23, "e", "E"), (27, ",", ";"), (52, ",", " "), (53, "\n", " ")]
+    )
+    def test_mutated_middle_piece_declines(self, tmp_path, monkeypatch, key, offset, old, new):
+        text = canonical_text(piece_tokens(3 * fileio._CHUNK + 7, "shortest", 5), key)
+        # Pieces hold _CHUNK shortest lines each; the second one's last line:
+        at = text.index("[\n") + 2 + (2 * fileio._CHUNK - 1) * fileio._LINE + offset
+        assert text[at] == old
+        path = tmp_path / "mutated.json"
+        path.write_text(text[:at] + new + text[at + 1 :])
+        assert_declined_as_json_reads(monkeypatch, path, key)
+
+    def test_fewer_lines_than_dims_declines(self, tmp_path, monkeypatch):
+        # 58-byte lines: 100 of them pass the size bound for 101 pairs.
+        rng = np.random.default_rng(8)
+        mantissa, exponent = rng.integers(0, 10**17, 200), rng.integers(-250, -99, 200)
+        tokens = [token(True, m, e) for m, e in zip(mantissa, exponent)]
+        text = canonical_text(tokens).replace('"dims": [100]', '"dims": [101]')
+        assert len(text) - text.index("[\n") - 2 - 5 >= 101 * fileio._LINE
+        path = tmp_path / "short.json"
+        path.write_text(text)
+        assert_declined_as_json_reads(monkeypatch, path, "amps")
+
+    def test_short_lines_decline_before_decoding(self, tmp_path):
+        # 16-byte lines: the first piece holds 3.4 * _CHUNK newlines, under
+        # the dims' count, which the file's bytes leave room for.
+        lines = 12 * fileio._CHUNK
+        count = lines * 16 // fileio._LINE
+        body = ",\n".join(["    [0.5, 0.5]"] * lines)
+        path = tmp_path / "short-lines.json"
+        path.write_text(f'{{\n  "dims": [{count}],\n  "amps": [\n{body}\n  ]\n}}\n')
+        declined, peak = traced_peak(lambda: fileio._decode_canonical(path, "amps", 1))
+        assert declined is None
+        assert peak < path.stat().st_size + 16 * count + 2**20
+
+
+def read_outcome(path, key):
+    """What ``_read`` gives with one pair per site: the dims and entry bits,
+    or the error's type and text."""
+    try:
+        shape, entries = fileio._read(path, key, 1)
+    except GroverianError as exc:
+        return type(exc), str(exc)
+    return shape.dims, entries.view(np.uint64).tobytes()
+
+
+def assert_declined_as_json_reads(monkeypatch, path, key):
+    """The decoder declines ``path``, and reading it gives the JSON route's outcome."""
+    assert fileio._decode_canonical(path, key, 1) is None
+    direct = read_outcome(path, key)
+    json_route(monkeypatch)
+    assert direct == read_outcome(path, key)
+
+
 def json_route(monkeypatch):
     monkeypatch.setattr(fileio, "_decode_canonical", lambda path, key, power: None)
 
@@ -157,6 +243,8 @@ MUTATIONS = {
     "truncated": lambda t, key: t[:-12],
     "wrong-count": lambda t, key: t[: t.rindex(",\n")] + "\n  ]\n}\n",
     "over-cap": lambda t, key: t.replace('"dims": [', '"dims": [1073741824, ', 1),
+    # 2^20 pairs declared, under the cap, and a few held
+    "inflated-dims": lambda t, key: t.replace('"dims": [', f'"dims": [{2**17 if key == "amps" else 2**8}, ', 1),
     "space-for-comma": lambda t, key: rreplace(t, "],\n", "] \n"),
     "tab-after-comma": lambda t, key: rreplace(t, ", ", ",\t"),
     "space-before-comma": lambda t, key: rreplace(t, "],\n", "] ,\n"),
@@ -164,6 +252,7 @@ MUTATIONS = {
     "paren": lambda t, key: rreplace(t, "]\n  ]", ")\n  ]"),
     "exponent-sign": lambda t, key: rreplace(t, "e+", "e*"),
     "other-key": lambda t, key: t.replace(f'"{key}"', '"rho"' if key == "amps" else '"amps"'),
+    "closing-brace": lambda t, key: rreplace(t, "}", ")"),
 }
 
 
@@ -177,7 +266,10 @@ class TestFallback:
         path = tmp_path / "mutated.json"
         path.write_bytes(MUTATIONS[mutation](text, key).encode())
         assert path.read_bytes() != text.encode()
-        assert fileio._decode_canonical(path, key, 1 if kind == "state" else 2) is None
+        power = 1 if kind == "state" else 2
+        declined, peak = traced_peak(lambda: fileio._decode_canonical(path, key, power))
+        assert declined is None
+        assert peak < 2**20  # no count-sized array before the bytes are known to hold it
         direct = outcome(load, path), cli_outcome(capsys, flag, path)
         json_route(monkeypatch)
         assert direct == (outcome(load, path), cli_outcome(capsys, flag, path))
@@ -193,6 +285,17 @@ class TestFallback:
 
 def pure_density(state):
     return DensityMatrix(state.shape, np.outer(state.amps, state.amps.conj()))
+
+
+class TestMemory:
+    def test_reader_holds_file_output_and_one_piece(self, tmp_path):
+        n = 1 << 17
+        state = random_state(SystemShape([2] * 17), 6)
+        path = tmp_path / "wide.json"
+        save_state(state, path)
+        loaded, peak = traced_peak(lambda: load_state(path))
+        assert same_bits(loaded.amps, state.amps)
+        assert peak <= path.stat().st_size + 16 * n + 4 * 2**20
 
 
 class TestWriterReaderContract:

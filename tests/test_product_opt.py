@@ -249,6 +249,16 @@ def tensordot_reference(state, resolution):
     return float((np.abs(rest.reshape(len(rest), -1)) ** 2).sum(axis=1).max())
 
 
+def one_block_oracle(state, resolution):
+    """The grid oracle's rule over every candidate in one block."""
+    c, t = np.conj(_grid_candidates(resolution).T, order="C"), state.amps.reshape(2, -1, 1)
+    rest = t[0] * c[0]
+    rest += t[1] * c[1]
+    if state.shape.n == 3:
+        return float(_top_sigma_sq_2x2(rest.reshape(2, 2, -1)).max())
+    return float((np.abs(rest) ** 2).sum(axis=0).max())
+
+
 # Prints the oracle's values, as float.hex(), for random 2- and 3-qubit
 # states at resolutions 128 and 256.
 ORACLE_HEX_SCRIPT = """
@@ -312,6 +322,15 @@ class TestGridOracle:
             for resolution in (32, 64, 128):
                 value = pmax_grid_oracle(state, resolution)
                 assert abs(value - tensordot_reference(state, resolution)) <= 1e-15
+
+    def test_blocks_equal_one_block(self, three_qubits):
+        states = [random_state(SystemShape([2] * n), 140 + i) for n in (1, 2, 3) for i in range(16)]
+        states += grid_test_states(three_qubits)
+        assert len(states) >= 50
+        for state in states:
+            for resolution in (64, 128, 256):
+                value = pmax_grid_oracle(state, resolution)
+                assert value.hex() == one_block_oracle(state, resolution).hex()
 
     def test_same_bits_under_one_and_two_blas_threads(self):
         # One child process per thread count, the two running at once.
