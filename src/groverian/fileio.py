@@ -14,14 +14,15 @@ result within 2^-98 of a rounding boundary, or an exponent past 250, is read
 by ``float(token)``, so the result is bit-identical to the JSON route.  It
 makes one pass over the pairs in pieces of at most ``_CHUNK`` lines, each
 piece's newlines found within it, so it holds the file, the output and a
-fixed per-piece allowance: about 3 MiB, under 7 MiB on a piece of short
-lines it declines.  The output is allocated only once the file's size
-leaves room for its pairs at 54 bytes a line.  Any
-other bytes go to ``json.loads``, which reads the whole schema and words each
-error.  That reader turns the pairs into numbers with one ``np.array(pairs,
-dtype=np.float64)`` and views the (count, 2) result as complex128; an entry is
-whatever ``float`` accepts (a number, a numeric string or a boolean).  ``null``
-reads as NaN, which the state and density constructors refuse.
+fixed per-piece allowance: about 3 MiB, under 0.5 MiB on a piece of short
+lines it declines, as it counts a piece's newlines before indexing them.
+The output is allocated only once the file's size leaves room for its pairs
+at 54 bytes a line.  Any other bytes go to ``json.loads``, which reads the
+whole schema and words each error.  That reader turns the pairs into numbers
+with one ``np.array(pairs, dtype=np.float64)`` and views the (count, 2)
+result as complex128; an entry is whatever ``float`` accepts (a number, a
+numeric string or a boolean).  ``null`` reads as NaN, which the state and
+density constructors refuse.
 
 A file is read with the cyclic garbage collector paused, from the parse
 until the parsed document is dropped, and restored as it was on every exit.
@@ -238,9 +239,11 @@ def _decode_canonical(path, key: str, power: int):
     out = np.empty((count, 2))
     row = 0
     while at < stop:
-        newlines = np.flatnonzero(buf[at : min(at + _CHUNK * _LINE, stop)] == 10) + at
-        if not 0 < newlines.size <= min(_CHUNK, count - row):  # a short line, or too many
+        newlines = buf[at : min(at + _CHUNK * _LINE, stop)] == 10
+        if not 0 < np.count_nonzero(newlines) <= min(_CHUNK, count - row):  # a short line, or too many
             return None
+        newlines = np.flatnonzero(newlines)  # the mask is freed before the decode
+        newlines += at
         starts, commas = np.append(at, newlines[:-1] + 1), newlines - 1
         re = _decode_numbers(buf, windows, starts + 5, (b"\n    [", b"    [-"))
         if re is None or not ((buf[re[1]] == 44) & (buf[re[1] + 1] == 32)).all():

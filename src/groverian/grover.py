@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, OutOfRange
 from .statevector import (
     MAX_TOTAL_DIM,
     StateVector,
@@ -90,8 +90,8 @@ def grover_iterate(oracle: OracleSpec, state: StateVector) -> StateVector:
 def iteration_bound(total: int, r: int) -> int:
     """Upper bound ceil(pi/4 * sqrt(N/r)) on the optimal iteration count."""
     total, r = _index(total, "total dimension"), _index(r, "marked count")
-    if r < 1:
-        raise DimensionMismatch(f"marked count must be >= 1, got {r}")
+    if not 1 <= r <= total:
+        raise DimensionMismatch(f"marked count must lie in 1..{total}, got {r}")
     return math.ceil(math.pi / 4.0 * math.sqrt(total / r))
 
 
@@ -164,8 +164,11 @@ def pmax_simulated(shape: SystemShape, pmax: float) -> float:
     mean of its squared modulus over s is affine in pmax.  Unitarity
     (|a|^2 + (N-1)|b|^2 = 1) fixes the value 1/N at pmax = 1/N, and a product
     input is the uniform start, whose success P_N fixes the value at 1:
-    f(pmax) = 1/N + (pmax - 1/N)(P_N - 1/N)/(1 - 1/N), in O(sqrt(N)).
+    f(pmax) = 1/N + (pmax - 1/N)(P_N - 1/N)/(1 - 1/N), in O(sqrt(N)).  A
+    pmax outside [0, 1], or NaN, is refused.
     """
+    if not 0.0 <= pmax <= 1.0:
+        raise OutOfRange(f"pmax {pmax!r} outside [0, 1]")
     curve, m = _uniform_curve(shape.total, 1)
     floor = 1.0 / shape.total
     return float(floor + (pmax - floor) * (curve[m] - floor) / (1.0 - floor))

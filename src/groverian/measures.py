@@ -49,8 +49,8 @@ class MeasureReport:
 
 
 def _report(pmax: float, method: str, opt: PmaxResult | None = None) -> MeasureReport:
-    g = math.sqrt(max(0.0, 1.0 - pmax))
-    e = 2.0 - 2.0 * math.sqrt(max(0.0, pmax))
+    g = math.sqrt(1.0 - pmax)
+    e = 2.0 - 2.0 * math.sqrt(pmax)
     if opt is None:
         return MeasureReport(pmax, g, e, method)
     return MeasureReport(
@@ -124,7 +124,7 @@ def entropy_check(state: StateVector) -> tuple[float, float]:
     evals = np.clip(evals.real, 0.0, 1.0)
     entropy = float(-(evals[evals > 0] * np.log2(evals[evals > 0])).sum())
     g = groverian_bipartite(state, [1])
-    return entropy, binary_entropy(min(1.0, g.groverian**2))
+    return entropy, binary_entropy(g.groverian**2)
 
 
 def majorizes(target, source) -> bool:

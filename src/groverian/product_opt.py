@@ -100,10 +100,10 @@ class OptimizerConfig:
 class PmaxResult:
     """Optimized overlap value with the maximizing product state and metadata.
 
-    ``value`` is recomputed from ``argmax`` at the end of optimization, so it
-    always reproduces |<argmax|psi>|^2 (or <argmax|rho|argmax> for density
-    input) exactly.  A ``converged=False`` result is still a valid lower
-    bound on the true maximum.
+    ``value`` is sum_k |<argmax|b_k>|^2 over the (K, N) block the restarts
+    climbed, recomputed from ``argmax`` and capped at 1 (as is every
+    ``best_per_restart`` entry), since P_max <= 1; it stays a valid lower
+    bound on the true maximum, also when ``converged`` is False.
     """
 
     value: float
@@ -317,20 +317,20 @@ def _runs(inputs):
     return zip(edges, edges[1:])
 
 
-def _result(climbs: _Climbs, x) -> PmaxResult:
-    """The best restart as the result for the state or density ``x``; the
-    value is recomputed from the joint amplitudes of the argmax."""
+def _result(climbs: _Climbs, shape, block) -> PmaxResult:
+    """The best restart as the result for the (K, N) ``block`` the restarts
+    climbed; the value is sum_k |<argmax|b_k>|^2, recomputed from the joint
+    amplitudes of the argmax, and it and every restart's are capped at 1."""
     best = int(np.argmax(climbs.objective))
-    argmax = ProductState(x.shape, tuple(f[best] for f in climbs.factors))
+    argmax = ProductState(shape, tuple(f[best] for f in climbs.factors))
     e = product_amps(argmax.factors)
-    value = x.expectation(e) if isinstance(x, DensityMatrix) else abs(complex(np.vdot(e, x.amps))) ** 2
     return PmaxResult(
-        value=value,
+        value=min(sum(abs(complex(np.vdot(e, b))) ** 2 for b in block), 1.0),
         argmax=argmax,
         restarts_used=len(climbs.objective),
         sweeps=int(climbs.sweeps[best]),
         converged=bool(climbs.converged[best]),
-        best_per_restart=tuple(float(v) for v in climbs.objective),
+        best_per_restart=tuple(np.minimum(climbs.objective, 1.0).tolist()),
     )
 
 
@@ -356,7 +356,7 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
         weight, basis = _basis_start(target)
         if climbs[i].objective.max() < weight - 1e-15:
             climbs[i] = _join([climbs[i], _climb_rows(target, basis, cfgs[i])])
-    return [_result(c, x) for c, x in zip(climbs, inputs)]
+    return [_result(c, x.shape, b) for c, x, b in zip(climbs, inputs, blocks)]
 
 
 def pmax_overlap(state: StateVector, cfg: OptimizerConfig | None = None) -> PmaxResult:
@@ -379,9 +379,9 @@ def pmax_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> PmaxRe
     floor is the diagonal sum_k |b_k|^2.  For K > 1 the single-site update
     is the top eigenvector of a d_j x d_j Gram matrix; within a degenerate
     top eigenspace the eigensolver's vector is kept as returned (canonical
-    phase applied).  ``value`` is recomputed as <e|rho|e> of rho as it was
-    given (``DensityMatrix.expectation``), so for a one-row factor equal to
-    a state the result is that of ``pmax_overlap`` on the state.
+    phase applied).  ``value`` is recomputed as <e|rho|e> = sum_k |<e|b_k>|^2
+    of the factor, so for a one-row factor equal to a state the result is
+    that of ``pmax_overlap`` on the state.
     """
     return pmax_overlap_many([rho], [cfg])[0]
 

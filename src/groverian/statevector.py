@@ -325,13 +325,6 @@ class DensityMatrix:
         b = self.factor
         return _readonly(b.T @ np.conj(b))
 
-    def expectation(self, e: np.ndarray) -> float:
-        """<e|rho|e> for joint amplitudes e, from the entries when they were
-        given and as sum_k |<b_k|e>|^2 when rho was built from a factor."""
-        if self._given is not None:
-            return float(np.real(np.vdot(e, self._given @ e)))
-        return sum(abs(complex(np.vdot(e, b))) ** 2 for b in self.factor)
-
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
@@ -349,7 +342,7 @@ class SchmidtDecomposition:
 
     @property
     def p_max(self) -> float:
-        return float(self.coeffs[0] ** 2)
+        return min(float(self.coeffs[0] ** 2), 1.0)
 
 
 def basis_state(shape: SystemShape, index: int) -> StateVector:

@@ -1,10 +1,12 @@
 """The CLI contract, driven by argv drawn from the CLI grammar: every command
-line ends in exit 0, 2 or 3, with no traceback and no ``null`` number, and a
+line ends in exit 0, 2 or 3, with no traceback and no ``null`` number, a
+JSON report of exit 0 keeps every field of known range inside it, and a
 refused one allocates less than 1 MiB on its way to exit 2."""
 
 import contextlib
 import io
 import itertools
+import json
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,12 @@ MEASURES = ["pmax", "groverian", "grover-success", "pmax-gap"]
 # dimension is refused, or caught by ``_amplitudes``.
 MAX_AMPLITUDES = 2**12
 BUDGET = 2**20
+# Upper ends of the report fields whose range is [0, top]: P_max, the
+# optimizer's value and every restart's, each P(k) and G in [0, 1], E in
+# [0, 2].  A sweep row's ``value`` column is P_max, G, a success
+# probability or |f(P) - P|, all in [0, 1].
+RANGES = {"pmax": 1.0, "value": 1.0, "best_per_restart": 1.0, "P": 1.0,
+          "final_probability": 1.0, "groverian": 1.0, "vedral_e": 2.0}
 
 
 def _amplitudes(spec):
@@ -129,6 +137,23 @@ def command_lines(draw):
     return argv
 
 
+def _out_of_range(out):
+    """The (field, number) pairs outside RANGES in the results of the JSON
+    report that ends ``out``, after any check lines ``verify`` prints."""
+    text = "\n" + out
+    results = json.loads(text[text.index("\n{\n") :])["results"]
+    fields = list(results.items())
+    if "rows" in results:
+        fields += [pair for row in results["rows"] for pair in zip(results["columns"], row)]
+    return [
+        (name, x)
+        for name, value in fields
+        if name in RANGES
+        for x in (value if isinstance(value, list) else [value])
+        if not 0.0 <= x <= RANGES[name]
+    ]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -143,6 +168,8 @@ def test_every_command_line_ends_in_a_contract_exit(argv):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     assert "null" not in out
+    if code == 0 and argv[-1] == "json":
+        assert _out_of_range(out) == [], argv
     if code == 2:
         peak = traced_peak(lambda: _run(argv))[1]
         assert peak < BUDGET, (argv, peak)

@@ -176,6 +176,17 @@ class TestPieces:
         assert declined is None
         assert peak < path.stat().st_size + 16 * count + 2**20
 
+    def test_blank_lines_decline_before_indexing(self, tmp_path):
+        # A first piece of newlines only: _CHUNK * _LINE of them, 54 times
+        # the cap, which the piece's newline count refuses before any index.
+        count = fileio._CHUNK
+        path = tmp_path / "blank-lines.json"
+        body = "\n" * (count * fileio._LINE)
+        path.write_text(f'{{\n  "dims": [{count}],\n  "amps": [\n{body}\n  ]\n}}\n')
+        declined, peak = traced_peak(lambda: fileio._decode_canonical(path, "amps", 1))
+        assert declined is None
+        assert peak < path.stat().st_size + 16 * count + 2**20
+
 
 def read_outcome(path, key):
     """What ``_read`` gives with one pair per site: the dims and entry bits,

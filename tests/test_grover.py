@@ -185,6 +185,11 @@ class TestIntegerArguments:
         with pytest.raises(DimensionMismatch, match="marked count"):
             iteration_bound(8, r)
 
+    def test_iteration_bound_refuses_more_marked_than_positions(self):
+        assert iteration_bound(4, 4) == 1
+        with pytest.raises(DimensionMismatch, match="marked count"):
+            iteration_bound(4, 5)
+
 
 class TestOptimalIterations:
     def test_n4(self, two_qubits):
@@ -467,6 +472,11 @@ class TestPmaxSimulated:
         state = uniform_state(shape)
         best = pmax_overlap(state, OptimizerConfig(restarts=1))
         assert abs(pmax_simulated(shape, best.value) - uniform_success(shape)) <= 1e-12
+
+    @pytest.mark.parametrize("pmax", [-2.0**-1074, 1.0 + 2.0**-52, 2.0, math.nan, math.inf])
+    def test_refuses_pmax_outside_the_unit_interval(self, two_qubits, pmax):
+        with pytest.raises(OutOfRange, match="outside"):
+            pmax_simulated(two_qubits, pmax)
 
     def test_law_on_every_size(self):
         """f(1/N) = 1/N, f(1) = P_N, a slope in [0, 1], and

@@ -164,6 +164,15 @@ class TestPmaxOverlap:
             value = pmax_overlap(random_state(three_qubits, 50 + i)).value
             assert 1.0 / 8 - 1e-12 <= value <= 1.0 + 1e-12
 
+    def test_products_stay_at_most_one(self, three_qubits):
+        # The product of three unit factors, each normalized to within an
+        # ulp, overlaps the argmax a few ulps either side of 1.
+        states = [product_to_state(random_product(three_qubits, s)) for s in range(300)]
+        cfg = OptimizerConfig(restarts=3)
+        for result in pmax_overlap_many(states, [cfg] * len(states)):
+            assert 1.0 - 1e-12 <= result.value <= 1.0
+            assert all(0.0 <= v <= 1.0 for v in result.best_per_restart)
+
     def test_lu_invariance(self, three_qubits):
         state = random_state(three_qubits, 60)
         layer = random_local_layer(three_qubits, 61)
@@ -231,6 +240,12 @@ class TestPmaxBipartite:
         amps[3] = math.sqrt(0.3)
         state = StateVector(two_qubits, amps)
         assert abs(pmax_bipartite(state, [1]) - 0.7) <= 1e-14
+
+    def test_products_stay_at_most_one(self):
+        shape = SystemShape([2, 3])
+        for s in range(300):
+            p = pmax_bipartite(product_to_state(random_product(shape, s)), [1])
+            assert 1.0 - 1e-12 <= p <= 1.0
 
 
 def site_one_svd_reference(state, resolution):
@@ -462,6 +477,25 @@ class TestPmaxMixed:
         e = product_amps(result.argmax.factors)
         recomputed = float(np.real(np.vdot(e, rho.entries @ e)))
         assert abs(recomputed - result.value) <= 1e-12
+
+    def test_value_is_the_factor_sum_at_the_argmax(self, three_qubits):
+        # Built from a factor or from entries, rho's value is sum_k
+        # |<e|b_k>|^2 over the factor the restarts climbed; a one-row factor
+        # gives the state's |<e|psi>|^2 exactly.
+        state = random_state(three_qubits, 3)
+        amps = state.amps
+        for rho in (
+            DensityMatrix.from_factor(three_qubits, amps[None]),
+            DensityMatrix(three_qubits, np.outer(amps, amps.conj())),
+            random_full_rank_density(three_qubits, 4),
+        ):
+            result = pmax_mixed(rho, OptimizerConfig(restarts=3))
+            e = product_amps(result.argmax.factors)
+            assert result.value == sum(abs(complex(np.vdot(e, b))) ** 2 for b in rho.factor)
+            assert abs(result.value - np.vdot(e, rho.entries @ e).real) <= 1e-15
+        one_row = pmax_mixed(DensityMatrix.from_factor(three_qubits, amps[None]))
+        e = product_amps(one_row.argmax.factors)
+        assert one_row.value == abs(complex(np.vdot(e, amps))) ** 2
 
     def test_reads_the_factor_held_by_rho(self, monkeypatch):
         rho = random_full_rank_density(SystemShape([2, 3]), 7)

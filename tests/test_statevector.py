@@ -656,15 +656,6 @@ class TestFactorFirstDensity:
         rho = reduced_density(random_state(SystemShape([2] * 10), 1), [2, 7])
         assert len(rho.factor) <= rho.shape.total == 4
 
-    def test_expectation_reads_the_form_given(self):
-        state = random_state(SystemShape([2, 2]), 3)
-        e = random_state(SystemShape([2, 2]), 4).amps
-        amps = state.amps
-        given = DensityMatrix(state.shape, np.outer(amps, amps.conj()))
-        factored = DensityMatrix.from_factor(state.shape, amps[None])
-        assert given.expectation(e) == float(np.real(np.vdot(e, given.entries @ e)))
-        assert factored.expectation(e) == abs(complex(np.vdot(e, amps))) ** 2
-
 
 def two_draw_reference(rng, shape):
     """The former draw: every real part in one call, then every imaginary part."""
