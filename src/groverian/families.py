@@ -34,7 +34,9 @@ from .statevector import (
     qubit_shape,
     random_product,
     _complex_normals,
+    _index,
     _readonly,
+    _rng,
     random_state,
     uniform_state,
 )
@@ -46,6 +48,7 @@ class UnknownFamily(GroverianError):
 
 def ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
+    n = _index(n, "site count")
     if n < 2:
         raise DimensionMismatch("ghz needs at least 2 sites")
     shape = qubit_shape(n)
@@ -56,6 +59,7 @@ def ghz(n: int) -> StateVector:
 
 def w_state(n: int) -> StateVector:
     """Equal superposition of the n weight-one bit strings."""
+    n = _index(n, "site count")
     if n < 2:
         raise DimensionMismatch("w needs at least 2 sites")
     shape = qubit_shape(n)
@@ -104,6 +108,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """A family's seed: an ``integer`` that is not negative."""
+    seed = integer(text)
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed
+
+
 _REAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE]-?[0-9]+)?")
 
 
@@ -139,12 +151,14 @@ def _state_family(spec: str):
         shape = SystemShape(_parse_dims(args[0]))
         return shape, lambda: uniform_state(shape)
     if name in ("basis", "random", "product-random") and len(args) == 2:
-        shape, value = SystemShape(_parse_dims(args[0])), integer(args[1])
+        shape = SystemShape(_parse_dims(args[0]))
         if name == "basis":
-            return shape, lambda: basis_state(shape, value)
+            index = integer(args[1])
+            return shape, lambda: basis_state(shape, index)
+        seed = _seed(args[1])
         if name == "random":
-            return shape, lambda: random_state(shape, value)
-        return shape, lambda: product_to_state(random_product(shape, value))
+            return shape, lambda: random_state(shape, seed)
+        return shape, lambda: product_to_state(random_product(shape, seed))
     return None
 
 
@@ -183,7 +197,7 @@ def random_rank_density(shape: SystemShape, rank: int, seed) -> DensityMatrix:
     the imaginary parts."""
     if not 1 <= rank <= shape.total:
         raise DimensionMismatch(f"rank must be in 1..{shape.total}, got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     b = _complex_normals(rng, rank * shape.total).reshape(rank, shape.total)
     b /= np.linalg.norm(b)
     return DensityMatrix.from_factor(shape, _readonly(b))
@@ -201,7 +215,7 @@ def expand_density_family(spec: str) -> DensityMatrix | None:
             return DensityMatrix.from_factor(state.shape, state.amps[None])
         if name == "random-rank" and len(args) == 3:
             shape = _density_shape(SystemShape(_parse_dims(args[1])))
-            return random_rank_density(shape, integer(args[0]), integer(args[2]))
+            return random_rank_density(shape, integer(args[0]), _seed(args[2]))
     except ValueError as exc:
         raise UnknownFamily(f"bad arguments in density spec {spec!r}") from exc
     return None

@@ -64,8 +64,11 @@ from .statevector import (
 # climbs again (``_climb_rows``) rather than divide by noise.
 CONTRACTION_EPS = 1e-14
 
-# The amplitudes a chunk of restarts may hold (``_chunks``).
-CHUNK_AMPLITUDES = 2**16
+# The amplitudes a chunk of restarts may hold (``_chunks``).  A sweep's
+# temporaries take about 1 KiB per three-qubit row, so 2^15 keeps the 4,096
+# rows of such a chunk within about 4 MiB, also when ``verify`` climbs every
+# check's three-qubit inputs in one batch.
+CHUNK_AMPLITUDES = 2**15
 
 # The restart schedule, and the report that lists every restart, grow with
 # the count: 2^20 restarts of a two-qubit state take about half a minute.
@@ -344,7 +347,9 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     per-call overhead.  An input whose restarts all end below its best
     basis product (``_basis_start``; a row that vanished on its last sweep
     reports 0.0) climbs once more from it, as restart R + 1, alone on its
-    own target, so its value is at least that product's weight.
+    own target, so its value is at least that product's weight.  The
+    many-input caller is ``verify``, whose suite makes one call for the
+    requests of all its checks.
     """
     inputs, cfgs = list(inputs), [cfg or OptimizerConfig() for cfg in cfgs]
     if len(inputs) != len(cfgs):
@@ -352,10 +357,18 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     blocks = [x.factor if isinstance(x, DensityMatrix) else x.amps[None] for x in inputs]
     targets = [b.reshape((len(b),) + x.shape.dims) for b, x in zip(blocks, inputs)]
     climbs = _climb_all(targets, cfgs)
+    groups: dict[tuple, list[int]] = {}
     for i, target in enumerate(targets):
-        weight, basis = _basis_start(target)
-        if climbs[i].objective.max() < weight - 1e-15:
-            climbs[i] = _join([climbs[i], _climb_rows(target, basis, cfgs[i])])
+        groups.setdefault(target.shape, []).append(i)
+    for members in groups.values():
+        group = [targets[i] for i in members]
+        stack = np.stack(group) if len(group) > 1 else group[0][None]
+        # each block's largest basis weight, summed over k as _basis_start sums it
+        weights = (np.abs(stack) ** 2).sum(axis=1).reshape(len(group), -1).max(axis=1)
+        for i, target, weight in zip(members, group, weights):
+            if climbs[i].objective.max() < weight - 1e-15:
+                floor = _climb_rows(target, _basis_start(target)[1], cfgs[i])
+                climbs[i] = _join([climbs[i], floor])
     return [_result(c, x.shape, b) for c, x, b in zip(climbs, inputs, blocks)]
 
 

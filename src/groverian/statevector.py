@@ -26,6 +26,8 @@ from .errors import (
     DimensionMismatch,
     InvalidDensity,
     NotNormalized,
+    OutOfRange,
+    TooLarge,
     ZeroVector,
 )
 
@@ -57,6 +59,27 @@ def _index(value, what: str, error=DimensionMismatch) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _numbers(given, what: str, error) -> np.ndarray:
+    """``given`` as numpy reads it, refused with ``error`` unless it is a
+    regular array of numbers: strings, objects (an integer past float range
+    among them) and ragged nesting never reach the conversion to complex."""
+    try:
+        a = np.asarray(given)
+    except ValueError:
+        raise error(f"{what} must be a regular array of numbers") from None
+    if a.dtype.kind not in "biufc":
+        raise error(f"{what} must be numbers, got dtype {a.dtype}")
+    return a
+
+
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with a seed it cannot take refused."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}") from None
 
 
 def _views(a):
@@ -103,7 +126,10 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __init__(self, dims):
-        dims = tuple(_index(d, "site dimension") for d in dims)
+        try:
+            dims = tuple(_index(d, "site dimension") for d in dims)
+        except TypeError:  # not iterable
+            raise DimensionMismatch(f"dims must be a sequence of integers, got {dims!r}") from None
         if len(dims) < 1:
             raise DimensionMismatch("register needs at least one site")
         if any(d < 2 for d in dims):
@@ -143,7 +169,8 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        amps = _numbers(self.amps, "amplitudes", NotNormalized)
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
         if amps.ndim != 1 or amps.size != self.shape.total:
             raise DimensionMismatch(
                 f"expected {self.shape.total} amplitudes, got {amps.size}"
@@ -188,7 +215,7 @@ class ProductState:
             )
         fixed = []
         for j, (f, d) in enumerate(zip(self.factors, self.shape.dims), start=1):
-            f = np.ascontiguousarray(f, dtype=np.complex128)
+            f = np.ascontiguousarray(_numbers(f, f"factor {j}", NotNormalized), dtype=np.complex128)
             if f.ndim != 1 or f.size != d:
                 raise DimensionMismatch(f"factor {j} must have length {d}")
             if not abs(float(np.linalg.norm(f)) - 1.0) <= NORM_DRIFT_TOL:
@@ -211,7 +238,7 @@ class LocalUnitaryLayer:
             )
         fixed = []
         for j, (g, d) in enumerate(zip(self.gates, self.shape.dims), start=1):
-            g = np.ascontiguousarray(g, dtype=np.complex128)
+            g = np.ascontiguousarray(_numbers(g, f"gate {j}", NotNormalized), dtype=np.complex128)
             if g.shape != (d, d):
                 raise DimensionMismatch(f"gate {j} must be {d}x{d}")
             if not np.isfinite(g).all():
@@ -276,7 +303,8 @@ class DensityMatrix:
 
     def __init__(self, shape: SystemShape, entries):
         total = shape.total
-        m = np.ascontiguousarray(entries, dtype=np.complex128)
+        m = _numbers(entries, "density entries", InvalidDensity)
+        m = np.ascontiguousarray(m, dtype=np.complex128)
         if m.shape != (total, total):
             raise DimensionMismatch(f"density matrix must be {total}x{total}")
         if not np.isfinite(m).all():
@@ -302,7 +330,8 @@ class DensityMatrix:
         """The density B B^+ of a (K, N) factor, which is positive
         semidefinite by construction; only its shape, finiteness and unit
         trace sum_k |b_k|^2 are checked, in O(K * N) with no K x N temporary."""
-        b = np.ascontiguousarray(factor, dtype=np.complex128)
+        b = _numbers(factor, "density factor", InvalidDensity)
+        b = np.ascontiguousarray(b, dtype=np.complex128)
         if b.ndim != 2 or b.shape[1] != shape.total:
             raise DimensionMismatch(f"density factor must have {shape.total} columns")
         trace = float(np.vdot(b, b).real)
@@ -521,7 +550,7 @@ def _complex_normals(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def random_state(shape: SystemShape, seed) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
-    z = _complex_normals(np.random.default_rng(seed), shape.total)
+    z = _complex_normals(_rng(seed), shape.total)
     z *= 1.0 / np.linalg.norm(z)
     return StateVector(shape, _readonly(z))
 
@@ -547,7 +576,7 @@ def _unit_stacks(z: np.ndarray, dims) -> list[np.ndarray]:
 def random_product(shape: SystemShape, seed) -> ProductState:
     """Product of independent Haar-random single-site states, drawn in one
     call from the seed's generator."""
-    z = np.random.default_rng(seed).standard_normal((1, 2 * sum(shape.dims)))
+    z = _rng(seed).standard_normal((1, 2 * sum(shape.dims)))
     return ProductState(shape, tuple(f[0] for f in _unit_stacks(z, shape.dims)))
 
 
@@ -558,6 +587,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     the distribution exactly Haar rather than QR-convention dependent.
     """
     dim = _index(dim, "unitary dimension")
+    if dim < 1:
+        raise DimensionMismatch(f"unitary dimension must be >= 1, got {dim}")
+    if dim * dim > MAX_TOTAL_DIM:
+        raise TooLarge(f"a {dim}x{dim} unitary exceeds the cap of 2^30 entries")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -567,6 +600,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_local_layer(shape: SystemShape, seed) -> LocalUnitaryLayer:
     """Independent Haar-random unitary on each site."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return LocalUnitaryLayer(shape, tuple(haar_unitary(d, rng) for d in shape.dims))
 

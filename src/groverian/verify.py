@@ -5,12 +5,19 @@ Each check compares a computed quantity against an independent reference
 lower bound) at a fixed tolerance and reports one pass/fail line.  All
 randomness is derived from the suite seed, so a run is reproducible bit for
 bit.
+
+A check that optimizes is a generator: it yields ``(inputs, cfgs)``, is sent
+their ``pmax_overlap_many`` results in input order, and returns its results.
+``run_checks`` answers all checks' requests in one call, bit-identical to each
+check's own call; a check with no optimizer work is a plain function.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -82,6 +89,9 @@ class CheckResult:
         return text
 
 
+Optimizing = Generator[tuple[list, list], list, list[CheckResult]]  # sent PmaxResults
+
+
 def _cfg(seed: int, check_id: int, index: int) -> OptimizerConfig:
     entropy = seed_sequence(seed, check_id, index)
     return OptimizerConfig(seed=int(entropy.generate_state(1, np.uint64)[0]))
@@ -98,10 +108,10 @@ def _worst(name: str, values, tolerance: float, detail: str = "") -> CheckResult
     return CheckResult(name, worst <= tolerance, worst, tolerance, detail)
 
 
-def _measures(inputs, cfgs, method: str = "alternating") -> list[MeasureReport]:
-    """The reports of ``groverian`` on every input, or of ``groverian_mixed``
-    with ``method="mixed"``, from one batched optimizer call."""
-    return [_report(r.value, method, r) for r in pmax_overlap_many(inputs, cfgs)]
+def _reports(results, method: str = "alternating") -> list[MeasureReport]:
+    """The reports of ``groverian`` on the inputs of ``results``, or of
+    ``groverian_mixed`` with ``method="mixed"``."""
+    return [_report(r.value, method, r) for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +290,7 @@ def check_invariant_complement(seed: int) -> list[CheckResult]:
 # pmax suite
 
 
-def check_named_pmax(seed: int) -> list[CheckResult]:
+def check_named_pmax(seed: int) -> Optimizing:
     """Optimizer reproduces closed-form overlaps for the standard families."""
     shape3 = qubit_shape(3)
     cases = [
@@ -290,17 +300,17 @@ def check_named_pmax(seed: int) -> list[CheckResult]:
         (basis_state(qubit_shape(4), 5), 1.0),
         (product_to_state(random_product(shape3, seed_sequence(seed, 30, 0))), 1.0),
     ]
-    results = pmax_overlap_many([s for s, _ in cases], [_cfg(seed, 30, i) for i in range(1, 6)])
+    results = yield [s for s, _ in cases], [_cfg(seed, 30, i) for i in range(1, 6)]
     return [_worst("pmax/named-values", [abs(r.value - e) for r, (_, e) in zip(results, cases)], 1e-9)]
 
 
-def check_average_vs_overlap(seed: int) -> list[CheckResult]:
+def check_average_vs_overlap(seed: int) -> Optimizing:
     """Target-averaged search probability after the best local preprocessing
     (the exact affine law in P_max from the two-mode map) tracks the product
     overlap within 5/sqrt(N) on random two- and three-qubit states."""
     keys = [100 * n + i for n in (2, 3) for i in range(50)]
     states = [random_state(qubit_shape(k // 100), seed_sequence(seed, 31, k)) for k in keys]
-    results = pmax_overlap_many(states, [_cfg(seed, 31, k) for k in keys])
+    results = yield states, [_cfg(seed, 31, k) for k in keys]
     gaps = [abs(pmax_simulated(s.shape, r.value) - r.value) for s, r in zip(states, results)]
     return [
         _worst(
@@ -312,22 +322,22 @@ def check_average_vs_overlap(seed: int) -> list[CheckResult]:
     ]
 
 
-def check_bipartite_agreement(seed: int) -> list[CheckResult]:
+def check_bipartite_agreement(seed: int) -> Optimizing:
     """Alternating optimizer matches the Schmidt closed form on bipartite states."""
     dims_cycle = [(d1, d2) for d1 in range(2, 9) for d2 in range(2, 9)]
     states = [
         random_state(SystemShape(dims_cycle[i % len(dims_cycle)]), seed_sequence(seed, 32, i))
         for i in range(100)
     ]
-    results = pmax_overlap_many(states, [_cfg(seed, 32, i) for i in range(100)])
+    results = yield states, [_cfg(seed, 32, i) for i in range(100)]
     errors = [abs(r.value - pmax_bipartite(s, [1])) for s, r in zip(states, results)]
     return [_worst("pmax/bipartite-agreement", errors, 1e-9)]
 
 
-def check_grid_agreement(seed: int) -> list[CheckResult]:
+def check_grid_agreement(seed: int) -> Optimizing:
     """Optimizer dominates the grid oracle's value and stays within its coarseness."""
     states = [random_state(qubit_shape(3), seed_sequence(seed, 33, i)) for i in range(50)]
-    results = pmax_overlap_many(states, [_cfg(seed, 33, i) for i in range(50)])
+    results = yield states, [_cfg(seed, 33, i) for i in range(50)]
     pairs = [(pmax_grid_oracle(s, 64), r.value) for s, r in zip(states, results)]
     return [
         _worst("pmax/grid-lower-bound", [grid - value for grid, value in pairs], 1e-9),
@@ -355,12 +365,12 @@ def check_ascent(seed: int) -> list[CheckResult]:
     return [CheckResult("pmax/ascent", worst_drop <= 1e-14, worst_drop, 1e-14)]
 
 
-def check_lower_bound_and_range(seed: int) -> list[CheckResult]:
+def check_lower_bound_and_range(seed: int) -> Optimizing:
     """value >= max_x |amp_x|^2 >= 1/N, and value <= 1."""
     dims = ([2, 2], [3, 3], [2, 3, 2], [2, 2, 2, 2])
     keys = [10 * i + j for i in range(4) for j in range(5)]
     states = [random_state(SystemShape(dims[k // 10]), seed_sequence(seed, 35, k)) for k in keys]
-    results = pmax_overlap_many(states, [_cfg(seed, 35, k) for k in keys])
+    results = yield states, [_cfg(seed, 35, k) for k in keys]
     pairs = [(s, r.value) for s, r in zip(states, results)]
     return [
         _worst(
@@ -376,13 +386,13 @@ def check_lower_bound_and_range(seed: int) -> list[CheckResult]:
     ]
 
 
-def check_feasibility(seed: int) -> list[CheckResult]:
+def check_feasibility(seed: int) -> Optimizing:
     """Recomputing |<argmax|psi>|^2 reproduces the reported value."""
     states = [
         random_state(SystemShape([2, 3, 2] if i % 2 else [2, 2, 2]), seed_sequence(seed, 36, i))
         for i in range(10)
     ]
-    results = pmax_overlap_many(states, [_cfg(seed, 36, i) for i in range(10)])
+    results = yield states, [_cfg(seed, 36, i) for i in range(10)]
     errors = [
         abs(abs(inner(product_to_state(r.argmax), s)) ** 2 - r.value)
         for s, r in zip(states, results)
@@ -404,9 +414,9 @@ def _lu_pairs(seed: int, check_id: int, count: int):
     return inputs, cfgs
 
 
-def check_pmax_lu_invariance(seed: int) -> list[CheckResult]:
+def check_pmax_lu_invariance(seed: int) -> Optimizing:
     """The product-overlap maximum is invariant under local unitaries."""
-    values = [r.value for r in pmax_overlap_many(*_lu_pairs(seed, 37, 20))]
+    values = [r.value for r in (yield _lu_pairs(seed, 37, 20))]
     return [_worst("pmax/lu-invariance", [abs(a - b) for a, b in zip(values[::2], values[1::2])], 1e-8)]
 
 
@@ -431,12 +441,11 @@ def check_grid_known_values(seed: int) -> list[CheckResult]:
 # measures suite
 
 
-def check_named_measures(seed: int) -> list[CheckResult]:
+def check_named_measures(seed: int) -> Optimizing:
     """G(Bell), G(GHZ3), G(W3) at their closed-form values; products at 0."""
     product = product_to_state(random_product(qubit_shape(3), seed_sequence(seed, 40, 9)))
-    reports = _measures(
-        [bell(), ghz(3), w_state(3), product], [_cfg(seed, 40, i) for i in (0, 1, 2, 10)]
-    )
+    inputs = [bell(), ghz(3), w_state(3), product]
+    reports = _reports((yield inputs, [_cfg(seed, 40, i) for i in (0, 1, 2, 10)]))
     worst = max(abs(r.groverian - e) for r, e in zip(reports, (G_BELL, G_BELL, G_W3, 0.0)))
     unconverged = sum(not r.converged for r in reports)
     names = ",".join(f"{r.groverian:.7f}" for r in reports[:3])
@@ -451,9 +460,9 @@ def check_named_measures(seed: int) -> list[CheckResult]:
     ]
 
 
-def check_measure_lu_invariance(seed: int) -> list[CheckResult]:
+def check_measure_lu_invariance(seed: int) -> Optimizing:
     """|G(L psi) - G(psi)| <= 1e-8 over 100 random state/layer pairs."""
-    reports = _measures(*_lu_pairs(seed, 41, 100))
+    reports = _reports((yield _lu_pairs(seed, 41, 100)))
     worst = max(abs(a.groverian - b.groverian) for a, b in zip(reports[::2], reports[1::2]))
     unconverged = sum(not r.converged for r in reports)
     return [
@@ -512,7 +521,7 @@ def check_entropy_relation(seed: int) -> list[CheckResult]:
     return [_worst("measures/entropy-relation", errors, 1e-9)]
 
 
-def check_mixed_extension(seed: int) -> list[CheckResult]:
+def check_mixed_extension(seed: int) -> Optimizing:
     """Linear extension values: maximally mixed pair, and product densities."""
     densities = [DensityMatrix(qubit_shape(2), np.eye(4) / 4.0)]
     expected = []
@@ -529,7 +538,7 @@ def check_mixed_extension(seed: int) -> list[CheckResult]:
             joint = np.kron(joint, m)
         densities.append(DensityMatrix(qubit_shape(n_sites), joint))
         expected.append(groverian_product_mixed(locals_))
-    reports = _measures(densities, [_cfg(seed, 44, i) for i in [0, *range(2, 52)]], "mixed")
+    reports = _reports((yield densities, [_cfg(seed, 44, i) for i in [0, *range(2, 52)]]), "mixed")
     g_mm = reports[0].groverian
     mm_err = abs(g_mm - G_MAX_N4)
     errors = [abs(r.groverian - e) for r, e in zip(reports[1:], expected)]
@@ -545,37 +554,32 @@ def check_mixed_extension(seed: int) -> list[CheckResult]:
     ]
 
 
-def check_definitional_identities(seed: int) -> list[CheckResult]:
+def check_definitional_identities(seed: int) -> Optimizing:
     """G^2 + pmax = 1 and E = 2 - 2 sqrt(pmax) on every report."""
     pairs = [random_state(qubit_shape(2), seed_sequence(seed, 45, i)) for i in range(10)]
     triples = [random_state(qubit_shape(3), seed_sequence(seed, 45, 100 + i)) for i in range(5)]
     reports = [groverian_bipartite(s, [1]) for s in [bell(), *pairs]]
-    reports += _measures(triples, [_cfg(seed, 45, i) for i in range(5)])
+    reports += _reports((yield triples, [_cfg(seed, 45, i) for i in range(5)]))
     errors = [abs(r.groverian**2 + r.pmax - 1.0) for r in reports]
     errors += [abs(r.vedral_e - (2.0 - 2.0 * math.sqrt(r.pmax))) for r in reports]
     return [_worst("measures/definitional-identities", errors, 1e-14)]
 
 
-def check_vedral_rank_order(seed: int) -> list[CheckResult]:
+def check_vedral_rank_order(seed: int) -> Optimizing:
     """Ranking states by G equals ranking by the 2-2 sqrt(pmax) measure."""
     states = [random_state(qubit_shape(3), seed_sequence(seed, 46, i)) for i in range(20)]
-    reports = _measures(states, [_cfg(seed, 46, i) for i in range(20)])
+    reports = _reports((yield states, [_cfg(seed, 46, i) for i in range(20)]))
     gs = np.asarray([r.groverian for r in reports])
     es = np.asarray([r.vedral_e for r in reports])
     mismatches = int((np.argsort(gs) != np.argsort(es)).sum())
-    return [
-        CheckResult(
-            "measures/vedral-rank-order", mismatches == 0, float(mismatches), 0.0
-        )
-    ]
+    return [CheckResult("measures/vedral-rank-order", mismatches == 0, float(mismatches), 0.0)]
 
 
-def check_zero_iff_product(seed: int) -> list[CheckResult]:
+def check_zero_iff_product(seed: int) -> Optimizing:
     """G vanishes on products and is large on the maximally entangled pair."""
     product = product_to_state(random_product(SystemShape([2, 3, 2]), seed_sequence(seed, 47, 0)))
-    g_prod, g_bell = (
-        r.groverian for r in _measures([product, bell()], [_cfg(seed, 47, 0), _cfg(seed, 47, 1)])
-    )
+    reports = _reports((yield [product, bell()], [_cfg(seed, 47, i) for i in (0, 1)]))
+    g_prod, g_bell = (r.groverian for r in reports)
     bell_deficit = (0.7071 - 1e-6) - g_bell
     worst = max(g_prod, bell_deficit)
     return [
@@ -659,11 +663,27 @@ SUITES = {
 }
 
 
+def run_checks(checks, seed: int) -> list[CheckResult]:
+    """Run ``checks`` with seeds derived from ``seed``; each round's optimizer
+    requests are answered by one ``pmax_overlap_many`` call."""
+    runs = [check(seed) for check in checks]
+    asked = {i: run.send(None) for i, run in enumerate(runs) if isinstance(run, Generator)}
+    while asked:
+        answers = iter(pmax_overlap_many(
+            [x for inputs, _ in asked.values() for x in inputs],
+            [c for _, cfgs in asked.values() for c in cfgs],
+        ))
+        for i, (inputs, _) in list(asked.items()):
+            try:
+                asked[i] = runs[i].send(list(islice(answers, len(inputs))))
+            except StopIteration as done:
+                runs[i] = done.value
+                del asked[i]
+    return [r for run in runs for r in run]
+
+
 def run_suite(name: str, seed: int) -> list[CheckResult]:
     """Run every check in the named suite with seeds derived from ``seed``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results: list[CheckResult] = []
-    for check in SUITES[name]:
-        results.extend(check(seed))
-    return results
+    return run_checks(SUITES[name], seed)

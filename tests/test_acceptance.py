@@ -12,8 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from groverian import OptimizerConfig, SystemShape, pmax_overlap_many, random_state
 from groverian.cli import main
 from groverian.verify import (
+    CheckResult,
     check_average_vs_overlap,
     check_bipartite_agreement,
     check_entropy_relation,
@@ -27,6 +29,7 @@ from groverian.verify import (
     check_qudit_pair,
     check_sine_formula,
     check_target_residual,
+    run_checks,
     run_suite,
 )
 
@@ -43,9 +46,15 @@ def report(results, budget_s=None, elapsed=None):
         assert elapsed < budget_s
 
 
-def timed(check):
+def run(*checks):
+    """The results of ``checks`` alone, run by ``run_checks`` as the suite
+    runs them, which answers an optimizing check's requests."""
+    return run_checks(checks, SEED)
+
+
+def timed(*checks):
     t0 = time.perf_counter()
-    results = check(SEED)
+    results = run(*checks)
     return results, time.perf_counter() - t0
 
 
@@ -64,7 +73,7 @@ def test_c02_target_residual():
 
 def test_c03_exact_n4():
     """One iteration at N=4 succeeds with probability 1 within 1e-12."""
-    report(check_exact_n4(SEED))
+    report(run(check_exact_n4))
 
 
 def test_c04_average_equals_overlap():
@@ -78,42 +87,40 @@ def test_c05_optimizer_vs_independent_oracles():
     """(a) 100 bipartite states up to 8x8 within 1e-9 of the Schmidt closed
     form; (b) 50 three-qubit states within [grid-1e-9, grid+5e-3];
     budget 120 s."""
-    t0 = time.perf_counter()
-    results = check_bipartite_agreement(SEED) + check_grid_agreement(SEED)
-    elapsed = time.perf_counter() - t0
+    results, elapsed = timed(check_bipartite_agreement, check_grid_agreement)
     report(results, budget_s=120, elapsed=elapsed)
 
 
 def test_c06_named_values():
     """G(Bell)=G(GHZ3)=0.7071068, G(W3)=0.7453560 within 1e-6; products at 0."""
-    report(check_named_measures(SEED))
+    report(run(check_named_measures))
 
 
 def test_c07_local_unitary_invariance():
     """|G(L psi) - G(psi)| <= 1e-8 over 100 seeded three-qubit pairs."""
-    report(check_measure_lu_invariance(SEED))
+    report(run(check_measure_lu_invariance))
 
 
 def test_c08_majorization_monotonicity():
     """G never increases across 1e4 seeded spectrum pairs where the target
     majorizes the source."""
-    report(check_majorization_monotone(SEED))
+    report(run(check_majorization_monotone))
 
 
 def test_c09_entropy_relation():
     """|S(rho_A) - h(G^2)| <= 1e-9 on 100 seeded two-qubit states."""
-    report(check_entropy_relation(SEED))
+    report(run(check_entropy_relation))
 
 
 def test_c10_mixed_state_extension():
     """G((I(x)I)/4) = 0.8660254 within 1e-9 and the product-density closed
     form within 1e-9 on 50 seeded tuples."""
-    report(check_mixed_extension(SEED))
+    report(run(check_mixed_extension))
 
 
 def test_c11_qudit_generalization():
     """Two qutrits: sine curve within 1e-10, optimal m=2, peak 0.9836068."""
-    report(check_qudit_pair(SEED) + check_marked_symmetry(SEED))
+    report(run(check_qudit_pair, check_marked_symmetry))
 
 
 def test_c12_end_to_end_determinism(capsys, tmp_path):
@@ -178,12 +185,14 @@ VERIFY_CHECKS = [
 
 def test_verify_suite_checks_and_batches(climb_calls):
     """Every check of the full suite passes, under its pinned name and
-    tolerance, and the optimizer checks batch their inputs: the suite
-    climbs in at most 100 batches (607 when each input ran alone)."""
+    tolerance, and the suite's optimizer inputs climb in one pass: 55
+    batches of 12,140 rows (71 with one optimizer call per check, 607 when
+    each input ran alone)."""
     results = run_suite("all", SEED)
     assert [(r.name, r.tolerance) for r in results] == VERIFY_CHECKS
     assert [r.name for r in results if not r.passed] == []
-    assert len(climb_calls) <= 100
+    assert len(climb_calls) == 55
+    assert sum(call.rows for call in climb_calls) == 12140
 
 
 def test_verify_suite_draws_starts_from_one_stream_per_input(monkeypatch):
@@ -200,3 +209,43 @@ def test_verify_suite_draws_starts_from_one_stream_per_input(monkeypatch):
     results = run_suite("all", SEED)
     assert [r.name for r in results if not r.passed] == []
     assert 0 < len(built) <= 2000
+
+
+def test_run_checks_answers_each_request_in_its_round(monkeypatch):
+    """``run_checks`` sends an optimizing check the results of its own
+    inputs, in input order, with one optimizer call per round of requests;
+    a check that yields twice waits for the second round, and a plain
+    check's results keep their place."""
+    from groverian import verify
+
+    states = [random_state(SystemShape([2, 2]), 90 + i) for i in range(3)]
+    cfgs = [OptimizerConfig(restarts=2, seed=i) for i in range(3)]
+    direct = [r.value for r in pmax_overlap_many(states, cfgs)]
+    real, calls = verify.pmax_overlap_many, []
+
+    def counted(inputs, cfgs):
+        calls.append(len(inputs))
+        return real(inputs, cfgs)
+
+    def twice(seed):
+        first = yield states[:1], cfgs[:1]
+        second = yield states[1:], cfgs[1:]
+        return [CheckResult("twice", True, r.value, 0.0) for r in [*first, *second]]
+
+    def once(seed):
+        (result,) = yield states[2:], cfgs[2:]
+        return [CheckResult("once", True, result.value, 0.0)]
+
+    def plain(seed):
+        return [CheckResult("plain", True, float(seed), 0.0)]
+
+    monkeypatch.setattr(verify, "pmax_overlap_many", counted)
+    results = run_checks([twice, plain, once], 5)
+    assert [(r.name, r.observed) for r in results] == [
+        ("twice", direct[0]),
+        ("twice", direct[1]),
+        ("twice", direct[2]),
+        ("plain", 5.0),
+        ("once", direct[2]),
+    ]
+    assert calls == [2, 2]

@@ -522,8 +522,8 @@ class TestPmaxSimulated:
         assert abs(pmax_simulated(shape, best.value) - expect) <= 1e-12
 
     def test_one_optimizer_run_per_state(self, optimizer_calls):
-        from groverian.verify import check_average_vs_overlap
+        from groverian.verify import check_average_vs_overlap, run_checks
 
-        (result,) = check_average_vs_overlap(7)
+        (result,) = run_checks([check_average_vs_overlap], 7)
         assert result.passed
         assert optimizer_calls == [4] * 50 + [8] * 50

@@ -12,16 +12,20 @@ from groverian import (
     BadSubset,
     DensityMatrix,
     DimensionMismatch,
+    GroverianError,
     InvalidDensity,
     LocalUnitaryLayer,
     NotNormalized,
+    OutOfRange,
     ProductState,
     StateVector,
     SystemShape,
     ZeroVector,
     apply_local,
     basis_state,
+    ghz,
     inner,
+    maximally_mixed,
     product_to_state,
     random_local_layer,
     random_product,
@@ -30,6 +34,7 @@ from groverian import (
     schmidt,
     schmidt_reconstruction_error,
     uniform_state,
+    w_state,
 )
 from groverian.families import random_rank_density
 from groverian.fileio import load_state, save_state
@@ -224,6 +229,115 @@ class TestNonFiniteInput:
                 LocalUnitaryLayer(qubit, (np.array([[1, 0], [0, bad]]),))
             with pytest.raises(InvalidDensity, match="non-finite"):
                 DensityMatrix(qubit, np.array([[0.5, bad], [0, 0.5]]))
+
+
+class TestBoundaryRefusals:
+    """Malformed data reaching a public constructor or builder is refused
+    with a GroverianError: non-numeric dtypes before any conversion, seeds
+    the generator cannot take, and empty unitaries."""
+
+    QUBIT = SystemShape([2])
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda q: DensityMatrix(q, "ab"), InvalidDensity),
+            (lambda q: DensityMatrix(q, [["0.5", "0"], ["0", "0.5"]]), InvalidDensity),
+            (lambda q: DensityMatrix.from_factor(q, [["1", "0"]]), InvalidDensity),
+            (lambda q: StateVector(q, [10**400, 0]), NotNormalized),
+            (lambda q: StateVector(q, ["1", "0"]), NotNormalized),
+            (lambda q: StateVector(q, [[1, 0], [0]]), NotNormalized),
+            (lambda q: ProductState(q, (["1", "0"],)), NotNormalized),
+            (lambda q: LocalUnitaryLayer(q, ([["1", "0"], ["0", "1"]],)), NotNormalized),
+            (lambda q: random_state(q, "x"), OutOfRange),
+            (lambda q: random_product(q, -1), OutOfRange),
+            (lambda q: random_local_layer(q, 1.5), OutOfRange),
+            (lambda q: haar_unitary(0, np.random.default_rng(0)), DimensionMismatch),
+            (lambda q: haar_unitary(-2, np.random.default_rng(0)), DimensionMismatch),
+            (lambda q: ghz("3"), DimensionMismatch),
+            (lambda q: SystemShape(2), DimensionMismatch),
+        ],
+    )
+    def test_refused(self, build, error):
+        with pytest.raises(error):
+            build(self.QUBIT)
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_only_validated_results_or_refusals(self, data):
+        build = data.draw(st.sampled_from(sorted(BUILDERS)))
+        try:
+            value = BUILDERS[build](data.draw)
+        except GroverianError:
+            return
+        assert validated(value), build
+
+
+# Data a caller may hand the constructors: numbers, junk and (ragged) nests.
+NUMBERS = st.one_of(
+    st.integers(-2, 2),
+    st.floats(-2, 2),
+    st.complex_numbers(max_magnitude=2),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+    st.sampled_from([10**400, -(10**400), "1", "0.5", "1j", [], {}]),
+)
+VALUES = st.one_of(
+    st.sampled_from([[1, 0], [0.6, 0.8j], [0.5] * 4, np.eye(2) / 2, np.eye(4) / 4, [[1, 0]]]),
+    st.recursive(st.one_of(NUMBERS, JUNK), lambda inner: st.lists(inner, max_size=4), max_leaves=16),
+)
+SHAPES = st.sampled_from([SystemShape([2]), SystemShape([2, 2]), SystemShape([3, 2])])
+SEEDS = st.one_of(st.integers(-3, 2**70), JUNK, st.lists(st.integers(-3, 2**70), max_size=3))
+# Counts and dims stay small: the builders allocate 2^n, d x d or N x N arrays.
+COUNTS = st.one_of(st.integers(-3, 5), JUNK)
+DIMS = st.one_of(  # not bytes, which read as a list of dims up to 255
+    st.lists(st.one_of(st.integers(-1, 6), JUNK), max_size=3),
+    JUNK.filter(lambda x: not isinstance(x, bytes)),
+)
+
+BUILDERS = {
+    "StateVector": lambda draw: StateVector(draw(SHAPES), draw(VALUES)),
+    "ProductState": lambda draw: ProductState(draw(SHAPES), tuple(draw(st.lists(VALUES, max_size=3)))),
+    "LocalUnitaryLayer": lambda draw: LocalUnitaryLayer(
+        draw(SHAPES), tuple(draw(st.lists(VALUES, max_size=3)))
+    ),
+    "DensityMatrix": lambda draw: DensityMatrix(draw(SHAPES), draw(VALUES)),
+    "DensityMatrix.from_factor": lambda draw: DensityMatrix.from_factor(draw(SHAPES), draw(VALUES)),
+    "SystemShape": lambda draw: SystemShape(draw(DIMS)),
+    "basis_state": lambda draw: basis_state(draw(SHAPES), draw(COUNTS)),
+    "random_state": lambda draw: random_state(draw(SHAPES), draw(SEEDS)),
+    "random_product": lambda draw: random_product(draw(SHAPES), draw(SEEDS)),
+    "random_local_layer": lambda draw: random_local_layer(draw(SHAPES), draw(SEEDS)),
+    "haar_unitary": lambda draw: haar_unitary(draw(COUNTS), np.random.default_rng(0)),
+    "ghz": lambda draw: ghz(draw(COUNTS)),
+    "w_state": lambda draw: w_state(draw(COUNTS)),
+    "maximally_mixed": lambda draw: maximally_mixed(draw(DIMS)),
+}
+
+
+def _unitary(g):
+    return g.ndim == 2 and len(g) >= 1 and np.abs(g.conj().T @ g - np.eye(len(g))).max() <= 1e-10
+
+
+def validated(value):
+    """Whether ``value`` holds the invariants its type promises."""
+    if isinstance(value, StateVector):
+        amps = value.amps
+        return amps.size == value.shape.total and abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+    if isinstance(value, ProductState):
+        return all(abs(np.linalg.norm(f) - 1.0) <= 1e-12 for f in value.factors)
+    if isinstance(value, LocalUnitaryLayer):
+        return all(_unitary(g) for g in value.gates)
+    if isinstance(value, DensityMatrix):
+        return value.factor.shape[1] == value.shape.total and abs(np.vdot(value.factor, value.factor) - 1.0) <= DENSITY_TOL
+    if isinstance(value, SystemShape):
+        return all(isinstance(d, int) and d >= 2 for d in value.dims)
+    return isinstance(value, np.ndarray) and value.dtype == np.complex128 and _unitary(value)
 
 
 class TestUniformState:
