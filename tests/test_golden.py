@@ -22,3 +22,9 @@ def test_report_matches_golden_bytes(name):
     code, text = golden.report(golden.GOLDEN[name])
     assert code == 0
     assert text == (golden.HERE / name).read_text(encoding="utf-8")
+    assert str(golden.HERE.parents[1]) not in text
+
+
+def test_corpus_holds_exactly_the_golden_files():
+    files = {p.name for p in golden.HERE.iterdir() if p.is_file()}
+    assert files == {*golden.GOLDEN, golden.INPUT, "regenerate.py"}
