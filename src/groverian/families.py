@@ -195,6 +195,7 @@ def random_rank_density(shape: SystemShape, rank: int, seed) -> DensityMatrix:
     """B B^+ / ||B||_F^2 for an N x ``rank`` matrix B of complex Gaussian
     entries, built from its factor; the draw is the K x N real parts, then
     the imaginary parts."""
+    rank = _index(rank, "rank")
     if not 1 <= rank <= shape.total:
         raise DimensionMismatch(f"rank must be in 1..{shape.total}, got {rank}")
     rng = _rng(seed)

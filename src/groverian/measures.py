@@ -28,7 +28,7 @@ from .product_opt import (
     pmax_mixed,
     pmax_overlap,
 )
-from .statevector import DensityMatrix, StateVector, SystemShape, reduced_density
+from .statevector import DensityMatrix, StateVector, SystemShape, _numbers, reduced_density
 
 @dataclass(frozen=True)
 class MeasureReport:
@@ -91,7 +91,7 @@ def groverian_product_mixed(local_densities) -> float:
         raise DimensionMismatch("register needs at least one site")
     prod = 1.0
     for j, rho in enumerate(local_densities, start=1):
-        m = np.asarray(rho, dtype=np.complex128)
+        m = _numbers(rho, f"local density {j}", InvalidDensity)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidDensity(f"local density {j} is not square")
         m = DensityMatrix(SystemShape([len(m)]), m).entries
@@ -103,7 +103,7 @@ def bures_distance(fidelity: float) -> float:
     """sqrt(1 - f^2) for a fidelity value f in [0, 1]."""
     if not 0.0 <= fidelity <= 1.0:
         raise OutOfRange(f"fidelity {fidelity!r} outside [0, 1]")
-    return math.sqrt(max(0.0, 1.0 - fidelity * fidelity))
+    return math.sqrt(1.0 - fidelity * fidelity)
 
 
 def binary_entropy(x: float) -> float:

@@ -29,8 +29,9 @@ input share one sweep engine, and ``pmax_overlap`` and ``pmax_mixed`` are
 the one-input calls of ``pmax_overlap_many``.  Every basis product is a
 feasible point, and a climb from the best one (``_basis_start``) can
 neither end below its weight nor vanish on nonzero input: it is where a
-vanished row climbs again, and the floor of every input's value.  At most
-MAX_RESTARTS restarts are accepted.
+vanished row climbs again, and the floor of every input's value, climbed
+as its last restart (``_climb_all``).  At most MAX_RESTARTS restarts are
+accepted.
 
 Two independent references are provided: a Bloch-angle grid over site 1
 with the other sites exact (a lower bound), for up to three qubits, and the
@@ -198,12 +199,14 @@ def _sweep_block(env, factors, lo, hi, objectives, degenerate):
     degenerate |= bad
 
 
-def _basis_start(block):
-    """The largest basis weight max_x sum_k |b_k(x)|^2 of the (K, d_1, ...,
-    d_n) block, and its basis product x as one-hot (1, d_j) stacks."""
-    weights = (np.abs(block) ** 2).sum(axis=0)
-    top = np.unravel_index(int(np.argmax(weights)), weights.shape)
-    return weights[top], [np.eye(d, dtype=np.complex128)[[k]] for d, k in zip(weights.shape, top)]
+def _basis_start(blocks):
+    """Each block's largest basis weight max_x sum_k |b_k(x)|^2 in the (G, K,
+    d_1, ..., d_n) stack ``blocks``, as a (G,) array, and its first basis
+    product x of that weight as one-hot (G, d_j) stacks."""
+    dims = blocks.shape[2:]
+    weights = (np.abs(blocks) ** 2).sum(axis=1).reshape(len(blocks), -1)
+    digits = np.unravel_index(weights.argmax(axis=1), dims)
+    return weights.max(axis=1), [np.eye(d, dtype=np.complex128)[x] for d, x in zip(dims, digits)]
 
 
 def _climb_rows(target, factors, cfg) -> _Climbs:
@@ -246,7 +249,7 @@ def _climb_rows(target, factors, cfg) -> _Climbs:
         if done.all():
             break
         for k in np.flatnonzero(bad):
-            basis = _basis_start(target[k] if per_row else target)[1]
+            basis = _basis_start(target[k : k + 1] if per_row else target[None])[1]
             for f, g in zip(current, basis):
                 f[k] = g[0]
         keep = ~done
@@ -267,7 +270,12 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
     generator keyed (seed, 0, 0), yields in restart order.  The chunks visit
     an input's restarts in order and draw their rows from its stream, and
     rows drawn in pieces from one generator equal one draw, so its starts
-    do not depend on the chunk size or its batch.  Returns each input's
+    do not depend on the chunk size or its batch.
+
+    After a batch's chunks, an input whose restarts all end below its best
+    basis product (``_basis_start`` of the batch's stacked blocks; a row
+    that vanished on its last sweep reports 0.0) climbs once more from it,
+    as restart R + 1, one row on its own target.  Returns each input's
     climbs, in restart order.
     """
     found: list[list[_Climbs]] = [[] for _ in targets]
@@ -289,6 +297,11 @@ def _climb_all(targets, cfgs) -> list[_Climbs]:
             climbs = _climb_rows(target, starts, cfg)
             for a, b in _runs(ins):
                 found[ins[a]].append(climbs[a:b])
+        group = [targets[i] for i in members]
+        weights, basis = _basis_start(np.stack(group) if len(group) > 1 else group[0][None])
+        for g, i in enumerate(members):
+            if max(c.objective.max() for c in found[i]) < weights[g] - 1e-15:
+                found[i].append(_climb_rows(group[g], [f[g : g + 1] for f in basis], cfg))
     return [_join(c) for c in found]
 
 
@@ -342,14 +355,11 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     in ``inputs``, in input order, with one config (or None) each in ``cfgs``.
 
     Inputs of equal dims, K, ``tol`` and ``max_sweeps`` climb as rows of one
-    batch, and a row's arithmetic does not depend on its batch: each result
-    equals the input's own one-input call bit for bit, at a fraction of the
-    per-call overhead.  An input whose restarts all end below its best
-    basis product (``_basis_start``; a row that vanished on its last sweep
-    reports 0.0) climbs once more from it, as restart R + 1, alone on its
-    own target, so its value is at least that product's weight.  The
-    many-input caller is ``verify``, whose suite makes one call for the
-    requests of all its checks.
+    batch (``_climb_all``, which also climbs each input's basis floor), and
+    a row's arithmetic does not depend on its batch: each result equals the
+    input's own one-input call bit for bit, at a fraction of the per-call
+    overhead.  The many-input caller is ``verify``, whose suite makes one
+    call for the requests of all its checks.
     """
     inputs, cfgs = list(inputs), [cfg or OptimizerConfig() for cfg in cfgs]
     if len(inputs) != len(cfgs):
@@ -357,18 +367,6 @@ def pmax_overlap_many(inputs, cfgs) -> list[PmaxResult]:
     blocks = [x.factor if isinstance(x, DensityMatrix) else x.amps[None] for x in inputs]
     targets = [b.reshape((len(b),) + x.shape.dims) for b, x in zip(blocks, inputs)]
     climbs = _climb_all(targets, cfgs)
-    groups: dict[tuple, list[int]] = {}
-    for i, target in enumerate(targets):
-        groups.setdefault(target.shape, []).append(i)
-    for members in groups.values():
-        group = [targets[i] for i in members]
-        stack = np.stack(group) if len(group) > 1 else group[0][None]
-        # each block's largest basis weight, summed over k as _basis_start sums it
-        weights = (np.abs(stack) ** 2).sum(axis=1).reshape(len(group), -1).max(axis=1)
-        for i, target, weight in zip(members, group, weights):
-            if climbs[i].objective.max() < weight - 1e-15:
-                floor = _climb_rows(target, _basis_start(target)[1], cfgs[i])
-                climbs[i] = _join([climbs[i], floor])
     return [_result(c, x.shape, b) for c, x, b in zip(climbs, inputs, blocks)]
 
 

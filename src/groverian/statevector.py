@@ -62,16 +62,17 @@ def _index(value, what: str, error=DimensionMismatch) -> int:
 
 
 def _numbers(given, what: str, error) -> np.ndarray:
-    """``given`` as numpy reads it, refused with ``error`` unless it is a
-    regular array of numbers: strings, objects (an integer past float range
-    among them) and ragged nesting never reach the conversion to complex."""
+    """``given`` as a contiguous complex128 array, refused with ``error``
+    unless numpy reads it as a regular array of numbers: strings, objects
+    (an integer past float range among them) and ragged nesting never reach
+    the conversion.  An array that already is one is returned, not copied."""
     try:
         a = np.asarray(given)
     except ValueError:
         raise error(f"{what} must be a regular array of numbers") from None
     if a.dtype.kind not in "biufc":
         raise error(f"{what} must be numbers, got dtype {a.dtype}")
-    return a
+    return np.ascontiguousarray(a, dtype=np.complex128)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -170,7 +171,6 @@ class StateVector:
 
     def __post_init__(self):
         amps = _numbers(self.amps, "amplitudes", NotNormalized)
-        amps = np.ascontiguousarray(amps, dtype=np.complex128)
         if amps.ndim != 1 or amps.size != self.shape.total:
             raise DimensionMismatch(
                 f"expected {self.shape.total} amplitudes, got {amps.size}"
@@ -215,7 +215,7 @@ class ProductState:
             )
         fixed = []
         for j, (f, d) in enumerate(zip(self.factors, self.shape.dims), start=1):
-            f = np.ascontiguousarray(_numbers(f, f"factor {j}", NotNormalized), dtype=np.complex128)
+            f = _numbers(f, f"factor {j}", NotNormalized)
             if f.ndim != 1 or f.size != d:
                 raise DimensionMismatch(f"factor {j} must have length {d}")
             if not abs(float(np.linalg.norm(f)) - 1.0) <= NORM_DRIFT_TOL:
@@ -238,7 +238,7 @@ class LocalUnitaryLayer:
             )
         fixed = []
         for j, (g, d) in enumerate(zip(self.gates, self.shape.dims), start=1):
-            g = np.ascontiguousarray(_numbers(g, f"gate {j}", NotNormalized), dtype=np.complex128)
+            g = _numbers(g, f"gate {j}", NotNormalized)
             if g.shape != (d, d):
                 raise DimensionMismatch(f"gate {j} must be {d}x{d}")
             if not np.isfinite(g).all():
@@ -304,7 +304,6 @@ class DensityMatrix:
     def __init__(self, shape: SystemShape, entries):
         total = shape.total
         m = _numbers(entries, "density entries", InvalidDensity)
-        m = np.ascontiguousarray(m, dtype=np.complex128)
         if m.shape != (total, total):
             raise DimensionMismatch(f"density matrix must be {total}x{total}")
         if not np.isfinite(m).all():
@@ -331,7 +330,6 @@ class DensityMatrix:
         semidefinite by construction; only its shape, finiteness and unit
         trace sum_k |b_k|^2 are checked, in O(K * N) with no K x N temporary."""
         b = _numbers(factor, "density factor", InvalidDensity)
-        b = np.ascontiguousarray(b, dtype=np.complex128)
         if b.ndim != 2 or b.shape[1] != shape.total:
             raise DimensionMismatch(f"density factor must have {shape.total} columns")
         trace = float(np.vdot(b, b).real)

@@ -758,7 +758,7 @@ def assert_middle_site_reseeds(target, shape, monkeypatch, vanish=(1,)):
     cfg = OptimizerConfig(seed=9)
     starts = stacked([random_product(shape, 206 + i) for i in range(3)])
     plain = _climb_rows(target, starts, cfg)
-    restart = _climb_rows(target, _basis_start(target)[1], cfg)
+    restart = _climb_rows(target, _basis_start(target[None])[1], cfg)
 
     def vanishing(v):
         v[list(vanish)] = 0.0
@@ -1090,7 +1090,7 @@ class TestManyInputs:
         # climbs a row at a time.
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 24)
         many = pmax_overlap_many([x for x, _ in batch], [cfg for _, cfg in batch])
-        assert restarted and all(np.array_equal(b, vanishing.tensor()[None]) for b in restarted)
+        assert restarted and all(np.array_equal(b, vanishing.tensor()[None, None]) for b in restarted)
         assert any(c.per_row for c in climb_calls)
         rows_of = [row_inputs(c, held) for c in climb_calls]
         for call, ins in zip(climb_calls, rows_of):
@@ -1165,7 +1165,7 @@ class TestBasisRestart:
         uniform = [uniform_factor(2)[None] for _ in range(2)]
         assert _climb_rows(target, uniform, OptimizerConfig(max_sweeps=1)).objective[0] == 0.0
         result = self.run(x, cfg)
-        restart = _climb_rows(target, _basis_start(target)[1], cfg)
+        restart = _climb_rows(target, _basis_start(target[None])[1], cfg)
         assert abs(result.value - pmax) <= 1e-15
         assert result.restarts_used == 1
         assert result.best_per_restart == (restart.objective[0],)
@@ -1178,11 +1178,30 @@ class TestBasisRestart:
         x, target, pmax = vanishing_input(name)
         cfg = OptimizerConfig(restarts=1, max_sweeps=1)
         result = self.run(x, cfg)
-        floor = _climb_rows(target, _basis_start(target)[1], cfg)
+        floor = _climb_rows(target, _basis_start(target[None])[1], cfg)
         assert result.restarts_used == 2  # restart R + 1 is the floor
         assert result.best_per_restart == (0.0, floor.objective[0])
-        assert result.value >= _basis_start(target)[0] - 1e-15
+        assert result.value >= _basis_start(target[None])[0][0] - 1e-15
         assert abs(result.value - pmax) <= 1e-15
+
+    def test_stacked_basis_rule_equals_one_block_at_a_time(self):
+        # Rank-2 blocks sum over K; the GHZ block ties |000> with |111>.
+        shape = SystemShape([2, 2, 2])
+        rhos = [random_rank_density(shape, 2, 340 + g) for g in range(3)]
+        blocks = [rho.factor.reshape(2, 2, 2, 2) for rho in rhos]
+        blocks.append(np.concatenate([ghz(3).tensor()[None], np.zeros((1, 2, 2, 2))]))
+        weights, starts = _basis_start(np.stack(blocks))
+        for g, block in enumerate(blocks):
+            weight, start = _basis_start(block[None])
+            assert same_bits(weights[g], weight[0])
+            for f, h in zip(starts, start, strict=True):
+                assert np.array_equal(f[g : g + 1], h)
+        for g, rho in enumerate(rhos):
+            diag = np.real(np.diagonal(rho.entries))
+            digits = np.unravel_index(int(np.argmax(diag)), shape.dims)
+            assert abs(weights[g] - diag.max()) <= 1e-15
+            assert [int(np.argmax(f[g])) for f in starts] == list(digits)
+        assert [int(np.argmax(f[3])) for f in starts] == [0, 0, 0]  # the first of a tie
 
     def test_row_restarts_from_its_own_input_in_a_stacked_chunk(
         self, two_qubits, monkeypatch, climb_calls
@@ -1205,10 +1224,10 @@ class TestBasisRestart:
         monkeypatch.setattr(product_opt, "CHUNK_AMPLITUDES", 3 * 4)
         many = pmax_overlap_many([first, vanishing], cfgs)
         assert [c.rows for c in climb_calls if c.target.ndim == 4] == [3]
-        assert len(restarted) == 1 and np.array_equal(restarted[0], target)
-        assert not np.array_equal(restarted[0], first.tensor()[None])
-        assert np.array_equal(real_basis(target)[1][1], [[1, 0]])
-        assert np.array_equal(real_basis(first.tensor()[None])[1][1], [[0, 1]])
+        assert len(restarted) == 1 and np.array_equal(restarted[0], target[None])
+        assert not np.array_equal(restarted[0], first.tensor()[None, None])
+        assert np.array_equal(real_basis(target[None])[1][1], [[1, 0]])
+        assert np.array_equal(real_basis(first.tensor()[None, None])[1][1], [[0, 1]])
         for result, one in zip(many, ones, strict=True):
             assert_same_result(result, one)
 

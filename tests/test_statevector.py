@@ -24,6 +24,7 @@ from groverian import (
     apply_local,
     basis_state,
     ghz,
+    groverian_product_mixed,
     inner,
     maximally_mixed,
     product_to_state,
@@ -256,6 +257,10 @@ class TestBoundaryRefusals:
             (lambda q: haar_unitary(-2, np.random.default_rng(0)), DimensionMismatch),
             (lambda q: ghz("3"), DimensionMismatch),
             (lambda q: SystemShape(2), DimensionMismatch),
+            (lambda q: groverian_product_mixed([[[1, 0], [0]]]), InvalidDensity),
+            (lambda q: groverian_product_mixed([["ab", "cd"]]), InvalidDensity),
+            (lambda q: random_rank_density(q, 2.5, 1), DimensionMismatch),
+            (lambda q: random_rank_density(q, "2", 1), DimensionMismatch),
         ],
     )
     def test_refused(self, build, error):
@@ -317,6 +322,8 @@ BUILDERS = {
     "ghz": lambda draw: ghz(draw(COUNTS)),
     "w_state": lambda draw: w_state(draw(COUNTS)),
     "maximally_mixed": lambda draw: maximally_mixed(draw(DIMS)),
+    "random_rank_density": lambda draw: random_rank_density(draw(SHAPES), draw(COUNTS), draw(SEEDS)),
+    "groverian_product_mixed": lambda draw: groverian_product_mixed(draw(st.lists(VALUES, max_size=3))),
 }
 
 
@@ -337,6 +344,8 @@ def validated(value):
         return value.factor.shape[1] == value.shape.total and abs(np.vdot(value.factor, value.factor) - 1.0) <= DENSITY_TOL
     if isinstance(value, SystemShape):
         return all(isinstance(d, int) and d >= 2 for d in value.dims)
+    if isinstance(value, float):  # a measure
+        return 0.0 <= value <= 1.0
     return isinstance(value, np.ndarray) and value.dtype == np.complex128 and _unitary(value)
 
 
